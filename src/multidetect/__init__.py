@@ -15,6 +15,7 @@ from .experiment import (
     IdealModel,
     OscillatorModel,
     QpcModel,
+    TrialBlock,
     TrialRecord,
     model_misreads,
     run_experiment,
@@ -28,19 +29,15 @@ from .inference import (
     loglik_unanimous,
     required_trials,
 )
-from .oscillator import OscillatorParams, PointerReading
-from .qpc import CurrentSample, CurrentStats, QpcParams
-from .rng import TrialStreams, trial_rng
+from .oscillator import OscillatorParams
+from .qpc import CurrentStats, QpcParams
 from .scenarios import (
     Binomial,
     Custom,
     TrialOutcome,
     Unanimous,
     binomial_pmf,
-    sample_binomial_trial,
-    sample_custom_trial,
     sample_multinomial_trial,
-    sample_unanimous,
 )
 from .state import (
     Amplitudes,
@@ -50,13 +47,12 @@ from .state import (
     make_amplitudes,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Amplitudes",
     "Binomial",
     "Custom",
-    "CurrentSample",
     "CurrentStats",
     "ErrorModel",
     "ExperimentConfig",
@@ -68,14 +64,13 @@ __all__ = [
     "OscillatorParams",
     "OutcomeProbabilities",
     "PhysicalConstants",
-    "PointerReading",
     "QpcModel",
     "QpcParams",
     "SI",
     "ScenarioVerdict",
     "TrialOutcome",
+    "TrialBlock",
     "TrialRecord",
-    "TrialStreams",
     "Unanimous",
     "binomial_pmf",
     "born_probabilities",
@@ -86,10 +81,6 @@ __all__ = [
     "model_misreads",
     "required_trials",
     "run_experiment",
-    "sample_binomial_trial",
-    "sample_custom_trial",
     "sample_multinomial_trial",
-    "sample_unanimous",
     "summarize",
-    "trial_rng",
 ]

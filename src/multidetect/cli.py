@@ -26,6 +26,7 @@ from .experiment import (
     IdealModel,
     OscillatorModel,
     QpcModel,
+    TrialBlock,
     TrialRecord,
     run_experiment,
 )
@@ -78,11 +79,20 @@ def _records_header(n_detectors: int) -> str:
     return f"trial,latent,{readings},{outcomes}"
 
 
-def _record_row(record: TrialRecord, scale: float) -> str:
-    latent = "" if record.latent is None else str(record.latent)
-    readings = ",".join(repr(float(x) * scale) for x in record.raw_readings)
-    outcomes = ",".join(str(o) for o in record.outcomes)
-    return f"{record.index},{latent},{readings},{outcomes}"
+def _block_rows(block: TrialBlock, scale: float) -> str:
+    """CSV rows of one block; floats in shortest round-trip form, as repr gives."""
+    size = len(block.outcomes)
+    latents = [""] * size if block.latent is None else block.latent.tolist()
+    rows = zip(
+        range(block.start, block.start + size),
+        latents,
+        (block.readings * scale).tolist(),
+        block.outcomes.tolist(),
+    )
+    return "".join(
+        f"{i},{latent},{','.join(map(repr, readings))},{','.join(map(str, outcomes))}\n"
+        for i, latent, readings, outcomes in rows
+    )
 
 
 def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, threads: int = 1) -> int:
@@ -112,11 +122,11 @@ def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, thread
         fh.write(CONFIG_COMMENT + echo_line + "\n")
         fh.write(_records_header(experiment.n_detectors) + "\n")
 
-        def writer(record, _fh=fh, _scale=scale):
-            _fh.write(_record_row(record, _scale) + "\n")
+        def writer(block, _fh=fh, _scale=scale):
+            _fh.write(_block_rows(block, _scale))
 
     try:
-        _, summary = run_experiment(experiment, on_record=writer, keep_records=False)
+        _, summary = run_experiment(experiment, keep_records=False, on_block=writer)
     finally:
         if fh is not None:
             fh.close()
@@ -209,7 +219,7 @@ def cmd_infer(records_path, config_path) -> int:
         prior_log_odds=resolved.prior_log_odds,
     )
     try:
-        m_required = required_trials(probs, resolved.alpha, _pair_error_model(resolved))
+        m_required = required_trials(probs, resolved.alpha, resolved.error_model)
     except NoDiscriminationError:
         m_required = None
     payload = {
@@ -223,12 +233,6 @@ def cmd_infer(records_path, config_path) -> int:
     }
     print(cfg.canonical_json(payload), end="")
     return EXIT_INCONCLUSIVE if verdict.decision == DECISION_INCONCLUSIVE else EXIT_OK
-
-
-def _pair_error_model(resolved):
-    from .inference import ErrorModel
-
-    return ErrorModel(resolved.error_model.eps[:2])
 
 
 def cmd_discriminability(config_path) -> int:
@@ -267,7 +271,7 @@ def cmd_discriminability(config_path) -> int:
     table = {}
     for alpha in REQUIRED_TRIALS_ALPHAS:
         try:
-            table[str(alpha)] = required_trials(probs, alpha, _pair_error_model(resolved))
+            table[str(alpha)] = required_trials(probs, alpha, resolved.error_model)
         except NoDiscriminationError:
             table[str(alpha)] = None
 

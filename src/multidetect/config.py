@@ -26,6 +26,7 @@ from .experiment import (
 from .inference import DEFAULT_LOG_ODDS_THRESHOLD, ErrorModel
 from .oscillator import OscillatorParams
 from .qpc import QpcParams
+from .rng import SEED_LIMIT
 from .scenarios import Binomial, Custom, ScenarioKind, Unanimous
 from .state import Amplitudes, make_amplitudes
 
@@ -70,11 +71,13 @@ def _number(value, path: str, minimum=None, maximum=None, strict_min=False) -> f
     return v
 
 
-def _integer(value, path: str, minimum=None) -> int:
+def _integer(value, path: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -210,9 +213,8 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
         n_detectors = _integer(
             raw.get("n_detectors", len(model.detectors)), "n_detectors", minimum=2
         )
-    seed = _integer(raw.get("seed", 0), "seed")
-    if seed_override is not None:
-        seed = seed_override
+    seed = raw.get("seed", 0) if seed_override is None else seed_override
+    seed = _integer(seed, "seed", minimum=0, maximum=SEED_LIMIT - 1)
 
     try:
         experiment = ExperimentConfig(

@@ -1,17 +1,20 @@
-"""Monte Carlo trial runner combining an outcome law with a detector layer.
+"""Monte Carlo trial engine combining an outcome law with a detector layer.
 
-One experiment repeats the same prepared measurement over many trials.
-Each trial draws an outcome pattern from the configured scenario; a
-physical detector layer, when present, then produces raw readings
-(pointer positions or currents) for those outcomes and thresholds them
-back to bits.  Unanimous trials feed one shared latent bit to every
-detector sampler; binomial and custom trials feed each detector its own
-bit, which is exactly the distinction between the one-latent mixture law
-and the independent-detector law at the physical level.
+One experiment repeats the same prepared measurement over many trials,
+run in blocks of ``BLOCK_SIZE`` trials.  Each block draws from its own
+Philox stream keyed by (seed, block index), in this order:
 
-Trials use independent counter-based random streams keyed by
-(seed, trial index), so results are identical no matter how the trial
-loop is scheduled or chunked.
+1. the scenario's (B, N) array of latched bits;
+2. detector by detector, the B raw readings (pointer positions or
+   currents) for that detector's column of bits; each column is then
+   thresholded back to outcomes.  The ideal model reads the bits
+   losslessly and draws nothing.
+
+Unanimous trials feed one shared latent bit to every detector sampler;
+binomial and custom trials feed each detector its own bit, which is exactly
+the distinction between the one-latent mixture law and the
+independent-detector law at the physical level.  Agreement counts
+accumulate per block from a bincount of the number of detectors reading 0.
 """
 
 from __future__ import annotations
@@ -19,19 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import oscillator as osc
 from . import qpc as qpcmod
 from .errors import EmptyInputError, RaggedRecordsError
-from .rng import TrialStreams
-from .scenarios import (
-    Binomial,
-    Custom,
-    ScenarioKind,
-    Unanimous,
-    sample_binomial_trial,
-    sample_custom_trial,
-    sample_unanimous,
-)
+from .rng import BLOCK_SIZE, SEED_LIMIT, block_rng
+from .scenarios import Custom, ScenarioKind
 from .state import Amplitudes, born_probabilities
 
 
@@ -40,6 +37,10 @@ class IdealModel:
     """No physical layer; outcomes are read off losslessly."""
 
     model = "ideal"
+
+    def detect(self, bits: np.ndarray, rng: np.random.Generator):
+        """Readings and outcomes for a (B, N) block of bits: the bits themselves."""
+        return bits.astype(float), bits
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,15 @@ class OscillatorModel:
 
     def __init__(self, detectors):
         object.__setattr__(self, "detectors", tuple(detectors))
+
+    def detect(self, bits: np.ndarray, rng: np.random.Generator):
+        """Pointer positions and their thresholded outcomes for a (B, N) block of bits."""
+        readings = np.empty(bits.shape)
+        outcomes = np.empty_like(bits)
+        for a, params in enumerate(self.detectors):
+            readings[:, a] = osc.sample_pointer(params, bits[:, a], rng)
+            outcomes[:, a] = osc.readout(readings[:, a], params)
+        return readings, outcomes
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,15 @@ class QpcModel:
             raise ValueError(f"unknown sampling mode {sampling!r}")
         object.__setattr__(self, "detectors", tuple(detectors))
         object.__setattr__(self, "sampling", sampling)
+
+    def detect(self, bits: np.ndarray, rng: np.random.Generator):
+        """Currents and their thresholded outcomes for a (B, N) block of bits."""
+        readings = np.empty(bits.shape)
+        outcomes = np.empty_like(bits)
+        for a, params in enumerate(self.detectors):
+            readings[:, a] = qpcmod.sample_current(params, bits[:, a], rng, mode=self.sampling)
+            outcomes[:, a] = qpcmod.current_readout(readings[:, a], params)
+        return readings, outcomes
 
 
 DetectorModel = IdealModel | OscillatorModel | QpcModel
@@ -87,6 +106,8 @@ class ExperimentConfig:
             raise ValueError("n_trials must be at least 1")
         if self.n_detectors < 2:
             raise ValueError("agreement statistics need at least two detectors")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not isinstance(self.detector_model, IdealModel):
             n = len(self.detector_model.detectors)
             if n != self.n_detectors:
@@ -120,35 +141,51 @@ class ExperimentSummary:
     agreement_fraction: float
 
 
-class _Accumulator:
-    def __init__(self, n_detectors: int):
-        self.n_detectors = n_detectors
-        self.m0 = 0
-        self.m1 = 0
-        self.m = 0
-        self.hist = [0] * (n_detectors + 1)
+@dataclass(frozen=True)
+class TrialBlock:
+    """Trials start .. start + B - 1 of one experiment, as arrays.
 
-    def add(self, outcomes: Sequence[int]) -> None:
-        n0 = sum(1 for o in outcomes if o == 0)
-        self.hist[n0] += 1
-        if n0 == self.n_detectors:
-            self.m0 += 1
-        elif n0 == 0:
-            self.m1 += 1
-        else:
-            self.m += 1
+    ``latent`` is the (B,) shared bit for unanimous trials, else None;
+    ``readings`` (float) and ``outcomes`` (0/1) are (B, N).
+    """
 
-    def summary(self) -> ExperimentSummary:
-        total = self.m0 + self.m1 + self.m
-        return ExperimentSummary(
-            n_trials=total,
-            n_detectors=self.n_detectors,
-            m0_unanimous_zero=self.m0,
-            m1_unanimous_one=self.m1,
-            disagreements=self.m,
-            histogram_n0=tuple(self.hist),
-            agreement_fraction=(self.m0 + self.m1) / total,
-        )
+    start: int
+    latent: Optional[np.ndarray]
+    readings: np.ndarray
+    outcomes: np.ndarray
+
+    def records(self) -> list[TrialRecord]:
+        size = len(self.outcomes)
+        latents = [None] * size if self.latent is None else self.latent.tolist()
+        return [
+            TrialRecord(index=i, latent=latent, raw_readings=tuple(r), outcomes=tuple(o))
+            for i, latent, r, o in zip(
+                range(self.start, self.start + size),
+                latents,
+                self.readings.tolist(),
+                self.outcomes.tolist(),
+            )
+        ]
+
+
+def _histogram(outcomes: np.ndarray) -> np.ndarray:
+    """Trials per number of detectors reading 0, for a (B, N) outcome array."""
+    return np.bincount((outcomes == 0).sum(axis=1), minlength=outcomes.shape[1] + 1)
+
+
+def _summary(hist: np.ndarray) -> ExperimentSummary:
+    n = len(hist) - 1
+    total = int(hist.sum())
+    m0, m1 = int(hist[n]), int(hist[0])
+    return ExperimentSummary(
+        n_trials=total,
+        n_detectors=n,
+        m0_unanimous_zero=m0,
+        m1_unanimous_one=m1,
+        disagreements=total - m0 - m1,
+        histogram_n0=tuple(hist.tolist()),
+        agreement_fraction=(m0 + m1) / total,
+    )
 
 
 def model_misreads(model: DetectorModel, n_detectors: int) -> tuple[float, ...]:
@@ -160,88 +197,39 @@ def model_misreads(model: DetectorModel, n_detectors: int) -> tuple[float, ...]:
     return tuple(qpcmod.misread_probability(p) for p in model.detectors)
 
 
-def _physical_layer(model: DetectorModel) -> Callable:
-    if isinstance(model, IdealModel):
-
-        def ideal(bits, rng):
-            return tuple(float(b) for b in bits), tuple(bits)
-
-        return ideal
-
-    if isinstance(model, OscillatorModel):
-        detectors = model.detectors
-
-        def pointer(bits, rng):
-            readings = tuple(
-                osc.sample_pointer(params, bit, rng).x
-                for params, bit in zip(detectors, bits)
-            )
-            outs = tuple(osc.readout(x, params) for params, x in zip(detectors, readings))
-            return readings, outs
-
-        return pointer
-
-    detectors = model.detectors
-    mode = model.sampling
-
-    def contact(bits, rng):
-        readings = tuple(
-            qpcmod.sample_current(params, bit, rng, mode=mode).current
-            for params, bit in zip(detectors, bits)
-        )
-        outs = tuple(
-            qpcmod.current_readout(i, params) for params, i in zip(detectors, readings)
-        )
-        return readings, outs
-
-    return contact
-
-
 def run_experiment(
     config: ExperimentConfig,
     on_record: Callable[[TrialRecord], None] | None = None,
     keep_records: bool = True,
+    on_block: Callable[[TrialBlock], None] | None = None,
 ) -> tuple[list[TrialRecord], ExperimentSummary]:
-    """Run all trials and aggregate agreement statistics.
+    """Run all trials block by block and aggregate agreement statistics.
 
-    ``on_record`` is called with each record as it is produced (in trial
-    order), which lets callers stream large runs to disk; pass
-    ``keep_records=False`` to drop records after the callback and keep
-    memory bounded.  Output is a pure function of the config.
+    ``on_block`` is called with each TrialBlock in trial order, which lets
+    callers stream large runs to disk a block at a time.  TrialRecords are
+    built only when asked for: ``on_record`` is called with each one in
+    trial order, and ``keep_records=True`` returns them all.  Output is a
+    pure function of the config.
     """
     probs = born_probabilities(config.state)
-    n = config.n_detectors
-    scenario = config.scenario
-
-    if isinstance(scenario, Unanimous):
-        draw = lambda rng: sample_unanimous(probs, n, rng)
-    elif isinstance(scenario, Binomial):
-        draw = lambda rng: sample_binomial_trial(probs, n, rng)
-    else:
-        draw = lambda rng: sample_custom_trial(scenario, probs, n, rng)
-
-    physical = _physical_layer(config.detector_model)
-    streams = TrialStreams(config.seed)
-    acc = _Accumulator(n)
+    hist = np.zeros(config.n_detectors + 1, dtype=np.int64)
     records: list[TrialRecord] = []
-
-    for i in range(config.n_trials):
-        rng = streams.stream(i)
-        pattern = draw(rng)
-        readings, outcomes = physical(pattern.outcomes, rng)
-        record = TrialRecord(
-            index=i,
-            latent=pattern.latent_sigma,
-            raw_readings=readings,
-            outcomes=outcomes,
-        )
-        acc.add(outcomes)
-        if on_record is not None:
-            on_record(record)
-        if keep_records:
-            records.append(record)
-
-    return records, acc.summary()
+    for block_index, start in enumerate(range(0, config.n_trials, BLOCK_SIZE)):
+        rng = block_rng(config.seed, block_index)
+        size = min(BLOCK_SIZE, config.n_trials - start)
+        bits, latent = config.scenario.draw(probs, config.n_detectors, rng, size)
+        block = TrialBlock(start, latent, *config.detector_model.detect(bits, rng))
+        hist += _histogram(block.outcomes)
+        if on_block is not None:
+            on_block(block)
+        if keep_records or on_record is not None:
+            block_records = block.records()
+            if on_record is not None:
+                for record in block_records:
+                    on_record(record)
+            if keep_records:
+                records.extend(block_records)
+    return records, _summary(hist)
 
 
 def summarize(records: Sequence[TrialRecord]) -> ExperimentSummary:
@@ -249,11 +237,9 @@ def summarize(records: Sequence[TrialRecord]) -> ExperimentSummary:
     if len(records) == 0:
         raise EmptyInputError("no trial records to summarize")
     n = len(records[0].outcomes)
-    acc = _Accumulator(n)
     for rec in records:
         if len(rec.outcomes) != n:
             raise RaggedRecordsError(
                 f"trial {rec.index} has {len(rec.outcomes)} outcomes, expected {n}"
             )
-        acc.add(rec.outcomes)
-    return acc.summary()
+    return _summary(_histogram(np.array([rec.outcomes for rec in records])))

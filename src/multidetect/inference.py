@@ -16,9 +16,9 @@ hypotheses decide the verdict; misreads absorb into an effective flip
 probability per detector on the binomial side, which is used throughout.
 
 ``required_trials`` inverts the zero-disagreement probability: it returns
-the smallest M at which the binomial law would produce at least one
-disagreeing trial with probability 1 - alpha, the operational form of
-"enough trials to tell the laws apart".
+the smallest M at which the binomial law would produce at least one trial
+in which the N detectors do not all agree with probability 1 - alpha, the
+operational form of "enough trials to tell the laws apart".
 """
 
 from __future__ import annotations
@@ -211,10 +211,12 @@ def required_trials(
 ) -> int:
     """Smallest M at which all-agreeing data rules out the binomial law at level alpha.
 
-    Solves (1 - q)^M <= alpha for the per-trial two-detector disagreement
-    probability q under the binomial law with misreads absorbed
-    (q = 2 p~0 p~1 for equal misreads).  Scales as 1/(2 p0 p1): states closer
-    to a basis state need proportionally more trials.
+    Solves (1 - q)^M <= alpha for the per-trial probability q that not all
+    N detectors agree under the binomial law with misreads absorbed,
+    q = 1 - prod p~_a - prod (1 - p~_a)  (q = 2 p~0 p~1 for two equal
+    detectors).  Scales as 1/(2 p0 p1) for N = 2: states closer to a basis
+    state need proportionally more trials.  ``err`` defaults to two ideal
+    detectors.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -224,11 +226,15 @@ def required_trials(
         )
     if err is None:
         err = ErrorModel.ideal(2)
-    if len(err.eps) != 2:
-        raise ValueError("required_trials is defined for the two-detector protocol")
-    pa = _flip_prob(probs, err.eps[0])
-    pb = _flip_prob(probs, err.eps[1])
-    disagree = pa * (1.0 - pb) + (1.0 - pa) * pb
+    # add detectors one at a time: the newcomer breaks unanimity with
+    # probability all0 * (1 - p) + all1 * p; a sum of non-negative terms
+    # keeps q accurate when it is tiny
+    effective = [_flip_prob(probs, e) for e in err.eps]
+    all0, all1 = effective[0], 1.0 - effective[0]
+    disagree = 0.0
+    for p in effective[1:]:
+        disagree += all0 * (1.0 - p) + all1 * p
+        all0, all1 = all0 * p, all1 * (1.0 - p)
     if disagree <= 0.0:
         raise NoDiscriminationError("misread-adjusted disagreement probability is zero")
     if alpha == 1.0:

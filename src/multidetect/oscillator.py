@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import SI, PhysicalConstants
 from .errors import NotDistinguishableError, QuantumRegimeWarning, RelaxationWarning
-from .state import OutcomeProbabilities
+from .state import OutcomeProbabilities, outcome_bits
 
 #: X/dx at or above which readout is flagged reliable (misread ~ 6e-3 at 5).
 RELIABLE_RATIO = 5.0
@@ -109,17 +109,6 @@ class OscillatorParams:
         return self.constants.hbar / (self.mass * self.omega)
 
 
-@dataclass(frozen=True)
-class PointerReading:
-    """One sampled pointer position."""
-
-    x: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError("pointer reading must be finite")
-
-
 def displacement(params: OscillatorParams) -> float:
     """Equilibrium position X = lambda/(m omega^2) for outcome 1."""
     return params.coupling_lambda / (params.mass * params.omega**2)
@@ -142,22 +131,18 @@ def is_reliable(params: OscillatorParams, ratio_threshold: float = RELIABLE_RATI
 
 def sample_pointer(
     params: OscillatorParams,
-    sigma: int,
+    sigma,
     rng: np.random.Generator,
-    size: int | None = None,
+    size=None,
 ):
-    """Sample relaxed pointer position(s) given the latched outcome.
+    """Sample relaxed pointer position(s) given the latched outcome(s).
 
-    Classical-regime thermal state: Normal(sigma*X, dx^2).  Returns a
-    :class:`PointerReading` for ``size=None``, else an ndarray of positions.
+    Classical-regime thermal state: Normal(sigma*X, dx^2).  ``sigma`` is 0,
+    1 or an array of them; the draws have the shape of ``size`` when given,
+    else the shape of ``sigma`` (a float for a scalar).
     """
-    if sigma not in (0, 1):
-        raise ValueError("sigma must be 0 or 1")
-    mean = sigma * displacement(params)
-    std = thermal_std(params)
-    if size is None:
-        return PointerReading(x=float(rng.normal(mean, std)))
-    return rng.normal(mean, std, size=size)
+    sigma = outcome_bits(sigma)
+    return rng.normal(sigma * displacement(params), thermal_std(params), size=size)
 
 
 def _gauss(x, mean: float, std: float):
@@ -211,15 +196,13 @@ def readout(x, params: OscillatorParams):
 
     Raises NotDistinguishableError when X/dx < 1, where the two outcome
     distributions overlap too much for any threshold to mean anything.
-    Accepts a PointerReading, a float, or an array of positions.
+    Accepts a float or an array of positions.
     """
     if distinguishability_ratio(params) < 1.0:
         raise NotDistinguishableError(
             f"X/dx = {distinguishability_ratio(params):.3g} < 1; readout is meaningless"
         )
     threshold = 0.5 * displacement(params)
-    if isinstance(x, PointerReading):
-        x = x.x
     out = np.asarray(x, dtype=float) > threshold
     if np.ndim(out) == 0:
         return int(out)

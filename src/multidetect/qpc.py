@@ -31,7 +31,7 @@ import numpy as np
 from . import counting
 from .constants import SI, PhysicalConstants
 from .errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
-from .state import OutcomeProbabilities
+from .state import OutcomeProbabilities, outcome_bits
 
 #: D at or above which readout is flagged reliable (misread ~ 6e-3 at 25).
 RELIABLE_DISCRIMINABILITY = 25.0
@@ -89,14 +89,6 @@ class CurrentStats:
     std_current: float
 
 
-@dataclass(frozen=True)
-class CurrentSample:
-    """One sampled time-averaged current; raw_count present for exact draws."""
-
-    current: float
-    raw_count: int | None = None
-
-
 def raw_attempts(params: QpcParams) -> float:
     """Unrounded attempt count 2 e V tau / h (spin-degenerate channel)."""
     c = params.constants
@@ -150,32 +142,29 @@ def current_density(params: QpcParams, sigma: int, current):
 
 def sample_current(
     params: QpcParams,
-    sigma: int,
+    sigma,
     rng: np.random.Generator,
     mode: str = "exact",
-    size: int | None = None,
+    size=None,
 ):
-    """Sample time-averaged current(s) for the latched outcome.
+    """Sample time-averaged current(s) given the latched outcome(s).
 
+    ``sigma`` is 0, 1 or an array of them; the draws have the shape of
+    ``size`` when given, else the shape of ``sigma`` (a float for a scalar).
     mode "exact" draws the transmitted count from the binomial law and
     converts to current e*n/tau; mode "gaussian" draws directly from the
-    closed-form density.  ``size=None`` returns a CurrentSample, otherwise
-    an ndarray of currents.
+    closed-form density.
     """
-    e = params.constants.electron_charge
-    tau = params.observation_time
+    sigma = outcome_bits(sigma)
     if mode == "exact":
-        n = rng.binomial(attempts(params), params.transmission(sigma), size=size)
-        current = e * n / tau
-        if size is None:
-            return CurrentSample(current=float(current), raw_count=int(n))
-        return current
+        t = np.where(sigma == 0, params.t_given_0, params.t_given_1)
+        n = rng.binomial(attempts(params), t, size=size)
+        return params.constants.electron_charge * n / params.observation_time
     if mode == "gaussian":
-        stats = current_stats(params, sigma)
-        current = rng.normal(stats.mean_current, stats.std_current, size=size)
-        if size is None:
-            return CurrentSample(current=float(current), raw_count=None)
-        return current
+        s0, s1 = current_stats(params, 0), current_stats(params, 1)
+        mean = np.where(sigma == 0, s0.mean_current, s1.mean_current)
+        std = np.where(sigma == 0, s0.std_current, s1.std_current)
+        return rng.normal(mean, std, size=size)
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
@@ -213,7 +202,7 @@ def current_readout(current, params: QpcParams):
     """Threshold a current at the midpoint of the two means; ties resolve to 0.
 
     Oriented by the sign of the transmission contrast, so either detector
-    orientation reads out correctly.  Accepts CurrentSample, float, or array.
+    orientation reads out correctly.  Accepts a float or an array.
     """
     t0, t1 = params.t_given_0, params.t_given_1
     if t0 == t1:
@@ -221,8 +210,6 @@ def current_readout(current, params: QpcParams):
     i0 = current_stats(params, 0).mean_current
     i1 = current_stats(params, 1).mean_current
     mid = 0.5 * (i0 + i1)
-    if isinstance(current, CurrentSample):
-        current = current.current
     current = np.asarray(current, dtype=float)
     out = current > mid if t1 > t0 else current < mid
     if np.ndim(out) == 0:

@@ -1,14 +1,14 @@
-"""Per-trial outcome patterns under the competing readout laws.
+"""Outcome patterns under the competing readout laws, a block of trials at a time.
 
-Three generators are provided for N detectors watching one prepared
-two-level system:
+Each scenario's ``draw`` fills a (trials, N) array of latched bits for N
+detectors watching one prepared two-level system:
 
-* unanimous trials: one collective bit per trial, shared by every detector;
-* binomial trials: one independent bit per detector, so the number of
-  detectors reading 0 follows the binomial counting law;
-* custom trials: the count of detectors reading 0 is drawn from a
-  user-supplied pmf constrained to the same mean, and the identities of
-  the detectors reading 0 are uniform over subsets.
+* unanimous: one collective bit per trial, copied onto every detector;
+* binomial: one independent bit per detector, so the number of detectors
+  reading 0 follows the binomial counting law;
+* custom: the count of detectors reading 0 is drawn from a user-supplied
+  pmf constrained to the same mean, and the identities of the detectors
+  reading 0 are uniform over subsets.
 
 A categorical variant extends the binomial law to d-valued observables.
 """
@@ -36,12 +36,25 @@ class Unanimous:
 
     kind = "unanimous"
 
+    def draw(
+        self, probs: OutcomeProbabilities, n_detectors: int, rng: np.random.Generator, size: int
+    ):
+        """Bits (size, N) and the latent bit per trial: one uniform per trial."""
+        latent = (rng.random(size) >= probs.p0).astype(np.int8)
+        return np.repeat(latent[:, None], n_detectors, axis=1), latent
+
 
 @dataclass(frozen=True)
 class Binomial:
     """Each detector latches its own independent bit each trial."""
 
     kind = "binomial"
+
+    def draw(
+        self, probs: OutcomeProbabilities, n_detectors: int, rng: np.random.Generator, size: int
+    ):
+        """Bits (size, N), 0 with probability p0 each; no latent bit."""
+        return (rng.random((size, n_detectors)) >= probs.p0).astype(np.int8), None
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,23 @@ class Custom:
                 f"pmf mean {mean!r} violates the mean constraint p0*N = {target!r}"
             )
 
+    def draw(
+        self, probs: OutcomeProbabilities, n_detectors: int, rng: np.random.Generator, size: int
+    ):
+        """Bits (size, N): the zero-count from the pmf, its slots uniform; no latent bit.
+
+        The pmf fixes only how many detectors read 0; which ones do is uniform
+        over the C(N, N0) subsets, the maximum-entropy completion: the N0
+        detectors with the smallest of N uniform keys read 0.  Draws one
+        uniform per trial for the count, then N keys per trial.
+        """
+        self.validate(probs, n_detectors)
+        pmf = np.asarray(self.pmf)
+        cdf = np.cumsum(pmf / pmf.sum())
+        n_zero = np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), n_detectors)
+        ranks = rng.random((size, n_detectors)).argsort(axis=1).argsort(axis=1)
+        return (ranks >= n_zero[:, None]).astype(np.int8), None
+
 
 ScenarioKind = Unanimous | Binomial | Custom
 
@@ -99,48 +129,6 @@ def binomial_pmf(n_detectors: int, n_zero: int, probs: OutcomeProbabilities) -> 
     if n_detectors < 1:
         raise OutOfRangeError("need at least one detector")
     return counting.count_pmf(n_detectors, n_zero, probs.p0)
-
-
-def sample_unanimous(
-    probs: OutcomeProbabilities, n_detectors: int, rng: np.random.Generator
-) -> TrialOutcome:
-    """Draw one collective bit and copy it onto every detector."""
-    if n_detectors < 1:
-        raise OutOfRangeError("need at least one detector")
-    sigma = 0 if rng.random() < probs.p0 else 1
-    return TrialOutcome(outcomes=(sigma,) * n_detectors, latent_sigma=sigma)
-
-
-def sample_binomial_trial(
-    probs: OutcomeProbabilities, n_detectors: int, rng: np.random.Generator
-) -> TrialOutcome:
-    """Draw one independent bit per detector (0 with probability p0)."""
-    if n_detectors < 1:
-        raise OutOfRangeError("need at least one detector")
-    bits = (rng.random(n_detectors) >= probs.p0).astype(int)
-    return TrialOutcome(outcomes=tuple(int(b) for b in bits))
-
-
-def sample_custom_trial(
-    scenario: Custom,
-    probs: OutcomeProbabilities,
-    n_detectors: int,
-    rng: np.random.Generator,
-) -> TrialOutcome:
-    """Draw the zero-count from the custom pmf, then place it uniformly.
-
-    The pmf fixes only how many detectors read 0; which ones do is uniform
-    over the C(N, N0) subsets, the maximum-entropy completion.
-    """
-    scenario.validate(probs, n_detectors)
-    pmf = np.asarray(scenario.pmf)
-    cdf = np.cumsum(pmf / pmf.sum())
-    n_zero = int(np.searchsorted(cdf, rng.random(), side="right"))
-    n_zero = min(n_zero, n_detectors)
-    outcomes = np.ones(n_detectors, dtype=int)
-    zero_slots = rng.permutation(n_detectors)[:n_zero]
-    outcomes[zero_slots] = 0
-    return TrialOutcome(outcomes=tuple(int(b) for b in outcomes))
 
 
 def sample_multinomial_trial(

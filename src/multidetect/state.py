@@ -11,6 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NormalizationWarning, ZeroStateError
 
 #: Renormalization above this deviation from unit norm is recorded on the state.
@@ -94,3 +96,11 @@ def born_probabilities(state: Amplitudes) -> OutcomeProbabilities:
     """Outcome probabilities (|c0|^2, 1 - |c0|^2) of the prepared state."""
     p0 = abs(state.c0) ** 2
     return OutcomeProbabilities(p0=min(1.0, max(0.0, p0)))
+
+
+def outcome_bits(sigma) -> np.ndarray:
+    """Latched outcome(s) as an integer array; ValueError unless each is 0 or 1."""
+    bits = np.asarray(sigma)
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("sigma must be 0 or 1")
+    return bits

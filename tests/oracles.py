@@ -67,6 +67,22 @@ def enumerate_count_probability(n: int, k: int, p: float) -> float:
     return total
 
 
+def enumerate_disagreement_probability(p_zero) -> float:
+    """P(not all detectors agree) for independent detectors reading 0 w.p. p_zero[a].
+
+    Sums the probability of every labeled pattern that mixes 0s and 1s.
+    """
+    total = 0.0
+    for pattern in product((0, 1), repeat=len(p_zero)):
+        if len(set(pattern)) == 1:
+            continue
+        prob = 1.0
+        for bit, p in zip(pattern, p_zero):
+            prob *= p if bit == 0 else 1.0 - p
+        total += prob
+    return total
+
+
 def chisq_gof_pvalue(counts, expected_probs, min_expected: float = 5.0) -> float:
     """Goodness-of-fit p-value with sparse bins pooled from the edges inward."""
     counts = np.asarray(counts, dtype=float)

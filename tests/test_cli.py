@@ -127,6 +127,19 @@ class TestSimulate:
         assert (out_a / "records.csv").read_bytes() != (out_b / "records.csv").read_bytes()
         assert json.loads((out_b / "summary.json").read_text())["seed"] == 99
 
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_seed_outside_key_range_rejected(self, tmp_path, capsys, seed):
+        code, out = simulate(tmp_path, ideal_config(), extra=("--seed", seed))
+        assert code == 1
+        assert "config error: seed:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        # -5 used to be masked onto 2**64 - 5; now only the latter is a seed
+        code, out = simulate(tmp_path, ideal_config(), out="top", extra=("--seed", str(2**64 - 5)))
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 5
+
     def test_format_subset(self, tmp_path):
         code, out = simulate(tmp_path, ideal_config(), extra=("--format", "json"))
         assert code == 0
@@ -204,6 +217,16 @@ class TestInfer:
                 code, payload = self.run_infer(tmp_path, raw, capsys)
                 assert code == 0
                 assert payload["decision"] == kind
+
+    def test_required_trials_counts_every_detector(self, tmp_path, capsys):
+        _, payload = self.run_infer(
+            tmp_path, ideal_config(p0=0.99, scenario="unanimous", n_trials=50, n_detectors=3),
+            capsys,
+        )
+        q3 = 1 - 0.99**3 - 0.01**3  # some detector of three disagrees
+        q2 = 2 * 0.99 * 0.01  # the two-detector figure
+        assert payload["M_required_alpha"] == math.ceil(math.log(0.01) / math.log(1 - q3))
+        assert payload["M_required_alpha"] < math.ceil(math.log(0.01) / math.log(1 - q2))
 
     def test_verdict_matches_schema(self, tmp_path, capsys):
         schema = json.loads((DOCS / "verdict.schema.json").read_text())

@@ -123,6 +123,22 @@ def test_seed_override():
     assert resolved.echo["seed"] == 77
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 5, 1.5, True])
+def test_seed_outside_key_range_named(seed):
+    with pytest.raises(ConfigError, match="seed") as exc:
+        resolve(base_config(seed=seed))
+    assert exc.value.field == "seed"
+    with pytest.raises(ConfigError, match="seed") as exc:
+        resolve(base_config(), seed_override=seed)
+    assert exc.value.field == "seed"
+
+
+def test_seed_key_range_edges_accepted():
+    for seed in (0, 2**64 - 1):
+        assert resolve(base_config(seed=seed)).experiment.seed == seed
+        assert resolve(base_config(), seed_override=seed).echo["seed"] == seed
+
+
 def test_canonical_json_is_key_order_independent():
     a = canonical_json({"b": 1, "a": [1, 2]}, compact=True)
     b = canonical_json({"a": [1, 2], "b": 1}, compact=True)

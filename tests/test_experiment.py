@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import chisq_gof_pvalue
 from multidetect.constants import NATURAL
@@ -18,7 +20,7 @@ from multidetect.experiment import (
 )
 from multidetect.oscillator import OscillatorParams, misread_probability as osc_misread
 from multidetect.qpc import QpcParams, discriminability, misread_probability as qpc_misread
-from multidetect.rng import TrialStreams, trial_rng
+from multidetect.rng import BLOCK_SIZE, block_rng
 from multidetect.scenarios import Binomial, Custom, Unanimous, binomial_pmf
 from multidetect.state import OutcomeProbabilities, make_amplitudes
 
@@ -54,16 +56,26 @@ def qpc_pair(n_attempts=302.0, sampling="exact"):
 
 
 class TestStreams:
-    def test_fast_streams_match_reference(self):
-        fast = TrialStreams(99)
-        for i in (0, 1, 17, 2**40):
-            a = trial_rng(99, i).random(6)
-            b = fast.stream(i).random(6)
-            assert np.array_equal(a, b)
+    def test_distinct_block_keys_distinct_streams(self):
+        keys = ((1, 0), (1, 1), (2, 0), (2, 1))
+        draws = {key: block_rng(*key).random(4).tolist() for key in keys}
+        assert len({tuple(d) for d in draws.values()}) == 4
+        assert block_rng(1, 1).random(4).tolist() == draws[(1, 1)]
 
     def test_distinct_trials_distinct_streams(self):
-        assert trial_rng(1, 0).random() != trial_rng(1, 1).random()
-        assert trial_rng(1, 0).random() != trial_rng(2, 0).random()
+        # trial 0 and trial B open blocks 0 and 1; a key that ignored the
+        # block index would give them the same readings
+        config = ExperimentConfig(
+            state=make_amplitudes(0.6, 0, 0.8, 0),
+            scenario=Unanimous(),
+            detector_model=oscillator_pair(),
+            n_trials=BLOCK_SIZE + 1,
+            seed=29,
+        )
+        records, _ = run_experiment(config)
+        readings = [r.raw_readings for r in records]
+        assert readings[0] != readings[BLOCK_SIZE]
+        assert len(set(readings)) == len(readings)
 
 
 class TestRunExperiment:
@@ -182,6 +194,75 @@ class TestRunExperiment:
                 n_trials=10,
                 n_detectors=3,
             )
+
+
+def detector_model(kind, n):
+    if kind == "ideal":
+        return IdealModel()
+    if kind == "oscillator":
+        return OscillatorModel(oscillator_pair(ratio=3.0).detectors[:1] * n)
+    sampling = kind.split("-")[1]
+    return QpcModel(qpc_pair(sampling=sampling).detectors[:1] * n, sampling=sampling)
+
+
+def scenario_for(law, p0, n, weight):
+    if law == "unanimous":
+        return Unanimous()
+    if law == "binomial":
+        return Binomial()
+    # binomial pmf mixed with the two-point unanimous pmf: both have mean p0*N
+    probs = OutcomeProbabilities(p0)
+    pmf = [weight * binomial_pmf(n, k, probs) for k in range(n + 1)]
+    pmf[0] += (1 - weight) * probs.p1
+    pmf[n] += (1 - weight) * probs.p0
+    return Custom(pmf)
+
+
+@st.composite
+def experiments(draw):
+    n = draw(st.integers(2, 8))
+    p0 = draw(st.floats(0.0, 1.0))
+    law = draw(st.sampled_from(["unanimous", "binomial", "custom"]))
+    weight = draw(st.floats(0.0, 1.0))
+    return ExperimentConfig(
+        state=make_amplitudes(math.sqrt(p0), 0, math.sqrt(1 - p0), 0),
+        scenario=scenario_for(law, p0, n, weight),
+        detector_model=detector_model(
+            draw(st.sampled_from(["ideal", "oscillator", "qpc-exact", "qpc-gaussian"])), n
+        ),
+        n_trials=draw(
+            st.sampled_from([1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE + 1])
+            | st.integers(1, 3 * BLOCK_SIZE + 1)
+        ),
+        n_detectors=n,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestBlockEngine:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(experiments())
+    def test_summary_and_records_agree(self, config):
+        m, n = config.n_trials, config.n_detectors
+        streamed, blocks = [], []
+        kept, summary = run_experiment(config, on_record=streamed.append, on_block=blocks.append)
+        assert sum(summary.histogram_n0) == m
+        assert summary.m0_unanimous_zero + summary.m1_unanimous_one + summary.disagreements == m
+        assert streamed == kept
+        assert [r.index for r in kept] == list(range(m))
+        assert [b.start for b in blocks] == list(range(0, m, BLOCK_SIZE))
+        # recount with a plain loop over the materialized records
+        hist = [0] * (n + 1)
+        for record in kept:
+            assert len(record.outcomes) == len(record.raw_readings) == n
+            hist[sum(1 for o in record.outcomes if o == 0)] += 1
+            if isinstance(config.scenario, Unanimous):
+                assert record.latent in (0, 1)
+            else:
+                assert record.latent is None
+        assert summary.histogram_n0 == tuple(hist)
+        assert summary == summarize(kept)
+        assert run_experiment(config, keep_records=False) == ([], summary)
 
 
 class TestSummarize:

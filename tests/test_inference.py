@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import enumerate_disagreement_probability
 from multidetect.errors import NoDiscriminationError
 from multidetect.experiment import ExperimentSummary, summarize, TrialRecord
 from multidetect.inference import (
@@ -16,7 +17,7 @@ from multidetect.inference import (
     loglik_unanimous,
     required_trials,
 )
-from multidetect.scenarios import sample_binomial_trial, sample_unanimous
+from multidetect.scenarios import Binomial, Unanimous
 from multidetect.state import OutcomeProbabilities
 
 P_HALF = OutcomeProbabilities(0.5)
@@ -128,7 +129,7 @@ class TestPathConsistency:
         rng = np.random.default_rng(53)
         probs = OutcomeProbabilities(0.36)
         err = ErrorModel([0.02, 0.02])
-        patterns = [sample_binomial_trial(probs, 2, rng).outcomes for _ in range(400)]
+        patterns = Binomial().draw(probs, 2, rng, 400)[0].tolist()
         records = patterns_to_records(patterns)
         summary = summarize(records)
         odds_records = loglik_unanimous(records, probs, err) - loglik_binomial(
@@ -165,7 +166,8 @@ class TestDecide:
 
     def test_split_data_decides_binomial(self):
         rng = np.random.default_rng(54)
-        data = [sample_binomial_trial(P_HALF, 2, rng).outcomes for _ in range(100)]
+        data, _ = Binomial().draw(P_HALF, 2, rng, 100)
+        data = data.tolist()
         verdict = decide(data, P_HALF, ErrorModel([0.01, 0.01]))
         assert verdict.decision == DECISION_BINOMIAL
         assert math.isfinite(verdict.log_odds)
@@ -197,7 +199,7 @@ class TestDecide:
         rng = np.random.default_rng(55)
         for p0 in (0.2, 0.5, 0.8):
             probs = OutcomeProbabilities(p0)
-            data = [sample_unanimous(probs, 2, rng).outcomes for _ in range(50)]
+            data = Unanimous().draw(probs, 2, rng, 50)[0].tolist()
             llu = loglik_unanimous(data, probs, NO_ERR)
             llb = loglik_binomial(data, probs, NO_ERR)
             assert llu > llb  # strict for 0 < p0 < 1
@@ -251,6 +253,25 @@ class TestRequiredTrials:
         with pytest.raises(NoDiscriminationError):
             required_trials(OutcomeProbabilities(1.0), 0.01)
 
+    @pytest.mark.parametrize("eps", [(0.0, 0.0, 0.0), (0.01, 0.05, 0.2)])
+    def test_three_detectors_match_pattern_enumeration(self, eps):
+        probs = OutcomeProbabilities(0.9)
+        p_eff = [probs.p0 * (1 - e) + probs.p1 * e for e in eps]
+        q = enumerate_disagreement_probability(p_eff)
+        for alpha in (0.05, 0.01, 0.001):
+            # independent oracle: walk the all-agree probability down
+            m, survival = 0, 1.0
+            while survival > alpha:
+                survival *= 1 - q
+                m += 1
+            assert required_trials(probs, alpha, ErrorModel(eps)) == m
+
+    def test_more_detectors_need_fewer_trials(self):
+        probs = OutcomeProbabilities(0.99)
+        values = [required_trials(probs, 0.01, ErrorModel.ideal(n)) for n in (2, 3, 8)]
+        assert values == sorted(values, reverse=True)
+        assert values[0] > values[-1]
+
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
             required_trials(P_HALF, 0.0)
@@ -267,10 +288,10 @@ class TestCalibration:
             m = required_trials(probs, 0.01)
             wrong_unanimous = wrong_binomial = 0
             for _ in range(reps):
-                data_u = [sample_unanimous(probs, 2, rng).outcomes for _ in range(m)]
+                data_u = Unanimous().draw(probs, 2, rng, m)[0].tolist()
                 if decide(data_u, probs, NO_ERR).decision == DECISION_BINOMIAL:
                     wrong_unanimous += 1
-                data_b = [sample_binomial_trial(probs, 2, rng).outcomes for _ in range(m)]
+                data_b = Binomial().draw(probs, 2, rng, m)[0].tolist()
                 if decide(data_b, probs, NO_ERR).decision == DECISION_UNANIMOUS:
                     wrong_binomial += 1
             assert wrong_unanimous / reps <= 0.02

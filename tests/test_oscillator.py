@@ -10,7 +10,6 @@ from multidetect.constants import NATURAL
 from multidetect.errors import NotDistinguishableError, QuantumRegimeWarning, RelaxationWarning
 from multidetect.oscillator import (
     OscillatorParams,
-    PointerReading,
     displacement,
     distinguishability_ratio,
     export_density_csv,
@@ -130,13 +129,24 @@ class TestSampling:
     def test_scalar_form(self):
         rng = np.random.default_rng(25)
         reading = sample_pointer(WELL_SEPARATED, 1, rng)
-        assert isinstance(reading, PointerReading)
-        assert math.isfinite(reading.x)
+        assert isinstance(reading, float)
+        assert math.isfinite(reading)
+
+    def test_sigma_array_selects_outcome_per_draw(self):
+        rng = np.random.default_rng(27)
+        n = 10**5
+        sigma = np.repeat(np.array([0, 1], dtype=np.int8), n)
+        xs = sample_pointer(WELL_SEPARATED, sigma, rng)
+        dx = thermal_std(WELL_SEPARATED)
+        assert abs(xs[:n].mean()) < 4 * dx / math.sqrt(n)
+        assert abs(xs[n:].mean() - displacement(WELL_SEPARATED)) < 4 * dx / math.sqrt(n)
 
     def test_invalid_sigma(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_pointer(WELL_SEPARATED, 2, rng)
+        with pytest.raises(ValueError):
+            sample_pointer(WELL_SEPARATED, np.array([0, 1, 2]), rng)
 
 
 PROBS = OutcomeProbabilities(0.36)
@@ -250,8 +260,9 @@ class TestReadout:
     def test_tie_resolves_to_zero(self):
         assert readout(0.5 * displacement(WELL_SEPARATED), WELL_SEPARATED) == 0
 
-    def test_pointer_reading_accepted(self):
-        assert readout(PointerReading(x=19.0), WELL_SEPARATED) == 1
+    def test_array_readings_accepted(self):
+        got = readout(np.array([19.0, 1.0, 10.0]), WELL_SEPARATED)
+        assert got.tolist() == [1, 0, 0]
 
     def test_indistinguishable_raises(self):
         with pytest.raises(NotDistinguishableError):

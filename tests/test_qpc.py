@@ -8,7 +8,6 @@ from oracles import gauss_legendre_1d, gauss_legendre_2d
 from multidetect.constants import SI
 from multidetect.errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
 from multidetect.qpc import (
-    CurrentSample,
     QpcParams,
     attempts,
     count_pmf,
@@ -165,14 +164,31 @@ class TestSampling:
         assert counts.mean() == pytest.approx(99.0, abs=4 * math.sqrt(0.99 / draws))
 
     def test_exact_mode_scalar_carries_count(self):
+        # a scalar draw is one float current e*n/tau, so the count is recoverable
         p = make_qpc(0.3, 0.7, 1000.0)
         rng = np.random.default_rng(34)
         s = sample_current(p, 1, rng, mode="exact")
-        assert isinstance(s, CurrentSample)
-        assert s.raw_count is not None
-        assert s.current == pytest.approx(
-            SI.electron_charge * s.raw_count / p.observation_time, rel=1e-15
-        )
+        assert isinstance(s, float)
+        count = s * p.observation_time / SI.electron_charge
+        assert count == pytest.approx(round(count), rel=1e-12)
+        assert 0 <= round(count) <= attempts(p)
+
+    @pytest.mark.parametrize("mode", ["exact", "gaussian"])
+    def test_sigma_array_selects_outcome_per_draw(self, mode):
+        p = make_qpc(0.3, 0.7, 10**4)
+        rng = np.random.default_rng(39)
+        draws = 10**4
+        sigma = np.repeat(np.array([0, 1], dtype=np.int8), draws)
+        currents = sample_current(p, sigma, rng, mode=mode)
+        assert currents.shape == sigma.shape
+        for s, half in ((0, currents[:draws]), (1, currents[draws:])):
+            st = current_stats(p, s)
+            assert abs(half.mean() - st.mean_current) < 4 * st.std_current / math.sqrt(draws)
+
+    def test_invalid_sigma(self):
+        p = make_qpc(0.3, 0.7, 1000.0)
+        with pytest.raises(ValueError):
+            sample_current(p, np.array([0, 2]), np.random.default_rng(0))
 
     def test_gaussian_mode_variance(self):
         p = make_qpc(0.3, 0.7, 10**4)
@@ -336,8 +352,8 @@ class TestDisagreementUnderSharedOutcome:
         rng = np.random.default_rng(37)
         n = 10**6
         sigma = (rng.random(n) >= PROBS.p0).astype(int)
-        ia = sample_biased(pa, sigma, rng)
-        ib = sample_biased(pb, sigma, rng)
+        ia = sample_current(pa, sigma, rng)
+        ib = sample_current(pb, sigma, rng)
         disagree = np.mean(current_readout(ia, pa) != current_readout(ib, pb))
         assert disagree <= budget
 
@@ -350,14 +366,8 @@ class TestDisagreementUnderSharedOutcome:
         rates = []
         for p0 in np.arange(0.1, 0.95, 0.1):
             sigma = (rng.random(n) >= p0).astype(int)
-            ia = sample_biased(pa, sigma, rng)
-            ib = sample_biased(pb, sigma, rng)
+            ia = sample_current(pa, sigma, rng)
+            ib = sample_current(pb, sigma, rng)
             rates.append(np.mean(current_readout(ia, pa) != current_readout(ib, pb)))
         assert max(rates) - min(rates) <= budget
 
-
-def sample_biased(p: QpcParams, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized exact-binomial current draws conditioned on a sigma array."""
-    t = np.where(sigma == 0, p.t_given_0, p.t_given_1)
-    counts = rng.binomial(attempts(p), t)
-    return SI.electron_charge * counts / p.observation_time

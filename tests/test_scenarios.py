@@ -7,12 +7,11 @@ import pytest
 from oracles import chisq_gof_pvalue, enumerate_count_probability, exact_binom_pmf
 from multidetect.errors import InvalidPmfError, OutOfRangeError
 from multidetect.scenarios import (
+    Binomial,
     Custom,
+    Unanimous,
     binomial_pmf,
-    sample_binomial_trial,
-    sample_custom_trial,
     sample_multinomial_trial,
-    sample_unanimous,
 )
 from multidetect.state import MultiOutcomeProbabilities, OutcomeProbabilities
 
@@ -65,32 +64,34 @@ class TestBinomialPmf:
                 )
 
 
+def zero_counts(bits):
+    return (bits == 0).sum(axis=1)
+
+
 class TestUnanimous:
     def test_certain_zero(self):
         rng = np.random.default_rng(0)
-        out = sample_unanimous(OutcomeProbabilities(1.0), 4, rng)
-        assert out.outcomes == (0, 0, 0, 0)
-        assert out.latent_sigma == 0
+        bits, latent = Unanimous().draw(OutcomeProbabilities(1.0), 4, rng, 10)
+        assert bits.shape == (10, 4)
+        assert np.all(bits == 0)
+        assert np.all(latent == 0)
 
     def test_certain_one(self):
         rng = np.random.default_rng(0)
-        out = sample_unanimous(OutcomeProbabilities(0.0), 4, rng)
-        assert out.outcomes == (1, 1, 1, 1)
-        assert out.latent_sigma == 1
+        bits, latent = Unanimous().draw(OutcomeProbabilities(0.0), 4, rng, 10)
+        assert np.all(bits == 1)
+        assert np.all(latent == 1)
 
     def test_every_trial_internally_constant(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            out = sample_unanimous(P_036, 5, rng)
-            assert len(set(out.outcomes)) == 1
-            assert out.outcomes[0] == out.latent_sigma
+        bits, latent = Unanimous().draw(P_036, 5, rng, 200)
+        assert np.all(bits == latent[:, None])
 
     def test_collective_bit_frequency(self):
         rng = np.random.default_rng(2)
         trials = 10**5
-        zeros = sum(
-            sample_unanimous(P_HALF, 2, rng).latent_sigma == 0 for _ in range(trials)
-        )
+        _, latent = Unanimous().draw(P_HALF, 2, rng, trials)
+        zeros = int(np.sum(latent == 0))
         band = 4 * math.sqrt(0.25 / trials)
         assert abs(zeros / trials - 0.5) < band
 
@@ -98,25 +99,25 @@ class TestUnanimous:
 class TestBinomialTrials:
     def test_certain_zero(self):
         rng = np.random.default_rng(0)
-        out = sample_binomial_trial(OutcomeProbabilities(1.0), 7, rng)
-        assert out.outcomes == (0,) * 7
-        assert out.latent_sigma is None
+        bits, latent = Binomial().draw(OutcomeProbabilities(1.0), 7, rng, 10)
+        assert bits.shape == (10, 7)
+        assert np.all(bits == 0)
+        assert latent is None
 
     def test_two_detector_disagreement_rate(self):
         # oracle: of the 4 equally likely patterns, 2 disagree -> 0.5 = 2*p0*p1
         rng = np.random.default_rng(3)
         trials = 10**5
-        disagree = 0
-        for _ in range(trials):
-            a, b = sample_binomial_trial(P_HALF, 2, rng).outcomes
-            disagree += a != b
+        bits, _ = Binomial().draw(P_HALF, 2, rng, trials)
+        disagree = int(np.sum(bits[:, 0] != bits[:, 1]))
         band = 4 * math.sqrt(0.25 / trials)
         assert abs(disagree / trials - 0.5) < band
 
     def test_large_n_count_mean(self):
         rng = np.random.default_rng(4)
         trials = 10**4
-        total = sum(sample_binomial_trial(P_036, 100, rng).n_zero() for _ in range(trials))
+        bits, _ = Binomial().draw(P_036, 100, rng, trials)
+        total = int(zero_counts(bits).sum())
         # binomial moments: mean 36, sd of the sample mean = sqrt(p0*p1/trials)*100
         band = 4 * math.sqrt(0.36 * 0.64 / trials) * 100
         assert abs(total / trials - 36.0) < band
@@ -124,9 +125,8 @@ class TestBinomialTrials:
     def test_count_distribution_matches_pmf(self):
         rng = np.random.default_rng(5)
         n, trials = 10, 10**5
-        counts = np.zeros(n + 1, dtype=int)
-        for _ in range(trials):
-            counts[sample_binomial_trial(P_036, n, rng).n_zero()] += 1
+        bits, _ = Binomial().draw(P_036, n, rng, trials)
+        counts = np.bincount(zero_counts(bits), minlength=n + 1)
         expected = [binomial_pmf(n, k, P_036) for k in range(n + 1)]
         assert chisq_gof_pvalue(counts, expected) > 0.001
 
@@ -136,8 +136,9 @@ class TestCustomTrials:
         rng = np.random.default_rng(6)
         scenario = Custom([0, 0, 0, 0, 1])
         probs = OutcomeProbabilities(1.0)
-        for _ in range(20):
-            assert sample_custom_trial(scenario, probs, 4, rng).outcomes == (0, 0, 0, 0)
+        bits, latent = scenario.draw(probs, 4, rng, 20)
+        assert np.all(bits == 0)
+        assert latent is None
 
     def test_binomial_pmf_reproduces_binomial_statistics(self):
         n = 6
@@ -146,9 +147,8 @@ class TestCustomTrials:
         scenario = Custom(pmf)
         rng = np.random.default_rng(7)
         trials = 10**4
-        counts = np.zeros(n + 1, dtype=int)
-        for _ in range(trials):
-            counts[sample_custom_trial(scenario, P_036, n, rng).n_zero()] += 1
+        bits, _ = scenario.draw(P_036, n, rng, trials)
+        counts = np.bincount(zero_counts(bits), minlength=n + 1)
         expected = [binomial_pmf(n, k, P_036) for k in range(n + 1)]
         assert chisq_gof_pvalue(counts, expected) > 0.001
 
@@ -157,9 +157,8 @@ class TestCustomTrials:
         probs = P_036
         scenario = Custom([probs.p1, 0, 0, 0, probs.p0])
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            out = sample_custom_trial(scenario, probs, 4, rng)
-            assert len(set(out.outcomes)) == 1
+        bits, _ = scenario.draw(probs, 4, rng, 200)
+        assert np.all(bits == bits[:, :1])
 
     def test_detector_assignment_uniform_over_subsets(self):
         # with the count pinned at 1, each of the N slots is 0 equally often
@@ -167,22 +166,21 @@ class TestCustomTrials:
         probs = OutcomeProbabilities(0.25)
         rng = np.random.default_rng(9)
         trials = 8000
-        slot_counts = np.zeros(4, dtype=int)
-        for _ in range(trials):
-            out = sample_custom_trial(scenario, probs, 4, rng)
-            slot_counts[out.outcomes.index(0)] += 1
+        bits, _ = scenario.draw(probs, 4, rng, trials)
+        assert np.all(zero_counts(bits) == 1)
+        slot_counts = np.bincount(np.argmin(bits, axis=1), minlength=4)
         assert chisq_gof_pvalue(slot_counts, [0.25] * 4) > 0.001
 
     def test_invalid_pmfs_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidPmfError):  # wrong length
-            sample_custom_trial(Custom([1.0]), P_HALF, 3, rng)
+            Custom([1.0]).draw(P_HALF, 3, rng, 1)
         with pytest.raises(InvalidPmfError):  # negative entry
-            sample_custom_trial(Custom([0.6, 0.5, -0.1, 0, 0]), P_HALF, 4, rng)
+            Custom([0.6, 0.5, -0.1, 0, 0]).draw(P_HALF, 4, rng, 1)
         with pytest.raises(InvalidPmfError):  # sum != 1
-            sample_custom_trial(Custom([0.3, 0.3, 0.3, 0.0, 0.0]), P_HALF, 4, rng)
+            Custom([0.3, 0.3, 0.3, 0.0, 0.0]).draw(P_HALF, 4, rng, 1)
         with pytest.raises(InvalidPmfError):  # mean violates p0*N
-            sample_custom_trial(Custom([1.0, 0, 0, 0, 0]), P_HALF, 4, rng)
+            Custom([1.0, 0, 0, 0, 0]).draw(P_HALF, 4, rng, 1)
 
 
 class TestMultinomialTrials:
