@@ -19,7 +19,6 @@ from .experiment import (
     TrialRecord,
     model_misreads,
     run_experiment,
-    summarize,
 )
 from .inference import (
     ErrorModel,
@@ -34,14 +33,11 @@ from .qpc import CurrentStats, QpcParams
 from .scenarios import (
     Binomial,
     Custom,
-    TrialOutcome,
     Unanimous,
     binomial_pmf,
-    sample_multinomial_trial,
 )
 from .state import (
     Amplitudes,
-    MultiOutcomeProbabilities,
     OutcomeProbabilities,
     born_probabilities,
     make_amplitudes,
@@ -58,7 +54,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "IdealModel",
-    "MultiOutcomeProbabilities",
     "NATURAL",
     "OscillatorModel",
     "OscillatorParams",
@@ -68,7 +63,6 @@ __all__ = [
     "QpcParams",
     "SI",
     "ScenarioVerdict",
-    "TrialOutcome",
     "TrialBlock",
     "TrialRecord",
     "Unanimous",
@@ -81,6 +75,4 @@ __all__ = [
     "model_misreads",
     "required_trials",
     "run_experiment",
-    "sample_multinomial_trial",
-    "summarize",
 ]

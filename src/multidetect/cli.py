@@ -27,7 +27,6 @@ from .experiment import (
     OscillatorModel,
     QpcModel,
     TrialBlock,
-    TrialRecord,
     run_experiment,
 )
 from .inference import DECISION_INCONCLUSIVE, decide, required_trials
@@ -43,6 +42,8 @@ SWEEP_COMMENT = "# multidetect-sweep: "
 
 REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
 
+_BITS = frozenset((0, 1))
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -52,12 +53,6 @@ class RunManifest:
     output_dir: Path
     formats: frozenset[str] = frozenset({"csv", "json"})
     verbosity: int = 0
-
-
-def _say(manifest_or_level, message: str) -> None:
-    level = manifest_or_level.verbosity if hasattr(manifest_or_level, "verbosity") else manifest_or_level
-    if level > 0:
-        print(message, file=sys.stderr)
 
 
 def _json_safe(value):
@@ -146,11 +141,17 @@ def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, thread
             json_path.write_text(cfg.canonical_json(payload))
         except OSError as exc:
             raise ConfigError("output_dir", f"not writable: {exc}") from exc
-    _say(manifest, f"simulated {summary.n_trials} trials into {manifest.output_dir}")
+    if manifest.verbosity:
+        print(f"simulated {summary.n_trials} trials into {manifest.output_dir}", file=sys.stderr)
     return EXIT_OK
 
 
-def _parse_records_csv(path) -> tuple[int, list[TrialRecord]]:
+def _parse_records_csv(path) -> tuple[int, np.ndarray]:
+    """Detector count and the (M, N) int8 outcomes of a records CSV.
+
+    Every row is checked; trial indices must increase strictly, so duplicated
+    rows or two concatenated runs cannot count their evidence twice.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -177,7 +178,8 @@ def _parse_records_csv(path) -> tuple[int, list[TrialRecord]]:
     if n < 1 or header != expected:
         raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
 
-    records = []
+    outcomes = []
+    previous = -math.inf
     for lineno, line in rows:
         parts = line.split(",")
         if len(parts) != len(header):
@@ -186,25 +188,32 @@ def _parse_records_csv(path) -> tuple[int, list[TrialRecord]]:
             )
         try:
             index = int(parts[0])
-            latent = None if parts[1] == "" else int(parts[1])
-            readings = tuple(float(v) for v in parts[2 : 2 + n])
-            outcomes = tuple(int(v) for v in parts[2 + n :])
+            # the latent bit and the readings are checked but not kept
+            if parts[1]:
+                int(parts[1])
+            list(map(float, parts[2 : 2 + n]))
+            row = list(map(int, parts[2 + n :]))
         except ValueError as exc:
             raise ConfigError("records", f"line {lineno}: {exc}") from exc
-        if any(o not in (0, 1) for o in outcomes):
+        if not _BITS.issuperset(row):
             raise ConfigError("records", f"line {lineno}: outcomes must be 0 or 1")
-        records.append(
-            TrialRecord(index=index, latent=latent, raw_readings=readings, outcomes=outcomes)
-        )
-    if not records:
+        if index <= previous:
+            raise ConfigError(
+                "records",
+                f"line {lineno}: trial index {index} does not follow {previous}; "
+                "indices must increase strictly",
+            )
+        previous = index
+        outcomes.append(row)
+    if not outcomes:
         raise ConfigError("records", "no trial rows found")
-    return n, records
+    return n, np.array(outcomes, dtype=np.int8)
 
 
 def cmd_infer(records_path, config_path) -> int:
     """Score the recorded trials under both laws and print the verdict JSON."""
     resolved = cfg.load(config_path)
-    n, records = _parse_records_csv(records_path)
+    n, outcomes = _parse_records_csv(records_path)
     if n != resolved.experiment.n_detectors:
         raise ConfigError(
             "records",
@@ -212,7 +221,7 @@ def cmd_infer(records_path, config_path) -> int:
         )
     probs = born_probabilities(resolved.experiment.state)
     verdict = decide(
-        records,
+        outcomes,
         probs,
         resolved.error_model,
         log_odds_threshold=resolved.log_odds_threshold,
@@ -228,7 +237,7 @@ def cmd_infer(records_path, config_path) -> int:
         "log_odds": _json_safe(verdict.log_odds),
         "decision": verdict.decision,
         "confidence": verdict.confidence,
-        "M_used": len(records),
+        "M_used": len(outcomes),
         "M_required_alpha": m_required,
     }
     print(cfg.canonical_json(payload), end="")
@@ -361,10 +370,15 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
             point_raw = copy.deepcopy(raw)
             _apply_field(point_raw, field, float(value))
             point = cfg.resolve(point_raw, seed_override=seed_override)
-            records, summary = run_experiment(point.experiment)
+            blocks = []
+            _, summary = run_experiment(
+                point.experiment,
+                keep_records=False,
+                on_block=lambda block: blocks.append(block.outcomes),
+            )
             probs = born_probabilities(point.experiment.state)
             verdict = decide(
-                records,
+                np.concatenate(blocks),
                 probs,
                 point.error_model,
                 log_odds_threshold=point.log_odds_threshold,

@@ -23,7 +23,7 @@ from .experiment import (
     QpcModel,
     model_misreads,
 )
-from .inference import DEFAULT_LOG_ODDS_THRESHOLD, ErrorModel
+from .inference import DEFAULT_LOG_ODDS_THRESHOLD, MAX_DETECTORS, ErrorModel
 from .oscillator import OscillatorParams
 from .qpc import QpcParams
 from .rng import SEED_LIMIT
@@ -38,6 +38,11 @@ _DERIVED_EPS_CAP = 0.5 - 1e-9
 
 _OSC_FIELDS = ("mass", "omega", "beta", "coupling_lambda", "relaxation_rate", "measurement_time")
 _QPC_FIELDS = ("bias_voltage_uV", "observation_time_ns", "t0", "t1")
+_TOP_FIELDS = (
+    "state", "scenario", "detector_model", "n_trials", "n_detectors", "seed", "error_model",
+    "inference",
+)
+_INFERENCE_FIELDS = ("log_odds_threshold", "prior_log_odds", "alpha")
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,13 @@ def _require(raw: dict, field: str, path: str):
     if field not in raw:
         raise ConfigError(f"{path}.{field}" if path else field, "missing required field")
     return raw[field]
+
+
+def _reject_unknown(raw: dict, allowed, path: str) -> None:
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        field = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ConfigError(field, f"unknown field; expected one of {sorted(allowed)}")
 
 
 def _number(value, path: str, minimum=None, maximum=None, strict_min=False) -> float:
@@ -100,6 +112,7 @@ def _parse_scenario(raw) -> ScenarioKind:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("scenario", "expected an object with a \"kind\" field")
     kind = raw["kind"]
+    _reject_unknown(raw, ("kind", "pmf") if kind == "custom" else ("kind",), "scenario")
     if kind == "unanimous":
         return Unanimous()
     if kind == "binomial":
@@ -115,9 +128,7 @@ def _parse_scenario(raw) -> ScenarioKind:
 def _parse_oscillator_detector(raw: dict, path: str, constants) -> OscillatorParams:
     for f in _OSC_FIELDS:
         _require(raw, f, path)
-    unknown = set(raw) - set(_OSC_FIELDS)
-    if unknown:
-        raise ConfigError(path, f"unknown fields {sorted(unknown)}")
+    _reject_unknown(raw, _OSC_FIELDS, path)
     kwargs = {}
     for f in _OSC_FIELDS:
         strict = f != "coupling_lambda"
@@ -128,9 +139,7 @@ def _parse_oscillator_detector(raw: dict, path: str, constants) -> OscillatorPar
 def _parse_qpc_detector(raw: dict, path: str) -> QpcParams:
     for f in _QPC_FIELDS:
         _require(raw, f, path)
-    unknown = set(raw) - set(_QPC_FIELDS)
-    if unknown:
-        raise ConfigError(path, f"unknown fields {sorted(unknown)}")
+    _reject_unknown(raw, _QPC_FIELDS, path)
     return QpcParams(
         bias_voltage=_number(raw["bias_voltage_uV"], f"{path}.bias_voltage_uV", 0.0, strict_min=True) * 1e-6,
         observation_time=_number(raw["observation_time_ns"], f"{path}.observation_time_ns", 0.0, strict_min=True) * 1e-9,
@@ -145,8 +154,10 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
         raise ConfigError("detector_model", "expected an object with a \"model\" field")
     model = raw["model"]
     if model == "ideal":
+        _reject_unknown(raw, ("model",), "detector_model")
         return IdealModel(), {"model": "ideal"}
     if model == "oscillator":
+        _reject_unknown(raw, ("model", "unit_system", "detectors"), "detector_model")
         unit_system = raw.get("unit_system", "si")
         if unit_system not in ("si", "natural"):
             raise ConfigError("detector_model.unit_system", f"must be \"si\" or \"natural\", got {unit_system!r}")
@@ -170,6 +181,7 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
         }
         return OscillatorModel(detectors), echo
     if model == "qpc":
+        _reject_unknown(raw, ("model", "sampling", "detectors"), "detector_model")
         sampling = raw.get("sampling", "exact")
         if sampling not in ("exact", "gaussian"):
             raise ConfigError("detector_model.sampling", f"must be \"exact\" or \"gaussian\", got {sampling!r}")
@@ -202,17 +214,18 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
     """Validate a raw config dict and build the runnable objects plus echo."""
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
+    _reject_unknown(raw, _TOP_FIELDS, "")
 
     state = _parse_state(_require(raw, "state", ""))
     scenario = _parse_scenario(_require(raw, "scenario", ""))
     model, model_echo = _parse_detector_model(_require(raw, "detector_model", ""))
     n_trials = _integer(_require(raw, "n_trials", ""), "n_trials", minimum=1)
-    if isinstance(model, IdealModel):
-        n_detectors = _integer(raw.get("n_detectors", 2), "n_detectors", minimum=2)
-    else:
-        n_detectors = _integer(
-            raw.get("n_detectors", len(model.detectors)), "n_detectors", minimum=2
-        )
+    n_detectors = _integer(
+        raw.get("n_detectors", 2 if isinstance(model, IdealModel) else len(model.detectors)),
+        "n_detectors",
+        minimum=2,
+        maximum=MAX_DETECTORS,
+    )
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     seed = _integer(seed, "seed", minimum=0, maximum=SEED_LIMIT - 1)
 
@@ -233,6 +246,7 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
         em_raw = raw["error_model"]
         if not isinstance(em_raw, dict) or "eps" not in em_raw or not isinstance(em_raw["eps"], list):
             raise ConfigError("error_model", "expected {\"eps\": [..]}")
+        _reject_unknown(em_raw, ("eps",), "error_model")
         eps = [
             _number(e, f"error_model.eps[{i}]", minimum=0.0) for i, e in enumerate(em_raw["eps"])
         ]
@@ -250,6 +264,7 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
     inf_raw = raw.get("inference", {})
     if not isinstance(inf_raw, dict):
         raise ConfigError("inference", "expected an object")
+    _reject_unknown(inf_raw, _INFERENCE_FIELDS, "inference")
     threshold = _number(
         inf_raw.get("log_odds_threshold", DEFAULT_LOG_ODDS_THRESHOLD),
         "inference.log_odds_threshold",

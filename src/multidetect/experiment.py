@@ -20,13 +20,12 @@ accumulate per block from a bincount of the number of detectors reading 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import oscillator as osc
 from . import qpc as qpcmod
-from .errors import EmptyInputError, RaggedRecordsError
 from .rng import BLOCK_SIZE, SEED_LIMIT, block_rng
 from .scenarios import Custom, ScenarioKind
 from .state import Amplitudes, born_probabilities
@@ -199,7 +198,6 @@ def model_misreads(model: DetectorModel, n_detectors: int) -> tuple[float, ...]:
 
 def run_experiment(
     config: ExperimentConfig,
-    on_record: Callable[[TrialRecord], None] | None = None,
     keep_records: bool = True,
     on_block: Callable[[TrialBlock], None] | None = None,
 ) -> tuple[list[TrialRecord], ExperimentSummary]:
@@ -207,9 +205,8 @@ def run_experiment(
 
     ``on_block`` is called with each TrialBlock in trial order, which lets
     callers stream large runs to disk a block at a time.  TrialRecords are
-    built only when asked for: ``on_record`` is called with each one in
-    trial order, and ``keep_records=True`` returns them all.  Output is a
-    pure function of the config.
+    built only for ``keep_records=True``, which returns them all.  Output
+    is a pure function of the config.
     """
     probs = born_probabilities(config.state)
     hist = np.zeros(config.n_detectors + 1, dtype=np.int64)
@@ -222,24 +219,6 @@ def run_experiment(
         hist += _histogram(block.outcomes)
         if on_block is not None:
             on_block(block)
-        if keep_records or on_record is not None:
-            block_records = block.records()
-            if on_record is not None:
-                for record in block_records:
-                    on_record(record)
-            if keep_records:
-                records.extend(block_records)
+        if keep_records:
+            records.extend(block.records())
     return records, _summary(hist)
-
-
-def summarize(records: Sequence[TrialRecord]) -> ExperimentSummary:
-    """Aggregate agreement statistics from existing trial records."""
-    if len(records) == 0:
-        raise EmptyInputError("no trial records to summarize")
-    n = len(records[0].outcomes)
-    for rec in records:
-        if len(rec.outcomes) != n:
-            raise RaggedRecordsError(
-                f"trial {rec.index} has {len(rec.outcomes)} outcomes, expected {n}"
-            )
-    return _summary(_histogram(np.array([rec.outcomes for rec in records])))

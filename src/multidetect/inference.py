@@ -15,6 +15,11 @@ where l(o|s) = eps_a if o != s else 1 - eps_a.  The log odds of the two
 hypotheses decide the verdict; misreads absorb into an effective flip
 probability per detector on the binomial side, which is used throughout.
 
+Both log likelihoods depend on the data only through how many trials show
+each of the 2^N outcome patterns.  Each trial's pattern is packed into one
+integer code, the codes are counted, and every distinct pattern is scored
+once, weighted by its count; this caps N at ``MAX_DETECTORS``.
+
 ``required_trials`` inverts the zero-disagreement probability: it returns
 the smallest M at which the binomial law would produce at least one trial
 in which the N detectors do not all agree with probability 1 - alpha, the
@@ -25,16 +30,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
-from .counting import count_log_pmf
-from .errors import NoDiscriminationError
-from .experiment import ExperimentSummary, TrialRecord
-from .scenarios import TrialOutcome
-from .state import OutcomeProbabilities
+import numpy as np
+
+from .errors import EmptyInputError, NoDiscriminationError, RaggedRecordsError
+from .experiment import TrialRecord
+from .state import OutcomeProbabilities, outcome_bits
 
 #: Decisive Bayes-factor default: |log odds| below ln(100) is inconclusive.
 DEFAULT_LOG_ODDS_THRESHOLD = math.log(100.0)
+
+#: Each trial's outcome pattern is packed into one uint64, a bit per detector.
+MAX_DETECTORS = 64
 
 DECISION_UNANIMOUS = "unanimous"
 DECISION_BINOMIAL = "binomial"
@@ -58,13 +66,6 @@ class ErrorModel:
     def ideal(cls, n_detectors: int) -> "ErrorModel":
         return cls((0.0,) * n_detectors)
 
-    @property
-    def uniform_eps(self) -> float | None:
-        """The common misread value, or None if detectors differ."""
-        if all(e == self.eps[0] for e in self.eps):
-            return self.eps[0]
-        return None
-
 
 @dataclass(frozen=True)
 class ScenarioVerdict:
@@ -77,15 +78,44 @@ class ScenarioVerdict:
     confidence: float
 
 
-Patterns = Union[ExperimentSummary, Sequence]
+def _outcome_array(data: Sequence | np.ndarray) -> np.ndarray:
+    """Every trial's outcomes as an (M, N) integer array."""
+    if not isinstance(data, np.ndarray):
+        rows = [row.outcomes if isinstance(row, TrialRecord) else row for row in data]
+        for index, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise RaggedRecordsError(
+                    f"trial {index} has {len(row)} outcomes, expected {len(rows[0])}"
+                )
+        data = np.asarray(rows)
+    if len(data) == 0:
+        raise EmptyInputError("no trials to score")
+    if data.ndim != 2:
+        raise ValueError(f"expected an (M, N) array of outcomes, got shape {data.shape}")
+    return outcome_bits(data).astype(np.uint64)
 
 
-def _iter_patterns(data: Iterable) -> Iterable[tuple[int, ...]]:
-    for item in data:
-        if isinstance(item, (TrialRecord, TrialOutcome)):
-            yield item.outcomes
-        else:
-            yield tuple(item)
+def _pattern_counts(
+    data: Sequence | np.ndarray, err: ErrorModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct outcome patterns, (K, N), and how many trials show each."""
+    outcomes = _outcome_array(data)
+    n = outcomes.shape[1]
+    if n != len(err.eps):
+        raise ValueError(f"trials have {n} detectors but the error model has {len(err.eps)}")
+    if n > MAX_DETECTORS:
+        raise ValueError(f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
+    shifts = np.arange(n, dtype=np.uint64)
+    codes = np.zeros(len(outcomes), dtype=np.uint64)
+    for a in range(n):
+        codes |= outcomes[:, a] << shifts[a]
+    codes, counts = np.unique(codes, return_counts=True)
+    return (codes[:, None] >> shifts) & np.uint64(1), counts
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Natural log with log(0) = -inf and no divide-by-zero warning."""
+    return np.log(x, out=np.full(np.shape(x), -np.inf), where=x > 0.0)
 
 
 def _flip_prob(probs: OutcomeProbabilities, eps: float) -> float:
@@ -93,90 +123,41 @@ def _flip_prob(probs: OutcomeProbabilities, eps: float) -> float:
     return probs.p0 * (1.0 - eps) + probs.p1 * eps
 
 
-def _pattern_loglik_unanimous(pattern, probs, eps) -> float:
-    total = 0.0
+def _loglik_unanimous(patterns, counts, probs, eps) -> float:
+    eps = np.asarray(eps)
+    total = np.zeros(len(patterns))
     for sigma, p_sigma in ((0, probs.p0), (1, probs.p1)):
-        term = p_sigma
-        for o, e in zip(pattern, eps):
-            term *= e if o != sigma else 1.0 - e
-        total += term
-    return math.log(total) if total > 0.0 else -math.inf
+        total += p_sigma * np.where(patterns != sigma, eps, 1.0 - eps).prod(axis=1)
+    return float((counts * _log(total)).sum())
 
 
-def _summary_class_logprob_unanimous(n: int, n_zero: int, probs, eps: float) -> float:
-    # probability of the whole N0-class: C(N, n_zero) * per-pattern probability
-    per_pattern = probs.p0 * eps ** (n - n_zero) * (1 - eps) ** n_zero + probs.p1 * (
-        eps**n_zero * (1 - eps) ** (n - n_zero)
-    )
-    if per_pattern <= 0.0:
-        return -math.inf
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(n_zero + 1)
-        - math.lgamma(n - n_zero + 1)
-        + math.log(per_pattern)
-    )
+def _loglik_binomial(patterns, counts, probs, eps) -> float:
+    effective = np.array([_flip_prob(probs, e) for e in eps])
+    per_pattern = np.where(patterns == 0, _log(effective), _log(1.0 - effective)).sum(axis=1)
+    return float((counts * per_pattern).sum())
 
 
-def _require_uniform_eps(err: ErrorModel) -> float:
-    eps = err.uniform_eps
-    if eps is None:
-        raise ValueError(
-            "summary-based likelihoods need a common misread probability; "
-            "pass per-trial records for heterogeneous detectors"
-        )
-    return eps
-
-
-def loglik_unanimous(data: Patterns, probs: OutcomeProbabilities, err: ErrorModel) -> float:
+def loglik_unanimous(
+    data: Sequence | np.ndarray, probs: OutcomeProbabilities, err: ErrorModel
+) -> float:
     """Log likelihood of the data under the one-shared-bit law.
 
-    Accepts per-trial records (patterns scored individually) or an
-    ExperimentSummary (scored per zero-count class, which adds a
-    hypothesis-independent multiplicity term).  A pattern impossible under
-    the law yields -inf rather than raising.
+    Each distinct outcome pattern is scored once and weighted by the number
+    of trials that show it.  A pattern impossible under the law yields -inf
+    rather than raising.
     """
-    if isinstance(data, ExperimentSummary):
-        eps = _require_uniform_eps(err)
-        n = data.n_detectors
-        return sum(
-            count * _summary_class_logprob_unanimous(n, n_zero, probs, eps)
-            for n_zero, count in enumerate(data.histogram_n0)
-            if count > 0
-        )
-    total = 0.0
-    for pattern in _iter_patterns(data):
-        term = _pattern_loglik_unanimous(pattern, probs, err.eps)
-        if term == -math.inf:
-            return -math.inf
-        total += term
-    return total
+    return _loglik_unanimous(*_pattern_counts(data, err), probs, err.eps)
 
 
-def loglik_binomial(data: Patterns, probs: OutcomeProbabilities, err: ErrorModel) -> float:
+def loglik_binomial(
+    data: Sequence | np.ndarray, probs: OutcomeProbabilities, err: ErrorModel
+) -> float:
     """Log likelihood of the data under the independent-detectors law."""
-    if isinstance(data, ExperimentSummary):
-        eps = _require_uniform_eps(err)
-        p_eff = _flip_prob(probs, eps)
-        n = data.n_detectors
-        return sum(
-            count * count_log_pmf(n, n_zero, p_eff)
-            for n_zero, count in enumerate(data.histogram_n0)
-            if count > 0
-        )
-    effective = [_flip_prob(probs, e) for e in err.eps]
-    total = 0.0
-    for pattern in _iter_patterns(data):
-        for o, p_eff in zip(pattern, effective):
-            p = p_eff if o == 0 else 1.0 - p_eff
-            if p <= 0.0:
-                return -math.inf
-            total += math.log(p)
-    return total
+    return _loglik_binomial(*_pattern_counts(data, err), probs, err.eps)
 
 
 def decide(
-    data: Patterns,
+    data: Sequence | np.ndarray,
     probs: OutcomeProbabilities,
     err: ErrorModel,
     log_odds_threshold: float = DEFAULT_LOG_ODDS_THRESHOLD,
@@ -186,12 +167,14 @@ def decide(
 
     log_odds = loglik_unanimous - loglik_binomial (+ prior, zero by
     default); |log_odds| below the threshold is inconclusive.  Confidence
-    is the posterior mass of the winning law under equal priors.
+    is the posterior mass of the winning law under equal priors.  ``data``
+    is an (M, N) array-like of 0/1 outcomes or a sequence of TrialRecords.
     """
     if log_odds_threshold <= 0.0:
         raise ValueError("log_odds_threshold must be positive")
-    ll_u = loglik_unanimous(data, probs, err)
-    ll_b = loglik_binomial(data, probs, err)
+    patterns, counts = _pattern_counts(data, err)
+    ll_u = _loglik_unanimous(patterns, counts, probs, err.eps)
+    ll_b = _loglik_binomial(patterns, counts, probs, err.eps)
     if ll_u == -math.inf and ll_b == -math.inf:
         # impossible under both laws (degenerate state with forbidden data)
         return ScenarioVerdict(ll_u, ll_b, 0.0, DECISION_INCONCLUSIVE, 0.5)

@@ -27,7 +27,6 @@ Two joint position laws for a detector pair are exposed:
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -102,11 +101,6 @@ class OscillatorParams:
     def thermal_variance(self) -> float:
         """Classical equilibrium position variance 1/(beta m omega^2)."""
         return 1.0 / (self.beta * self.mass * self.omega**2)
-
-    @property
-    def quantum_variance(self) -> float:
-        """Zero-point position variance hbar/(m omega), for the regime check only."""
-        return self.constants.hbar / (self.mass * self.omega)
 
 
 def displacement(params: OscillatorParams) -> float:
@@ -214,34 +208,3 @@ def misread_probability(params: OscillatorParams) -> float:
     half_sep = 0.5 * distinguishability_ratio(params)
     return 0.5 * math.erfc(half_sep / math.sqrt(2.0))
 
-
-def export_density_csv(
-    path,
-    paramsA: OscillatorParams,
-    paramsB: OscillatorParams,
-    probs: OutcomeProbabilities,
-    which: str = "qm",
-    n_points: int = 101,
-    span_sigmas: float = 6.0,
-) -> None:
-    """Write a gridded joint density as CSV rows (x_A, x_B, density).
-
-    The grid covers both conditional peaks of each detector plus
-    ``span_sigmas`` thermal spreads on either side.
-    """
-    density = {"qm": joint_density_qm, "counterfactual": joint_density_counterfactual}[which]
-
-    def axis(params):
-        x_peak = displacement(params)
-        pad = span_sigmas * thermal_std(params)
-        return np.linspace(min(0.0, x_peak) - pad, max(0.0, x_peak) + pad, n_points)
-
-    xa, xb = axis(paramsA), axis(paramsB)
-    grid_a, grid_b = np.meshgrid(xa, xb, indexing="ij")
-    values = density(paramsA, paramsB, probs, grid_a, grid_b)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_A", "x_B", "density"])
-        for i in range(n_points):
-            for j in range(n_points):
-                writer.writerow([repr(float(xa[i])), repr(float(xb[j])), repr(float(values[i, j]))])

@@ -9,20 +9,16 @@ detectors watching one prepared two-level system:
 * custom: the count of detectors reading 0 is drawn from a user-supplied
   pmf constrained to the same mean, and the identities of the detectors
   reading 0 are uniform over subsets.
-
-A categorical variant extends the binomial law to d-valued observables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import counting
 from .errors import InvalidPmfError, OutOfRangeError
-from .state import MultiOutcomeProbabilities, OutcomeProbabilities
+from .state import OutcomeProbabilities
 
 #: |sum(pmf) - 1| above this is rejected outright.
 PMF_SUM_TOLERANCE = 1e-12
@@ -109,33 +105,9 @@ class Custom:
 ScenarioKind = Unanimous | Binomial | Custom
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Readings of all N detectors in one trial, plus the latent collective bit.
-
-    ``latent_sigma`` is set only for unanimous trials, where a single value
-    of the measured observable is shared by every detector.
-    """
-
-    outcomes: tuple[int, ...]
-    latent_sigma: Optional[int] = None
-
-    def n_zero(self) -> int:
-        return sum(1 for o in self.outcomes if o == 0)
-
-
 def binomial_pmf(n_detectors: int, n_zero: int, probs: OutcomeProbabilities) -> float:
     """Probability that exactly n_zero of n_detectors read 0 under the binomial law."""
     if n_detectors < 1:
         raise OutOfRangeError("need at least one detector")
     return counting.count_pmf(n_detectors, n_zero, probs.p0)
 
-
-def sample_multinomial_trial(
-    probs: MultiOutcomeProbabilities, n_detectors: int, rng: np.random.Generator
-) -> TrialOutcome:
-    """Independent categorical draw per detector; counts are jointly multinomial."""
-    if n_detectors < 1:
-        raise OutOfRangeError("need at least one detector")
-    draws = rng.choice(probs.d, size=n_detectors, p=np.asarray(probs.probs))
-    return TrialOutcome(outcomes=tuple(int(v) for v in draws))

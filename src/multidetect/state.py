@@ -65,28 +65,6 @@ class OutcomeProbabilities:
         object.__setattr__(self, "p1", 1.0 - self.p0)
 
 
-@dataclass(frozen=True)
-class MultiOutcomeProbabilities:
-    """Probabilities over d >= 2 outcomes, renormalized at construction."""
-
-    probs: tuple[float, ...]
-
-    def __init__(self, probs):
-        probs = tuple(float(p) for p in probs)
-        if len(probs) < 2:
-            raise ValueError("need at least two outcomes")
-        if any(p < 0.0 for p in probs):
-            raise ValueError("probabilities must be non-negative")
-        total = sum(probs)
-        if total <= 0.0:
-            raise ValueError("probabilities sum to zero")
-        object.__setattr__(self, "probs", tuple(p / total for p in probs))
-
-    @property
-    def d(self) -> int:
-        return len(self.probs)
-
-
 def make_amplitudes(re0: float, im0: float, re1: float, im1: float) -> Amplitudes:
     """Build a normalized state from four real components."""
     return Amplitudes(complex(re0, im0), complex(re1, im1))

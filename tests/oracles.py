@@ -83,6 +83,30 @@ def enumerate_disagreement_probability(p_zero) -> float:
     return total
 
 
+def record_loop_logliks(patterns, probs, eps) -> tuple[float, float]:
+    """(unanimous, binomial) log likelihoods, scoring one trial pattern at a time.
+
+    The unanimous law sums over the one latent bit shared by every detector;
+    the binomial law multiplies each detector's effective chance of its
+    reading, p0 (1 - eps) + p1 eps for a 0.  A pattern impossible under a
+    law makes that law's value -inf.
+    """
+    effective = [probs.p0 * (1.0 - e) + probs.p1 * e for e in eps]
+    unanimous = binomial = 0.0
+    for pattern in patterns:
+        total = 0.0
+        for sigma, p_sigma in ((0, probs.p0), (1, probs.p1)):
+            term = p_sigma
+            for o, e in zip(pattern, eps):
+                term *= e if o != sigma else 1.0 - e
+            total += term
+        unanimous += math.log(total) if total > 0.0 else -math.inf
+        for o, p_eff in zip(pattern, effective):
+            p = p_eff if o == 0 else 1.0 - p_eff
+            binomial += math.log(p) if p > 0.0 else -math.inf
+    return unanimous, binomial
+
+
 def chisq_gof_pvalue(counts, expected_probs, min_expected: float = 5.0) -> float:
     """Goodness-of-fit p-value with sparse bins pooled from the edges inward."""
     counts = np.asarray(counts, dtype=float)

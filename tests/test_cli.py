@@ -172,6 +172,26 @@ class TestSimulate:
         assert code == 1
         assert "detector_model.detectors[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "location, field",
+        [
+            ("top", "error_modle"),
+            ("scenario", "scenario.pmf"),
+            ("detector_model", "detector_model.sampling"),
+            ("error_model", "error_model.epsilon"),
+            ("inference", "inference.alhpa"),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, location, field):
+        raw = ideal_config(error_model={"eps": [0.1, 0.1]}, inference={"alpha": 0.05})
+        node = raw if location == "top" else raw[location]
+        node[field.split(".")[-1]] = [0.5, 0.5] if location != "detector_model" else "exact"
+        code, _ = simulate(tmp_path, raw)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: {field}: unknown field" in err
+        assert "Traceback" not in err
+
     def test_qpc_readings_reported_in_nanoamps(self, tmp_path):
         code, out = simulate(tmp_path, qpc_config(n_trials=50))
         assert code == 0
@@ -258,6 +278,29 @@ class TestInfer:
         code = main(["infer", "--records", str(records), "--config", str(cfg)])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("indices, line", [((0, 1, 1, 2), 4), ((0, 1, 2, 0, 1, 2), 5)])
+    def test_repeated_trial_index_rejected(self, tmp_path, capsys, indices, line):
+        # a duplicated row, and two runs concatenated into one file
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        rows = ["trial,latent,reading_1,reading_2,outcome_1,outcome_2"]
+        rows += [f"{i},,0.0,0.0,0,0" for i in indices]
+        records.write_text("\n".join(rows) + "\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"records: line {line}: trial index" in err
+
+    def test_index_gaps_allowed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        rows = ["trial,latent,reading_1,reading_2,outcome_1,outcome_2"]
+        rows += [f"{i},,0.0,0.0,0,0" for i in (0, 5, 6, 40)]
+        records.write_text("\n".join(rows) + "\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        assert code == 3  # 4 ln 2 < ln 100
+        assert json.loads(capsys.readouterr().out)["M_used"] == 4
 
     def test_detector_count_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ideal_config(n_detectors=3))

@@ -93,6 +93,19 @@ def test_unknown_detector_field_named():
         resolve(raw)
 
 
+def test_echo_holds_only_known_keys():
+    raw = base_config(scenario={"kind": "custom", "pmf": [0.64, 0.0, 0.36]})
+    echo = resolve(raw).echo
+    assert resolve(echo).echo == echo
+
+
+def test_detector_count_capped_by_pattern_packing():
+    assert resolve(base_config(n_detectors=64)).experiment.n_detectors == 64
+    with pytest.raises(ConfigError) as excinfo:
+        resolve(base_config(n_detectors=65))
+    assert excinfo.value.field == "n_detectors"
+
+
 def test_custom_pmf_mean_violation_named():
     raw = base_config(scenario={"kind": "custom", "pmf": [1.0, 0.0, 0.0]})
     with pytest.raises(ConfigError, match="scenario.pmf"):

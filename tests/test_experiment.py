@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import chisq_gof_pvalue
 from multidetect.constants import NATURAL
-from multidetect.errors import EmptyInputError, RaggedRecordsError
 from multidetect.experiment import (
     ExperimentConfig,
     IdealModel,
     OscillatorModel,
     QpcModel,
-    TrialRecord,
     model_misreads,
     run_experiment,
-    summarize,
 )
 from multidetect.oscillator import OscillatorParams, misread_probability as osc_misread
 from multidetect.qpc import QpcParams, discriminability, misread_probability as qpc_misread
@@ -121,10 +118,10 @@ class TestRunExperiment:
 
     def test_streaming_matches_in_memory(self):
         config = ideal_config(Binomial(), p0=0.36, n_trials=200, seed=3)
-        streamed = []
-        _, s1 = run_experiment(config, on_record=streamed.append, keep_records=False)
+        blocks = []
+        _, s1 = run_experiment(config, keep_records=False, on_block=blocks.append)
         kept, s2 = run_experiment(config)
-        assert streamed == kept
+        assert [r for b in blocks for r in b.records()] == kept
         assert s1 == s2
 
     def test_oscillator_layer_thresholds_readings(self):
@@ -244,11 +241,11 @@ class TestBlockEngine:
     @given(experiments())
     def test_summary_and_records_agree(self, config):
         m, n = config.n_trials, config.n_detectors
-        streamed, blocks = [], []
-        kept, summary = run_experiment(config, on_record=streamed.append, on_block=blocks.append)
+        blocks = []
+        kept, summary = run_experiment(config, on_block=blocks.append)
         assert sum(summary.histogram_n0) == m
         assert summary.m0_unanimous_zero + summary.m1_unanimous_one + summary.disagreements == m
-        assert streamed == kept
+        assert [r for b in blocks for r in b.records()] == kept
         assert [r.index for r in kept] == list(range(m))
         assert [b.start for b in blocks] == list(range(0, m, BLOCK_SIZE))
         # recount with a plain loop over the materialized records
@@ -261,44 +258,16 @@ class TestBlockEngine:
             else:
                 assert record.latent is None
         assert summary.histogram_n0 == tuple(hist)
-        assert summary == summarize(kept)
         assert run_experiment(config, keep_records=False) == ([], summary)
 
 
 class TestSummarize:
-    def test_single_trial(self):
-        rec = TrialRecord(index=0, latent=None, raw_readings=(0.0, 0.0), outcomes=(0, 0))
-        s = summarize([rec])
-        assert s.m0_unanimous_zero == 1
-        assert s.disagreements == 0
-
-    def test_mixed_trials_counted(self):
-        recs = [
-            TrialRecord(index=0, latent=None, raw_readings=(0.0, 1.0), outcomes=(0, 1)),
-            TrialRecord(index=1, latent=None, raw_readings=(1.0, 0.0), outcomes=(1, 0)),
-        ]
-        s = summarize(recs)
-        assert s.disagreements == 2
-        assert s.histogram_n0 == (0, 2, 0)
-
     def test_histogram_matches_counting_law(self):
         config = ideal_config(Binomial(), p0=0.36, n_detectors=10, n_trials=10**5, seed=23)
         _, summary = run_experiment(config, keep_records=False)
         probs = OutcomeProbabilities(0.36)
         expected = [binomial_pmf(10, k, probs) for k in range(11)]
         assert chisq_gof_pvalue(summary.histogram_n0, expected) > 0.001
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
-            summarize([])
-
-    def test_ragged_records(self):
-        recs = [
-            TrialRecord(index=0, latent=None, raw_readings=(0.0, 0.0), outcomes=(0, 0)),
-            TrialRecord(index=1, latent=None, raw_readings=(0.0,), outcomes=(0,)),
-        ]
-        with pytest.raises(RaggedRecordsError):
-            summarize(recs)
 
 
 class TestModelMisreads:

@@ -1,16 +1,20 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_disagreement_probability
-from multidetect.errors import NoDiscriminationError
-from multidetect.experiment import ExperimentSummary, summarize, TrialRecord
+from oracles import enumerate_disagreement_probability, record_loop_logliks
+from multidetect.errors import EmptyInputError, NoDiscriminationError, RaggedRecordsError
+from multidetect.experiment import TrialRecord
 from multidetect.inference import (
     DECISION_BINOMIAL,
     DECISION_INCONCLUSIVE,
     DECISION_UNANIMOUS,
+    MAX_DETECTORS,
     ErrorModel,
     decide,
     loglik_binomial,
@@ -89,25 +93,6 @@ class TestLoglikBinomial:
             2 * math.log(0.36), rel=1e-12
         )
 
-    def test_summary_bookkeeping_matches_enumerated_patterns(self):
-        # records path: sum of per-pattern logs; summary path adds the
-        # hypothesis-independent choose(N, N0) multiplicity per trial
-        probs = OutcomeProbabilities(0.36)
-        patterns = [(0, 0)] * 5 + [(1, 1)] * 7 + [(0, 1)] * 2 + [(1, 0)] * 3
-        records = patterns_to_records(patterns)
-        summary = summarize(records)
-        m0, m1, m = 5, 7, 5
-        closed_form = (
-            m0 * 2 * math.log(probs.p0)
-            + m1 * 2 * math.log(probs.p1)
-            + m * math.log(probs.p0 * probs.p1)
-            + m * math.log(2)
-        )
-        assert loglik_binomial(summary, probs, NO_ERR) == pytest.approx(closed_form, rel=1e-12)
-        assert loglik_binomial(records, probs, NO_ERR) == pytest.approx(
-            closed_form - m * math.log(2), rel=1e-12
-        )
-
     def test_misread_absorption_identity(self):
         rng = np.random.default_rng(52)
         for _ in range(100):
@@ -124,29 +109,97 @@ class TestLoglikBinomial:
                 )
 
 
-class TestPathConsistency:
-    def test_summary_and_records_give_same_log_odds(self):
-        rng = np.random.default_rng(53)
-        probs = OutcomeProbabilities(0.36)
-        err = ErrorModel([0.02, 0.02])
-        patterns = Binomial().draw(probs, 2, rng, 400)[0].tolist()
-        records = patterns_to_records(patterns)
-        summary = summarize(records)
-        odds_records = loglik_unanimous(records, probs, err) - loglik_binomial(
-            records, probs, err
-        )
-        odds_summary = loglik_unanimous(summary, probs, err) - loglik_binomial(
-            summary, probs, err
-        )
-        assert odds_summary == pytest.approx(odds_records, rel=1e-10)
+@st.composite
+def scored_trials(draw):
+    """Outcome arrays from a shared latent bit with per-detector flips, and the laws' inputs.
 
-    def test_summary_path_needs_uniform_misreads(self):
-        summary = ExperimentSummary(
-            n_trials=1, n_detectors=2, m0_unanimous_zero=1, m1_unanimous_one=0,
-            disagreements=0, histogram_n0=(0, 0, 1), agreement_fraction=1.0,
-        )
+    A flip rate of 0 gives unanimous data, 0.5 independent coin flips, and
+    0.01 rare disagreements, which are impossible under the unanimous law
+    when every eps is 0.
+    """
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 300))
+    p0 = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    eps = draw(st.lists(st.just(0.0) | st.floats(0.0, 0.49), min_size=n, max_size=n))
+    flip = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    latent = rng.random((m, 1)) >= p0
+    outcomes = (latent ^ (rng.random((m, n)) < flip)).astype(np.int8)
+    return outcomes, OutcomeProbabilities(p0), ErrorModel(eps)
+
+
+def assert_loglik_matches(got, expected):
+    if math.isinf(expected):
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=1e-10)
+
+
+class TestPatternCounts:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(scored_trials())
+    def test_arrays_match_record_loop_oracle(self, case):
+        outcomes, probs, err = case
+        oracle_u, oracle_b = record_loop_logliks(outcomes.tolist(), probs, err.eps)
+        verdict = decide(outcomes, probs, err)
+        assert_loglik_matches(verdict.loglik_unanimous, oracle_u)
+        assert_loglik_matches(verdict.loglik_binomial, oracle_b)
+        assert decide(patterns_to_records(outcomes.tolist()), probs, err) == verdict
+
+    def test_row_permutation_bit_identical(self):
+        rng = np.random.default_rng(57)
+        probs = OutcomeProbabilities(0.3)
+        err = ErrorModel(rng.uniform(0.0, 0.2, size=6))
+        outcomes = (rng.random((500, 6)) >= 0.3).astype(np.int8)
+        shuffled = outcomes[rng.permutation(len(outcomes))]
+        for loglik in (loglik_unanimous, loglik_binomial):
+            assert loglik(shuffled, probs, err) == loglik(outcomes, probs, err)
+
+    def test_max_detectors_accepted(self):
+        rng = np.random.default_rng(58)
+        probs = OutcomeProbabilities(0.4)
+        err = ErrorModel(rng.uniform(0.0, 0.2, size=MAX_DETECTORS))
+        outcomes = (rng.random((200, MAX_DETECTORS)) >= 0.4).astype(np.int8)
+        oracle_u, oracle_b = record_loop_logliks(outcomes.tolist(), probs, err.eps)
+        verdict = decide(outcomes, probs, err)
+        assert verdict.loglik_unanimous == pytest.approx(oracle_u, rel=1e-10)
+        assert verdict.loglik_binomial == pytest.approx(oracle_b, rel=1e-10)
+
+    def test_too_many_detectors_rejected(self):
+        n = MAX_DETECTORS + 1
+        with pytest.raises(ValueError, match="packing"):
+            decide(np.zeros((3, n), dtype=np.int8), P_HALF, ErrorModel.ideal(n))
+
+    def test_detector_count_must_match_error_model(self):
+        with pytest.raises(ValueError, match="error model"):
+            decide([(0, 0, 0)], P_HALF, NO_ERR)
+
+    def test_outcome_other_than_bit_rejected(self):
         with pytest.raises(ValueError):
-            loglik_unanimous(summary, P_HALF, ErrorModel([0.0, 0.1]))
+            decide([(0, 2)], P_HALF, NO_ERR)
+
+    def test_empty_input(self):
+        with pytest.raises(EmptyInputError):
+            decide([], P_HALF, NO_ERR)
+        with pytest.raises(EmptyInputError):
+            decide(np.zeros((0, 2), dtype=np.int8), P_HALF, NO_ERR)
+
+    def test_ragged_records(self):
+        recs = [
+            TrialRecord(index=0, latent=None, raw_readings=(0.0, 0.0), outcomes=(0, 0)),
+            TrialRecord(index=1, latent=None, raw_readings=(0.0,), outcomes=(0,)),
+        ]
+        with pytest.raises(RaggedRecordsError):
+            decide(recs, P_HALF, NO_ERR)
+
+    def test_forbidden_pattern_emits_no_warning(self):
+        data = np.array([(0, 0)] * 5 + [(0, 1)] * 3, dtype=np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = decide(data, P_HALF, NO_ERR)
+            both_forbidden = decide(data, OutcomeProbabilities(1.0), NO_ERR)
+        assert verdict.loglik_unanimous == -math.inf
+        assert both_forbidden.loglik_binomial == -math.inf
 
 
 class TestDecide:
@@ -304,7 +357,3 @@ class TestErrorModel:
             ErrorModel([0.5, 0.1])
         with pytest.raises(ValueError):
             ErrorModel([-0.01, 0.1])
-
-    def test_uniform_detection(self):
-        assert ErrorModel([0.1, 0.1]).uniform_eps == 0.1
-        assert ErrorModel([0.1, 0.2]).uniform_eps is None

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from multidetect.oscillator import (
     OscillatorParams,
     displacement,
     distinguishability_ratio,
-    export_density_csv,
     is_reliable,
     joint_density_counterfactual,
     joint_density_qm,
@@ -292,15 +290,3 @@ class TestReadout:
             errors += errors_sigma
         assert abs(errors / (2 * n) - analytic) <= 4 * math.sqrt(analytic / (2 * n)) + 2 / n
 
-
-class TestDensityExport:
-    def test_gridded_csv_matches_density(self, tmp_path):
-        path = tmp_path / "density.csv"
-        export_density_csv(path, WELL_SEPARATED, WELL_SEPARATED, PROBS, which="qm", n_points=21)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x_A", "x_B", "density"]
-        assert len(rows) == 1 + 21 * 21
-        for xa, xb, dens in rows[1:50]:
-            expected = joint_density_qm(WELL_SEPARATED, WELL_SEPARATED, PROBS, float(xa), float(xb))
-            assert float(dens) == pytest.approx(expected, rel=1e-12, abs=1e-300)

@@ -11,9 +11,8 @@ from multidetect.scenarios import (
     Custom,
     Unanimous,
     binomial_pmf,
-    sample_multinomial_trial,
 )
-from multidetect.state import MultiOutcomeProbabilities, OutcomeProbabilities
+from multidetect.state import OutcomeProbabilities
 
 P_HALF = OutcomeProbabilities(0.5)
 P_036 = OutcomeProbabilities(0.36)
@@ -182,38 +181,3 @@ class TestCustomTrials:
         with pytest.raises(InvalidPmfError):  # mean violates p0*N
             Custom([1.0, 0, 0, 0, 0]).draw(P_HALF, 4, rng, 1)
 
-
-class TestMultinomialTrials:
-    def test_degenerate_distribution(self):
-        rng = np.random.default_rng(10)
-        probs = MultiOutcomeProbabilities([1.0, 0.0, 0.0])
-        assert sample_multinomial_trial(probs, 3, rng).outcomes == (0, 0, 0)
-
-    def test_binary_reduction_matches_binomial_law(self):
-        rng = np.random.default_rng(11)
-        probs2 = MultiOutcomeProbabilities([0.36, 0.64])
-        trials = 10**4
-        n = 5
-        counts = np.zeros(n + 1, dtype=int)
-        for _ in range(trials):
-            out = sample_multinomial_trial(probs2, n, rng)
-            assert set(out.outcomes) <= {0, 1}
-            counts[out.n_zero()] += 1
-        expected = [binomial_pmf(n, k, P_036) for k in range(n + 1)]
-        assert chisq_gof_pvalue(counts, expected) > 0.001
-
-    def test_all_three_differ_probability(self):
-        # oracle: enumerate the 27 equally likely patterns; 6 are permutations of (0,1,2)
-        oracle = sum(
-            1 / 27 for pattern in product(range(3), repeat=3) if len(set(pattern)) == 3
-        )
-        assert oracle == pytest.approx(6 / 27, abs=1e-15)
-        rng = np.random.default_rng(12)
-        probs = MultiOutcomeProbabilities([1 / 3, 1 / 3, 1 / 3])
-        trials = 10**4
-        hits = sum(
-            len(set(sample_multinomial_trial(probs, 3, rng).outcomes)) == 3
-            for _ in range(trials)
-        )
-        band = 4 * math.sqrt(oracle * (1 - oracle) / trials)
-        assert abs(hits / trials - oracle) < band

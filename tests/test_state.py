@@ -7,7 +7,6 @@ import pytest
 from multidetect.errors import NormalizationWarning, ZeroStateError
 from multidetect.state import (
     Amplitudes,
-    MultiOutcomeProbabilities,
     OutcomeProbabilities,
     born_probabilities,
     make_amplitudes,
@@ -101,20 +100,6 @@ def test_outcome_probabilities_bounds():
         OutcomeProbabilities(p0=-0.1)
     with pytest.raises(ValueError):
         OutcomeProbabilities(p0=1.1)
-
-
-def test_multi_outcome_renormalizes():
-    mp = MultiOutcomeProbabilities([2.0, 1.0, 1.0])
-    assert mp.d == 3
-    assert sum(mp.probs) == pytest.approx(1.0, abs=1e-12)
-    assert mp.probs[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_multi_outcome_needs_two():
-    with pytest.raises(ValueError):
-        MultiOutcomeProbabilities([1.0])
-    with pytest.raises(ValueError):
-        MultiOutcomeProbabilities([0.5, -0.5])
 
 
 @pytest.fixture(autouse=True)
