@@ -10,6 +10,7 @@ the data supports and how many trials such a decision needs.
 
 from .constants import NATURAL, SI, PhysicalConstants
 from .experiment import (
+    DetectorDiagnostic,
     ExperimentConfig,
     ExperimentSummary,
     IdealModel,
@@ -17,7 +18,6 @@ from .experiment import (
     QpcModel,
     TrialBlock,
     TrialRecord,
-    model_misreads,
     run_experiment,
 )
 from .inference import (
@@ -50,6 +50,7 @@ __all__ = [
     "Binomial",
     "Custom",
     "CurrentStats",
+    "DetectorDiagnostic",
     "ErrorModel",
     "ExperimentConfig",
     "ExperimentSummary",
@@ -72,7 +73,6 @@ __all__ = [
     "loglik_binomial",
     "loglik_unanimous",
     "make_amplitudes",
-    "model_misreads",
     "required_trials",
     "run_experiment",
 ]

@@ -13,22 +13,14 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfg
-from . import oscillator as osc
-from . import qpc as qpcmod
 from .errors import ConfigError, ModelError, NoDiscriminationError
-from .experiment import (
-    IdealModel,
-    OscillatorModel,
-    QpcModel,
-    TrialBlock,
-    run_experiment,
-)
+from .experiment import TrialBlock, run_experiment
 from .inference import DECISION_INCONCLUSIVE, decide, required_trials
 from .state import born_probabilities
 
@@ -43,6 +35,7 @@ SWEEP_COMMENT = "# multidetect-sweep: "
 REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
 
 _BITS = frozenset((0, 1))
+_LATENTS = frozenset(("", "0", "1"))
 
 
 @dataclass(frozen=True)
@@ -61,11 +54,6 @@ def _json_safe(value):
             return "NaN"
         return "Infinity" if value > 0 else "-Infinity"
     return value
-
-
-def _reading_scale(model) -> float:
-    # currents are reported in nA; pointer positions and ideal bits verbatim
-    return 1e9 if isinstance(model, QpcModel) else 1.0
 
 
 def _records_header(n_detectors: int) -> str:
@@ -102,7 +90,7 @@ def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, thread
 
     experiment = resolved.experiment
     echo_line = cfg.canonical_json(resolved.echo, compact=True)
-    scale = _reading_scale(experiment.detector_model)
+    scale = experiment.detector_model.reading_scale
 
     csv_path = manifest.output_dir / "records.csv"
     json_path = manifest.output_dir / "summary.json"
@@ -189,12 +177,15 @@ def _parse_records_csv(path) -> tuple[int, np.ndarray]:
         try:
             index = int(parts[0])
             # the latent bit and the readings are checked but not kept
-            if parts[1]:
-                int(parts[1])
-            list(map(float, parts[2 : 2 + n]))
+            total = sum(map(float, parts[2 : 2 + n]))
             row = list(map(int, parts[2 + n :]))
         except ValueError as exc:
             raise ConfigError("records", f"line {lineno}: {exc}") from exc
+        if parts[1] not in _LATENTS:
+            raise ConfigError("records", f"line {lineno}: latent must be empty, 0 or 1, got {parts[1]!r}")
+        # nan or inf makes the sum non-finite, but so can finite readings that overflow it
+        if not math.isfinite(total) and not all(map(math.isfinite, map(float, parts[2 : 2 + n]))):
+            raise ConfigError("records", f"line {lineno}: readings must be finite")
         if not _BITS.issuperset(row):
             raise ConfigError("records", f"line {lineno}: outcomes must be 0 or 1")
         if index <= previous:
@@ -248,33 +239,9 @@ def cmd_discriminability(config_path) -> int:
     """Print per-detector separation diagnostics and the required-trials table."""
     resolved = cfg.load(config_path)
     model = resolved.experiment.detector_model
-    if isinstance(model, IdealModel):
+    detectors = [{"index": i, **asdict(d)} for i, d in enumerate(model.diagnostics())]
+    if not detectors:
         raise ConfigError("detector_model", "discriminability requires a physical detector model")
-
-    detectors = []
-    if isinstance(model, OscillatorModel):
-        for i, params in enumerate(model.detectors):
-            ratio = osc.distinguishability_ratio(params)
-            detectors.append(
-                {
-                    "index": i,
-                    "metric": "position_ratio",
-                    "value": ratio,
-                    "reliable": osc.is_reliable(params),
-                    "misread": osc.misread_probability(params),
-                }
-            )
-    else:
-        for i, params in enumerate(model.detectors):
-            detectors.append(
-                {
-                    "index": i,
-                    "metric": "current_discriminability",
-                    "value": qpcmod.discriminability(params),
-                    "reliable": qpcmod.is_reliable(params),
-                    "misread": qpcmod.misread_probability(params),
-                }
-            )
 
     probs = born_probabilities(resolved.experiment.state)
     table = {}
@@ -318,14 +285,6 @@ def _apply_field(raw, dotted: str, value: float) -> None:
         raise ConfigError(dotted, "unknown config field")
 
 
-def _detector_diagnostics(model) -> list[float]:
-    if isinstance(model, OscillatorModel):
-        return [osc.distinguishability_ratio(p) for p in model.detectors]
-    if isinstance(model, QpcModel):
-        return [qpcmod.discriminability(p) for p in model.detectors]
-    return []
-
-
 def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, out_path, seed_override=None) -> int:
     """Run one experiment per grid point of a numeric config field; emit tidy CSV."""
     if steps < 1:
@@ -342,11 +301,8 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     probe = copy.deepcopy(raw)
     _apply_field(probe, field, float(start))
 
-    physical = not isinstance(base.experiment.detector_model, IdealModel)
-    n_det = base.experiment.n_detectors
     header = ["value", "m_over_M", "M0_over_M", "M1_over_M", "log_odds"]
-    if physical:
-        header += [f"disc_{i + 1}" for i in range(n_det)]
+    header += [f"disc_{i + 1}" for i in range(len(base.experiment.detector_model.diagnostics()))]
 
     sweep_echo = {
         "config_echo": base.echo,
@@ -392,8 +348,7 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
                 repr(summary.m1_unanimous_one / m_total),
                 repr(float(verdict.log_odds)),
             ]
-            if physical:
-                row += [repr(float(d)) for d in _detector_diagnostics(point.experiment.detector_model)]
+            row += [repr(float(d.value)) for d in point.experiment.detector_model.diagnostics()]
             fh.write(",".join(row) + "\n")
     return EXIT_OK
 

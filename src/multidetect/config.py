@@ -21,7 +21,6 @@ from .experiment import (
     IdealModel,
     OscillatorModel,
     QpcModel,
-    model_misreads,
 )
 from .inference import DEFAULT_LOG_ODDS_THRESHOLD, MAX_DETECTORS, ErrorModel
 from .oscillator import OscillatorParams
@@ -125,21 +124,15 @@ def _parse_scenario(raw) -> ScenarioKind:
     raise ConfigError("scenario.kind", f"unknown scenario kind {kind!r}")
 
 
-def _parse_oscillator_detector(raw: dict, path: str, constants) -> OscillatorParams:
-    for f in _OSC_FIELDS:
-        _require(raw, f, path)
-    _reject_unknown(raw, _OSC_FIELDS, path)
+def _oscillator_detector(raw: dict, path: str, unit_system: str) -> OscillatorParams:
     kwargs = {}
     for f in _OSC_FIELDS:
         strict = f != "coupling_lambda"
         kwargs[f] = _number(raw[f], f"{path}.{f}", minimum=0.0, strict_min=strict)
-    return OscillatorParams(constants=constants, **kwargs)
+    return OscillatorParams(constants=SI if unit_system == "si" else NATURAL, **kwargs)
 
 
-def _parse_qpc_detector(raw: dict, path: str) -> QpcParams:
-    for f in _QPC_FIELDS:
-        _require(raw, f, path)
-    _reject_unknown(raw, _QPC_FIELDS, path)
+def _qpc_detector(raw: dict, path: str, sampling: str) -> QpcParams:
     return QpcParams(
         bias_voltage=_number(raw["bias_voltage_uV"], f"{path}.bias_voltage_uV", 0.0, strict_min=True) * 1e-6,
         observation_time=_number(raw["observation_time_ns"], f"{path}.observation_time_ns", 0.0, strict_min=True) * 1e-9,
@@ -149,6 +142,17 @@ def _parse_qpc_detector(raw: dict, path: str) -> QpcParams:
     )
 
 
+# per physical model: its option, the option's values (the default first),
+# the detector fields, one detector's parser, and the model built from both
+_PHYSICAL_MODELS = {
+    "oscillator": (
+        "unit_system", ("si", "natural"), _OSC_FIELDS, _oscillator_detector,
+        lambda detectors, unit_system: OscillatorModel(detectors),
+    ),
+    "qpc": ("sampling", ("exact", "gaussian"), _QPC_FIELDS, _qpc_detector, QpcModel),
+}
+
+
 def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
     if not isinstance(raw, dict) or "model" not in raw:
         raise ConfigError("detector_model", "expected an object with a \"model\" field")
@@ -156,58 +160,38 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
     if model == "ideal":
         _reject_unknown(raw, ("model",), "detector_model")
         return IdealModel(), {"model": "ideal"}
-    if model == "oscillator":
-        _reject_unknown(raw, ("model", "unit_system", "detectors"), "detector_model")
-        unit_system = raw.get("unit_system", "si")
-        if unit_system not in ("si", "natural"):
-            raise ConfigError("detector_model.unit_system", f"must be \"si\" or \"natural\", got {unit_system!r}")
-        constants = SI if unit_system == "si" else NATURAL
-        detectors_raw = raw.get("detectors")
-        if not isinstance(detectors_raw, list) or not detectors_raw:
-            raise ConfigError("detector_model.detectors", "need a non-empty list of detectors")
-        detectors = []
-        for i, det in enumerate(detectors_raw):
-            path = f"detector_model.detectors[{i}]"
-            if not isinstance(det, dict):
-                raise ConfigError(path, "expected an object")
-            try:
-                detectors.append(_parse_oscillator_detector(det, path, constants))
-            except ValueError as exc:
-                raise ConfigError(path, str(exc)) from exc
-        echo = {
-            "model": "oscillator",
-            "unit_system": unit_system,
-            "detectors": [{f: getattr(p, f) for f in _OSC_FIELDS} for p in detectors],
-        }
-        return OscillatorModel(detectors), echo
-    if model == "qpc":
-        _reject_unknown(raw, ("model", "sampling", "detectors"), "detector_model")
-        sampling = raw.get("sampling", "exact")
-        if sampling not in ("exact", "gaussian"):
-            raise ConfigError("detector_model.sampling", f"must be \"exact\" or \"gaussian\", got {sampling!r}")
-        detectors_raw = raw.get("detectors")
-        if not isinstance(detectors_raw, list) or not detectors_raw:
-            raise ConfigError("detector_model.detectors", "need a non-empty list of detectors")
-        detectors = []
-        detector_echoes = []
-        for i, det in enumerate(detectors_raw):
-            path = f"detector_model.detectors[{i}]"
-            if not isinstance(det, dict):
-                raise ConfigError(path, "expected an object")
-            try:
-                detectors.append(_parse_qpc_detector(det, path))
-            except ValueError as exc:
-                raise ConfigError(path, str(exc)) from exc
-            # echo the values as given: a back-conversion from SI would not
-            # round-trip bit-exactly, breaking rerun-from-echo reproducibility
-            detector_echoes.append({f: float(det[f]) for f in _QPC_FIELDS})
-        echo = {
-            "model": "qpc",
-            "sampling": sampling,
-            "detectors": detector_echoes,
-        }
-        return QpcModel(detectors, sampling=sampling), echo
-    raise ConfigError("detector_model.model", f"unknown model {model!r}")
+    if not isinstance(model, str) or model not in _PHYSICAL_MODELS:
+        raise ConfigError("detector_model.model", f"unknown model {model!r}")
+    option, choices, fields, parse_detector, build = _PHYSICAL_MODELS[model]
+    _reject_unknown(raw, ("model", option, "detectors"), "detector_model")
+    value = raw.get(option, choices[0])
+    if value not in choices:
+        raise ConfigError(
+            f"detector_model.{option}", f"must be \"{choices[0]}\" or \"{choices[1]}\", got {value!r}"
+        )
+    detectors_raw = raw.get("detectors")
+    if not isinstance(detectors_raw, list) or not detectors_raw:
+        raise ConfigError("detector_model.detectors", "need a non-empty list of detectors")
+    detectors = []
+    for i, det in enumerate(detectors_raw):
+        path = f"detector_model.detectors[{i}]"
+        if not isinstance(det, dict):
+            raise ConfigError(path, "expected an object")
+        for f in fields:
+            _require(det, f, path)
+        _reject_unknown(det, fields, path)
+        try:
+            detectors.append(parse_detector(det, path, value))
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
+    # echo the values as given: a back-conversion from SI would not
+    # round-trip bit-exactly, breaking rerun-from-echo reproducibility
+    echo = {
+        "model": model,
+        option: value,
+        "detectors": [{f: float(det[f]) for f in fields} for det in detectors_raw],
+    }
+    return build(detectors, value), echo
 
 
 def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
@@ -221,7 +205,7 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
     model, model_echo = _parse_detector_model(_require(raw, "detector_model", ""))
     n_trials = _integer(_require(raw, "n_trials", ""), "n_trials", minimum=1)
     n_detectors = _integer(
-        raw.get("n_detectors", 2 if isinstance(model, IdealModel) else len(model.detectors)),
+        raw.get("n_detectors", len(model.detectors) or 2),
         "n_detectors",
         minimum=2,
         maximum=MAX_DETECTORS,
@@ -257,9 +241,8 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
         except ValueError as exc:
             raise ConfigError("error_model.eps", str(exc)) from exc
     else:
-        error_model = ErrorModel(
-            min(e, _DERIVED_EPS_CAP) for e in model_misreads(model, n_detectors)
-        )
+        misreads = [d.misread for d in model.diagnostics()] or [0.0] * n_detectors
+        error_model = ErrorModel(min(e, _DERIVED_EPS_CAP) for e in misreads)
 
     inf_raw = raw.get("inference", {})
     if not isinstance(inf_raw, dict):

@@ -32,7 +32,42 @@ from .state import Amplitudes, born_probabilities
 
 
 @dataclass(frozen=True)
-class IdealModel:
+class DetectorDiagnostic:
+    """How well one detector separates the two outcomes, and its misread estimate."""
+
+    metric: str
+    value: float
+    reliable: bool
+    misread: float
+
+
+class DetectorModel:
+    """Turns latched bits into readings and outcomes, one detector per column.
+
+    Physical models supply ``_column`` (sample and threshold one detector's
+    readings) and ``_diagnostic``; records.csv holds readings * ``reading_scale``.
+    """
+
+    detectors = ()
+    reading_scale = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "detectors", tuple(self.detectors))
+
+    def detect(self, bits: np.ndarray, rng: np.random.Generator):
+        """Readings and their thresholded outcomes for a (B, N) block of bits."""
+        readings = np.empty(bits.shape)
+        outcomes = np.empty_like(bits)
+        for a, params in enumerate(self.detectors):
+            readings[:, a], outcomes[:, a] = self._column(params, bits[:, a], rng)
+        return readings, outcomes
+
+    def diagnostics(self) -> tuple[DetectorDiagnostic, ...]:
+        return tuple(self._diagnostic(params) for params in self.detectors)
+
+
+@dataclass(frozen=True)
+class IdealModel(DetectorModel):
     """No physical layer; outcomes are read off losslessly."""
 
     model = "ideal"
@@ -43,50 +78,51 @@ class IdealModel:
 
 
 @dataclass(frozen=True)
-class OscillatorModel:
+class OscillatorModel(DetectorModel):
     """One thermal oscillator pointer per detector."""
 
     detectors: tuple[osc.OscillatorParams, ...]
     model = "oscillator"
 
-    def __init__(self, detectors):
-        object.__setattr__(self, "detectors", tuple(detectors))
+    def _column(self, params, bits, rng):
+        positions = osc.sample_pointer(params, bits, rng)
+        return positions, osc.readout(positions, params)
 
-    def detect(self, bits: np.ndarray, rng: np.random.Generator):
-        """Pointer positions and their thresholded outcomes for a (B, N) block of bits."""
-        readings = np.empty(bits.shape)
-        outcomes = np.empty_like(bits)
-        for a, params in enumerate(self.detectors):
-            readings[:, a] = osc.sample_pointer(params, bits[:, a], rng)
-            outcomes[:, a] = osc.readout(readings[:, a], params)
-        return readings, outcomes
+    def _diagnostic(self, params) -> DetectorDiagnostic:
+        return DetectorDiagnostic(
+            "position_ratio",
+            osc.distinguishability_ratio(params),
+            osc.is_reliable(params),
+            osc.misread_probability(params),
+        )
 
 
 @dataclass(frozen=True)
-class QpcModel:
+class QpcModel(DetectorModel):
     """One biased point contact per detector; sampling mode exact or gaussian."""
 
     detectors: tuple[qpcmod.QpcParams, ...]
     sampling: str = "exact"
     model = "qpc"
+    # currents are reported in nA
+    reading_scale = 1e9
 
-    def __init__(self, detectors, sampling: str = "exact"):
-        if sampling not in ("exact", "gaussian"):
-            raise ValueError(f"unknown sampling mode {sampling!r}")
-        object.__setattr__(self, "detectors", tuple(detectors))
-        object.__setattr__(self, "sampling", sampling)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.sampling not in ("exact", "gaussian"):
+            raise ValueError(f"unknown sampling mode {self.sampling!r}")
 
-    def detect(self, bits: np.ndarray, rng: np.random.Generator):
-        """Currents and their thresholded outcomes for a (B, N) block of bits."""
-        readings = np.empty(bits.shape)
-        outcomes = np.empty_like(bits)
-        for a, params in enumerate(self.detectors):
-            readings[:, a] = qpcmod.sample_current(params, bits[:, a], rng, mode=self.sampling)
-            outcomes[:, a] = qpcmod.current_readout(readings[:, a], params)
-        return readings, outcomes
+    def _column(self, params, bits, rng):
+        currents = qpcmod.sample_current(params, bits, rng, mode=self.sampling)
+        return currents, qpcmod.current_readout(currents, params)
 
-
-DetectorModel = IdealModel | OscillatorModel | QpcModel
+    def _diagnostic(self, params) -> DetectorDiagnostic:
+        return DetectorDiagnostic(
+            "current_discriminability",
+            qpcmod.discriminability(params),
+            qpcmod.is_reliable(params),
+            qpcmod.misread_probability(params),
+        )
 
 
 @dataclass(frozen=True)
@@ -185,15 +221,6 @@ def _summary(hist: np.ndarray) -> ExperimentSummary:
         histogram_n0=tuple(hist.tolist()),
         agreement_fraction=(m0 + m1) / total,
     )
-
-
-def model_misreads(model: DetectorModel, n_detectors: int) -> tuple[float, ...]:
-    """Per-detector misread probability estimates implied by the model."""
-    if isinstance(model, IdealModel):
-        return (0.0,) * n_detectors
-    if isinstance(model, OscillatorModel):
-        return tuple(osc.misread_probability(p) for p in model.detectors)
-    return tuple(qpcmod.misread_probability(p) for p in model.detectors)
 
 
 def run_experiment(

@@ -124,11 +124,13 @@ def _flip_prob(probs: OutcomeProbabilities, eps: float) -> float:
 
 
 def _loglik_unanimous(patterns, counts, probs, eps) -> float:
+    # sum logs per latent branch: a product of many small misreads would underflow
     eps = np.asarray(eps)
-    total = np.zeros(len(patterns))
-    for sigma, p_sigma in ((0, probs.p0), (1, probs.p1)):
-        total += p_sigma * np.where(patterns != sigma, eps, 1.0 - eps).prod(axis=1)
-    return float((counts * _log(total)).sum())
+    branches = [
+        _log(p_sigma) + np.where(patterns != sigma, _log(eps), np.log1p(-eps)).sum(axis=1)
+        for sigma, p_sigma in ((0, probs.p0), (1, probs.p1))
+    ]
+    return float((counts * np.logaddexp(*branches)).sum())
 
 
 def _loglik_binomial(patterns, counts, probs, eps) -> float:
@@ -222,4 +224,7 @@ def required_trials(
         raise NoDiscriminationError("misread-adjusted disagreement probability is zero")
     if alpha == 1.0:
         return 1
-    return max(1, math.ceil(math.log(alpha) / math.log1p(-disagree)))
+    trials = math.log(alpha) / math.log1p(-disagree)
+    if math.isinf(trials):
+        raise NoDiscriminationError(f"disagreement probability {disagree:.3g} is too small to count trials")
+    return max(1, math.ceil(trials))

@@ -8,6 +8,7 @@ of sampler math, exact integer combinatorics instead of log-space pmfs.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -89,18 +90,22 @@ def record_loop_logliks(patterns, probs, eps) -> tuple[float, float]:
     The unanimous law sums over the one latent bit shared by every detector;
     the binomial law multiplies each detector's effective chance of its
     reading, p0 (1 - eps) + p1 eps for a 0.  A pattern impossible under a
-    law makes that law's value -inf.
+    law makes that law's value -inf.  The unanimous sum runs in 40-digit
+    decimal arithmetic, where a product of many small misreads cannot
+    underflow.
     """
     effective = [probs.p0 * (1.0 - e) + probs.p1 * e for e in eps]
     unanimous = binomial = 0.0
     for pattern in patterns:
-        total = 0.0
-        for sigma, p_sigma in ((0, probs.p0), (1, probs.p1)):
-            term = p_sigma
-            for o, e in zip(pattern, eps):
-                term *= e if o != sigma else 1.0 - e
-            total += term
-        unanimous += math.log(total) if total > 0.0 else -math.inf
+        with localcontext() as ctx:
+            ctx.prec = 40
+            total = Decimal(0)
+            for sigma, p_sigma in ((0, probs.p0), (1, probs.p1)):
+                term = Decimal(p_sigma)
+                for o, e in zip(pattern, eps):
+                    term *= Decimal(e) if o != sigma else 1 - Decimal(e)
+                total += term
+            unanimous += float(total.ln()) if total > 0 else -math.inf
         for o, p_eff in zip(pattern, effective):
             p = p_eff if o == 0 else 1.0 - p_eff
             binomial += math.log(p) if p > 0.0 else -math.inf

@@ -248,6 +248,14 @@ class TestInfer:
         assert payload["M_required_alpha"] == math.ceil(math.log(0.01) / math.log(1 - q3))
         assert payload["M_required_alpha"] < math.ceil(math.log(0.01) / math.log(1 - q2))
 
+    def test_uncountable_required_trials_reported_as_null(self, tmp_path, capsys):
+        # p0 ~ 5e-324: the trial count overflows a float instead of ending in a traceback
+        code, payload = self.run_infer(
+            tmp_path, ideal_config(p0=5e-324, scenario="unanimous", n_trials=20), capsys
+        )
+        assert code == 3  # both laws all but certainly read 1 everywhere
+        assert payload["M_required_alpha"] is None
+
     def test_verdict_matches_schema(self, tmp_path, capsys):
         schema = json.loads((DOCS / "verdict.schema.json").read_text())
         for scenario in ("unanimous", "binomial"):
@@ -291,6 +299,40 @@ class TestInfer:
         err = capsys.readouterr().err
         assert code == 1
         assert f"records: line {line}: trial index" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,7,0.0,0.0,0,0", "latent must be empty, 0 or 1"),
+            ("2,-1,0.0,0.0,0,0", "latent must be empty, 0 or 1"),
+            ("2,,nan,0.0,0,0", "readings must be finite"),
+            ("2,1,0.0,-inf,0,0", "readings must be finite"),
+            ("2,1,inf,-inf,0,0", "readings must be finite"),
+        ],
+    )
+    def test_bad_latent_or_reading_rejected(self, tmp_path, capsys, row, message):
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        rows = ["trial,latent,reading_1,reading_2,outcome_1,outcome_2"]
+        rows += ["0,0,0.0,0.0,0,0", "1,,1.0,1.0,1,1", row, "3,1,1.0,1.0,1,1"]
+        records.write_text("\n".join(rows) + "\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"records: line 4: {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_huge_finite_readings_accepted(self, tmp_path, capsys):
+        # their sum overflows to inf, but each reading is finite
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        rows = ["trial,latent,reading_1,reading_2,outcome_1,outcome_2"]
+        rows += [f"{i},,1.7e308,1.7e308,0,0" for i in range(3)]
+        records.write_text("\n".join(rows) + "\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        assert code == 3  # 3 ln 2 < ln 100
+        assert json.loads(capsys.readouterr().out)["M_used"] == 3
 
     def test_index_gaps_allowed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ideal_config())

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chisq_gof_pvalue
+from multidetect.config import resolve
 from multidetect.constants import NATURAL
 from multidetect.experiment import (
     ExperimentConfig,
     IdealModel,
     OscillatorModel,
     QpcModel,
-    model_misreads,
     run_experiment,
 )
 from multidetect.oscillator import OscillatorParams, misread_probability as osc_misread
@@ -272,10 +272,66 @@ class TestSummarize:
 
 class TestModelMisreads:
     def test_ideal_is_lossless(self):
-        assert model_misreads(IdealModel(), 3) == (0.0, 0.0, 0.0)
+        assert IdealModel().diagnostics() == ()
 
     def test_physical_models_report_tails(self):
         osc_model = oscillator_pair()
-        assert model_misreads(osc_model, 2) == tuple(osc_misread(p) for p in osc_model.detectors)
+        misreads = tuple(d.misread for d in osc_model.diagnostics())
+        assert misreads == tuple(osc_misread(p) for p in osc_model.detectors)
         qpc_model = qpc_pair()
-        assert model_misreads(qpc_model, 2) == tuple(qpc_misread(p) for p in qpc_model.detectors)
+        misreads = tuple(d.misread for d in qpc_model.diagnostics())
+        assert misreads == tuple(qpc_misread(p) for p in qpc_model.detectors)
+
+
+NATURAL_POINTER = {
+    "mass": 1.0, "omega": 1.0, "beta": 0.25, "coupling_lambda": 6.0,
+    "relaxation_rate": 1.0, "measurement_time": 10.0,
+}
+# X/dx = lambda sqrt(beta) / (sqrt(m) omega) ~ 4 at 1 K; beta hbar omega ~ 8e-9
+SI_POINTER = {
+    "mass": 1e-15, "omega": 1e3, "beta": 1.0 / (1.380649e-23 * 1.0), "coupling_lambda": 4.7e-16,
+    "relaxation_rate": 1e3, "measurement_time": 1e-2,
+}
+QPC_DETECTORS = [
+    {"bias_voltage_uV": 50.0, "observation_time_ns": 12.5, "t0": 0.4, "t1": 0.6},
+    {"bias_voltage_uV": 50.0, "observation_time_ns": 25.0, "t0": 0.6, "t1": 0.4},
+    # barely any contrast: the misread estimate lands above the derived-eps cap
+    {"bias_voltage_uV": 50.0, "observation_time_ns": 12.5, "t0": 0.5, "t1": 0.5 + 1e-10},
+]
+MODEL_CASES = {
+    "ideal": ({"model": "ideal"}, 3, 1.0),
+    "oscillator-natural": (
+        {"model": "oscillator", "unit_system": "natural",
+         "detectors": [NATURAL_POINTER, dict(NATURAL_POINTER, coupling_lambda=8.0)]},
+        2,
+        1.0,
+    ),
+    "oscillator-si": ({"model": "oscillator", "unit_system": "si", "detectors": [SI_POINTER] * 3}, 3, 1.0),
+    "qpc-exact": ({"model": "qpc", "sampling": "exact", "detectors": QPC_DETECTORS}, 3, 1e9),
+    "qpc-gaussian": ({"model": "qpc", "sampling": "gaussian", "detectors": QPC_DETECTORS}, 3, 1e9),
+}
+
+
+class TestDetectorModelInterface:
+    @pytest.mark.parametrize("case", sorted(MODEL_CASES))
+    def test_model_answers_its_own_questions(self, case):
+        raw_model, n, scale = MODEL_CASES[case]
+        raw = {"state": {"p0": 0.5}, "scenario": {"kind": "binomial"},
+               "detector_model": raw_model, "n_detectors": n, "n_trials": 10}
+        resolved = resolve(raw)
+        model = resolved.experiment.detector_model
+        diagnostics = model.diagnostics()
+        assert len(diagnostics) == len(model.detectors)
+        assert model.reading_scale == scale
+
+        rng = block_rng(3, 0)
+        bits = (rng.random((257, n)) >= 0.5).astype(np.int64)
+        readings, outcomes = model.detect(bits, rng)
+        assert readings.shape == outcomes.shape == (257, n)
+        assert readings.dtype == np.float64
+        assert set(np.unique(outcomes).tolist()) <= {0, 1}
+
+        expected = [min(d.misread, 0.5 - 1e-9) for d in diagnostics] or [0.0] * n
+        assert resolved.error_model.eps == tuple(expected)
+        if case.startswith("qpc"):
+            assert resolved.error_model.eps[2] == 0.5 - 1e-9

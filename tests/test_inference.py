@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -81,6 +82,15 @@ class TestLoglikUnanimous:
             pattern = tuple(rng.integers(0, 2, size=3))
             oracle = math.log(enumerate_pattern_prob_unanimous(pattern, probs, err.eps))
             assert loglik_unanimous([pattern], probs, err) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-10])
+    def test_many_small_factors_do_not_underflow(self, eps):
+        # 64 detectors, 32 reading 1: both latent branches are eps^32 (1 - eps)^32,
+        # about e^-810.51 and e^-736.83, below the smallest normal double
+        row = np.array([[1] * 32 + [0] * 32], dtype=np.int8)
+        expected = 32 * (math.log(eps) + math.log1p(-eps))
+        verdict = decide(row, P_HALF, ErrorModel([eps] * 64))
+        assert verdict.loglik_unanimous == pytest.approx(expected, rel=1e-12)
 
 
 class TestLoglikBinomial:
@@ -306,6 +316,11 @@ class TestRequiredTrials:
         with pytest.raises(NoDiscriminationError):
             required_trials(OutcomeProbabilities(1.0), 0.01)
 
+    def test_uncountable_trials_are_no_discrimination(self):
+        # q ~ 1e-323: ln(alpha) / ln(1 - q) overflows a float
+        with pytest.raises(NoDiscriminationError, match="too small"):
+            required_trials(OutcomeProbabilities(5e-324), 0.01)
+
     @pytest.mark.parametrize("eps", [(0.0, 0.0, 0.0), (0.01, 0.05, 0.2)])
     def test_three_detectors_match_pattern_enumeration(self, eps):
         probs = OutcomeProbabilities(0.9)
@@ -330,6 +345,58 @@ class TestRequiredTrials:
             required_trials(P_HALF, 0.0)
         with pytest.raises(ValueError):
             required_trials(P_HALF, 1.5)
+
+
+def exact_log(x: Decimal) -> float:
+    return float(x.ln()) if x > 0 else -math.inf
+
+
+class TestTwoDetectorReduction:
+    """The N-detector formulas at N = 2 equal the two-detector closed forms."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        p0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        eps=st.floats(0.0, 0.5, exclude_max=True),
+        alpha=st.sampled_from([0.05, 0.01, 0.001]) | st.floats(1e-12, 1.0, exclude_max=True),
+    )
+    def test_n2_reduction(self, p0, eps, alpha):
+        probs = OutcomeProbabilities(p0)
+        err = ErrorModel([eps, eps])
+        p0_eff = probs.p0 * (1.0 - eps) + probs.p1 * eps
+        p1_eff = 1.0 - p0_eff
+
+        quotient = math.log(alpha) / math.log1p(-2.0 * p0_eff * p1_eff)
+        if math.isinf(quotient):
+            with pytest.raises(NoDiscriminationError):
+                required_trials(probs, alpha, err)
+        # one ulp in q may move the ceiling of a quotient this close to an integer
+        elif abs(quotient - round(quotient)) > 1e-9:
+            assert required_trials(probs, alpha, err) == math.ceil(quotient)
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            d0, d1, de = Decimal(probs.p0), Decimal(probs.p1), Decimal(eps)
+            keep = 1 - de
+            unanimous = {
+                (0, 0): d0 * keep**2 + d1 * de**2,
+                (0, 1): (d0 + d1) * de * keep,
+                (1, 0): (d0 + d1) * de * keep,
+                (1, 1): d0 * de**2 + d1 * keep**2,
+            }
+            unanimous = {pattern: exact_log(p) for pattern, p in unanimous.items()}
+        for pattern in unanimous:
+            zeros = pattern.count(0)
+            binomial = zeros * math.log(p0_eff) + (2 - zeros) * math.log(p1_eff)
+            assert_close(loglik_unanimous([pattern], probs, err), unanimous[pattern])
+            assert_close(loglik_binomial([pattern], probs, err), binomial)
+
+
+def assert_close(got, expected):
+    if math.isinf(expected):
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestCalibration:
