@@ -17,7 +17,6 @@ from .experiment import (
     OscillatorModel,
     QpcModel,
     TrialBlock,
-    TrialRecord,
     run_experiment,
 )
 from .inference import (
@@ -65,7 +64,6 @@ __all__ = [
     "SI",
     "ScenarioVerdict",
     "TrialBlock",
-    "TrialRecord",
     "Unanimous",
     "binomial_pmf",
     "born_probabilities",

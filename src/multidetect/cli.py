@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -109,7 +108,7 @@ def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, thread
             _fh.write(_block_rows(block, _scale))
 
     try:
-        _, summary = run_experiment(experiment, keep_records=False, on_block=writer)
+        summary = run_experiment(experiment, on_block=writer)
     finally:
         if fh is not None:
             fh.close()
@@ -141,8 +140,8 @@ def _parse_records_csv(path) -> tuple[int, np.ndarray]:
     rows or two concatenated runs cannot count their evidence twice.
     """
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("records", f"cannot read {path}: {exc}") from exc
 
     header = None
@@ -160,10 +159,7 @@ def _parse_records_csv(path) -> tuple[int, np.ndarray]:
         raise ConfigError("records", "no header row found")
 
     n = sum(1 for col in header if col.startswith("outcome_"))
-    expected = ["trial", "latent"]
-    expected += [f"reading_{i + 1}" for i in range(n)]
-    expected += [f"outcome_{i + 1}" for i in range(n)]
-    if n < 1 or header != expected:
+    if n < 1 or ",".join(header) != _records_header(n):
         raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
 
     outcomes = []
@@ -261,41 +257,23 @@ def cmd_discriminability(config_path) -> int:
 
 
 def _apply_field(raw, dotted: str, value: float) -> None:
-    parts = dotted.split(".")
-    node = raw
-    for part in parts[:-1]:
+    parent, key, node = None, None, raw
+    for part in dotted.split("."):
         if isinstance(node, list) and part.isdigit() and int(part) < len(node):
-            node = node[int(part)]
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
+            part = int(part)
+        elif not (isinstance(node, dict) and part in node):
             raise ConfigError(dotted, "unknown config field")
-    last = parts[-1]
-    if isinstance(node, list) and last.isdigit() and int(last) < len(node):
-        current = node[int(last)]
-        if isinstance(current, bool) or not isinstance(current, (int, float)):
-            raise ConfigError(dotted, "field is not numeric")
-        node[int(last)] = value
-    elif isinstance(node, dict) and last in node:
-        current = node[last]
-        if isinstance(current, bool) or not isinstance(current, (int, float)):
-            raise ConfigError(dotted, "field is not numeric")
-        node[last] = value
-    else:
-        raise ConfigError(dotted, "unknown config field")
+        parent, key, node = node, part, node[part]
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ConfigError(dotted, "field is not numeric")
+    parent[key] = value
 
 
 def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, out_path, seed_override=None) -> int:
     """Run one experiment per grid point of a numeric config field; emit tidy CSV."""
     if steps < 1:
         raise ConfigError("steps", "sweep needs at least one grid point")
-    try:
-        raw = json.loads(Path(config_path).read_text())
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {config_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
-
+    raw = cfg.read_raw(config_path)
     base = cfg.resolve(raw, seed_override=seed_override)
     # fail fast on unknown fields before running anything
     probe = copy.deepcopy(raw)
@@ -327,10 +305,8 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
             _apply_field(point_raw, field, float(value))
             point = cfg.resolve(point_raw, seed_override=seed_override)
             blocks = []
-            _, summary = run_experiment(
-                point.experiment,
-                keep_records=False,
-                on_block=lambda block: blocks.append(block.outcomes),
+            summary = run_experiment(
+                point.experiment, on_block=lambda block: blocks.append(block.outcomes)
             )
             probs = born_probabilities(point.experiment.state)
             verdict = decide(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 from .constants import NATURAL, SI
@@ -181,9 +183,14 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
             _require(det, f, path)
         _reject_unknown(det, fields, path)
         try:
-            detectors.append(parse_detector(det, path, value))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                detectors.append(parse_detector(det, path, value))
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
+        for warning in caught:
+            # name the detector: the regime warnings cannot tell which one they are
+            warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=3)
     # echo the values as given: a back-conversion from SI would not
     # round-trip bit-exactly, breaking rerun-from-echo reproducibility
     echo = {
@@ -286,16 +293,19 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
     )
 
 
-def load(path, seed_override: int | None = None) -> ResolvedConfig:
-    """Read and resolve a JSON config file."""
+def read_raw(path):
+    """The parsed JSON of a config file, not yet validated."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
-    return resolve(raw, seed_override=seed_override)
+
+
+def load(path, seed_override: int | None = None) -> ResolvedConfig:
+    """Read and resolve a JSON config file."""
+    return resolve(read_raw(path), seed_override=seed_override)
 
 
 def canonical_json(obj, compact: bool = False) -> str:

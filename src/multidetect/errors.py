@@ -46,11 +46,7 @@ class NoDiscriminationError(MultidetectError):
 
 
 class EmptyInputError(MultidetectError):
-    """An operation requiring at least one record received none."""
-
-
-class RaggedRecordsError(MultidetectError):
-    """Trial records have inconsistent detector counts."""
+    """An operation requiring at least one trial received none."""
 
 
 class NormalizationWarning(UserWarning):

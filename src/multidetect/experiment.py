@@ -154,16 +154,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One trial: latent bit (unanimous only), raw readings, latched outcomes."""
-
-    index: int
-    latent: Optional[int]
-    raw_readings: tuple[float, ...]
-    outcomes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ExperimentSummary:
     """Agreement statistics over a full run; M0 + M1 + m = M."""
 
@@ -189,19 +179,6 @@ class TrialBlock:
     readings: np.ndarray
     outcomes: np.ndarray
 
-    def records(self) -> list[TrialRecord]:
-        size = len(self.outcomes)
-        latents = [None] * size if self.latent is None else self.latent.tolist()
-        return [
-            TrialRecord(index=i, latent=latent, raw_readings=tuple(r), outcomes=tuple(o))
-            for i, latent, r, o in zip(
-                range(self.start, self.start + size),
-                latents,
-                self.readings.tolist(),
-                self.outcomes.tolist(),
-            )
-        ]
-
 
 def _histogram(outcomes: np.ndarray) -> np.ndarray:
     """Trials per number of detectors reading 0, for a (B, N) outcome array."""
@@ -224,20 +201,17 @@ def _summary(hist: np.ndarray) -> ExperimentSummary:
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    keep_records: bool = True,
-    on_block: Callable[[TrialBlock], None] | None = None,
-) -> tuple[list[TrialRecord], ExperimentSummary]:
+    config: ExperimentConfig, on_block: Callable[[TrialBlock], None] | None = None
+) -> ExperimentSummary:
     """Run all trials block by block and aggregate agreement statistics.
 
-    ``on_block`` is called with each TrialBlock in trial order, which lets
-    callers stream large runs to disk a block at a time.  TrialRecords are
-    built only for ``keep_records=True``, which returns them all.  Output
-    is a pure function of the config.
+    ``on_block`` is called with each TrialBlock in trial order; callers
+    that need the trials themselves (to write them out or to score them)
+    collect them there, a block at a time.  Output is a pure function of
+    the config.
     """
     probs = born_probabilities(config.state)
     hist = np.zeros(config.n_detectors + 1, dtype=np.int64)
-    records: list[TrialRecord] = []
     for block_index, start in enumerate(range(0, config.n_trials, BLOCK_SIZE)):
         rng = block_rng(config.seed, block_index)
         size = min(BLOCK_SIZE, config.n_trials - start)
@@ -246,6 +220,4 @@ def run_experiment(
         hist += _histogram(block.outcomes)
         if on_block is not None:
             on_block(block)
-        if keep_records:
-            records.extend(block.records())
-    return records, _summary(hist)
+    return _summary(hist)

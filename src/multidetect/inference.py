@@ -34,8 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, NoDiscriminationError, RaggedRecordsError
-from .experiment import TrialRecord
+from .errors import EmptyInputError, NoDiscriminationError
 from .state import OutcomeProbabilities, outcome_bits
 
 #: Decisive Bayes-factor default: |log odds| below ln(100) is inconclusive.
@@ -79,15 +78,8 @@ class ScenarioVerdict:
 
 
 def _outcome_array(data: Sequence | np.ndarray) -> np.ndarray:
-    """Every trial's outcomes as an (M, N) integer array."""
-    if not isinstance(data, np.ndarray):
-        rows = [row.outcomes if isinstance(row, TrialRecord) else row for row in data]
-        for index, row in enumerate(rows):
-            if len(row) != len(rows[0]):
-                raise RaggedRecordsError(
-                    f"trial {index} has {len(row)} outcomes, expected {len(rows[0])}"
-                )
-        data = np.asarray(rows)
+    """Every trial's outcomes as an (M, N) integer array; ValueError if ragged."""
+    data = np.asarray(data)
     if len(data) == 0:
         raise EmptyInputError("no trials to score")
     if data.ndim != 2:
@@ -170,7 +162,7 @@ def decide(
     log_odds = loglik_unanimous - loglik_binomial (+ prior, zero by
     default); |log_odds| below the threshold is inconclusive.  Confidence
     is the posterior mass of the winning law under equal priors.  ``data``
-    is an (M, N) array-like of 0/1 outcomes or a sequence of TrialRecords.
+    is an (M, N) array-like of 0/1 outcomes.
     """
     if log_odds_threshold <= 0.0:
         raise ValueError("log_odds_threshold must be positive")

@@ -86,7 +86,7 @@ class OscillatorParams:
                 f"beta*hbar*omega = {b_hw:.3g} >= 1: thermal spread does not dominate "
                 "quantum fluctuations; classical pointer statistics are unreliable",
                 QuantumRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
         g_t = self.relaxation_rate * self.measurement_time
         if g_t < RELAXATION_FLOOR:
@@ -94,7 +94,7 @@ class OscillatorParams:
                 f"gamma*tau = {g_t:.3g} < {RELAXATION_FLOOR}: pointer may not have relaxed "
                 "to its displaced equilibrium within the measurement window",
                 RelaxationWarning,
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
 
     @property

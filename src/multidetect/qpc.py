@@ -71,7 +71,7 @@ class QpcParams:
                 f"attempt count {n_rounded} < {GAUSSIAN_REGIME_FLOOR}: "
                 "Gaussian current density is inaccurate; prefer exact-binomial sampling",
                 GaussianRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
 
     def transmission(self, sigma: int) -> float:

@@ -44,7 +44,7 @@ class Amplitudes:
             warnings.warn(
                 f"input norm {norm:.6g} deviates from 1 by {deviation:.3g}; renormalizing",
                 NormalizationWarning,
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
         if deviation > NORM_TOLERANCE:
             object.__setattr__(self, "c0", self.c0 / norm)

@@ -67,7 +67,7 @@ def test_criterion_1_disagreement_law():
         n_detectors=2,
         seed=20260810,
     )
-    _, summary = run_experiment(config, keep_records=False)
+    summary = run_experiment(config)
     elapsed = time.perf_counter() - t0
     rate = summary.disagreements / summary.n_trials
     ok = abs(rate - 0.5) <= 0.0063 and elapsed < 5.0
@@ -98,7 +98,7 @@ def test_criterion_2_counting_law_fidelity():
             n_detectors=n,
             seed=100 + i,
         )
-        _, summary = run_experiment(config, keep_records=False)
+        summary = run_experiment(config)
         worst_p = min(worst_p, chisq_gof_pvalue(summary.histogram_n0, pmf))
     elapsed = time.perf_counter() - t0
     ok = worst_p > 0.001 and worst_sum <= 1e-12 and worst_mean <= 1e-9 and elapsed < 10.0
@@ -206,7 +206,7 @@ def test_criterion_5_state_weak_disagreement():
             n_detectors=2,
             seed=500 + i,
         )
-        _, summary = run_experiment(config, keep_records=False)
+        summary = run_experiment(config)
         rates.append(summary.disagreements / summary.n_trials)
     spread = max(rates) - min(rates)
     elapsed = time.perf_counter() - t0
@@ -259,8 +259,9 @@ def test_criterion_6_inference_calibration_and_trial_bound():
                     n_detectors=2,
                     seed=block * 10**6 + lane * 10**4 + rep,
                 )
-                records, _ = run_experiment(config)
-                verdict = decide(records, probs, no_err)
+                outcomes = []
+                run_experiment(config, on_block=lambda b: outcomes.append(b.outcomes))
+                verdict = decide(np.concatenate(outcomes), probs, no_err)
                 if verdict.decision == wrong_decision:
                     wrong += 1
             worst_wrong = max(worst_wrong, wrong / reps)

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import multidetect
 from multidetect.cli import CONFIG_COMMENT, main
 from multidetect.constants import SI
 
@@ -471,3 +475,70 @@ class TestSweep:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestBadInput:
+    NOT_UTF8 = b'{"state": {"p0": 0.5}, "scenario": {"kind": "binomial\xff"}}'
+
+    @pytest.mark.parametrize("command", ["simulate", "infer", "discriminability", "sweep"])
+    def test_non_utf8_config_named(self, tmp_path, capsys, command):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(self.NOT_UTF8)
+        args = {
+            "simulate": ["--out", str(tmp_path / "run")],
+            "infer": ["--records", str(tmp_path / "records.csv")],
+            "discriminability": [],
+            "sweep": ["--field", "state.p0", "--start", "0.1", "--stop", "0.9", "--steps", "3",
+                      "--out", str(tmp_path / "s.csv")],
+        }[command]
+        code = main([command, "--config", str(cfg), *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error: config: invalid JSON" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_records_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        records.write_bytes(b"trial,latent,reading_1,reading_2,outcome_1,outcome_2\n0,\xff,0,0,0,0\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error: records: cannot read" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("scenario.kind", "field is not numeric"),
+            ("detector_model.detectors.9.t0", "unknown config field"),
+        ],
+    )
+    def test_sweep_field_rejected(self, tmp_path, capsys, field, message):
+        cfg = write_config(tmp_path, qpc_config())
+        code = main([
+            "sweep", "--config", str(cfg), "--field", field,
+            "--start", "0", "--stop", "1", "--steps", "3", "--out", str(tmp_path / "s.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: {field}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_regime_warnings_name_their_detector(self, tmp_path):
+        raw = qpc_config(n_trials=20)
+        raw["detector_model"]["detectors"] = [
+            qpc_detector(0.4, 0.6, 302), qpc_detector(0.4, 0.6, 20), qpc_detector(0.6, 0.4, 40),
+        ]
+        cfg = write_config(tmp_path, raw)
+        src = Path(multidetect.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "multidetect.cli", "simulate",
+             "--config", str(cfg), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0
+        assert "detectors[0]" not in result.stderr
+        assert "detector_model.detectors[1]: attempt count 20 < 100" in result.stderr
+        assert "detector_model.detectors[2]: attempt count 40 < 100" in result.stderr
+        assert "<string>" not in result.stderr

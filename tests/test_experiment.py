@@ -33,6 +33,17 @@ def ideal_config(scenario, p0=0.5, n_detectors=2, n_trials=100, seed=0):
     )
 
 
+def run_blocks(config):
+    """The summary and every TrialBlock of one run, in trial order."""
+    blocks = []
+    summary = run_experiment(config, on_block=blocks.append)
+    return summary, blocks
+
+
+def stacked(blocks, field):
+    return np.concatenate([getattr(b, field) for b in blocks])
+
+
 def oscillator_pair(ratio=10.0):
     # dx = 2 in natural units at beta = 0.25; coupling = ratio * dx
     params = OscillatorParams(
@@ -69,60 +80,60 @@ class TestStreams:
             n_trials=BLOCK_SIZE + 1,
             seed=29,
         )
-        records, _ = run_experiment(config)
-        readings = [r.raw_readings for r in records]
+        _, blocks = run_blocks(config)
+        readings = [tuple(r) for r in stacked(blocks, "readings").tolist()]
         assert readings[0] != readings[BLOCK_SIZE]
         assert len(set(readings)) == len(readings)
 
 
 class TestRunExperiment:
     def test_unanimous_certain_state(self):
-        records, summary = run_experiment(ideal_config(Unanimous(), p0=1.0, n_trials=100))
+        summary, blocks = run_blocks(ideal_config(Unanimous(), p0=1.0, n_trials=100))
         assert summary.m0_unanimous_zero == 100
         assert summary.disagreements == 0
-        assert all(r.outcomes == (0, 0) for r in records)
-        assert all(r.latent == 0 for r in records)
+        assert stacked(blocks, "outcomes").tolist() == [[0, 0]] * 100
+        assert stacked(blocks, "latent").tolist() == [0] * 100
 
     def test_unanimous_ideal_never_disagrees(self):
-        _, summary = run_experiment(ideal_config(Unanimous(), p0=0.36, n_trials=2000, seed=5))
+        summary = run_experiment(ideal_config(Unanimous(), p0=0.36, n_trials=2000, seed=5))
         assert summary.disagreements == 0
 
     def test_binomial_disagreement_rate(self):
         config = ideal_config(Binomial(), p0=0.5, n_trials=10**5, seed=42)
-        _, summary = run_experiment(config, keep_records=False)
+        summary = run_experiment(config)
         rate = summary.disagreements / summary.n_trials
         assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / config.n_trials)
 
     def test_binomial_latent_absent(self):
-        records, _ = run_experiment(ideal_config(Binomial(), n_trials=10))
-        assert all(r.latent is None for r in records)
+        _, blocks = run_blocks(ideal_config(Binomial(), n_trials=10))
+        assert blocks and all(b.latent is None for b in blocks)
 
     def test_conservation(self):
         for seed in range(5):
-            _, s = run_experiment(ideal_config(Binomial(), p0=0.36, n_trials=500, seed=seed))
+            s = run_experiment(ideal_config(Binomial(), p0=0.36, n_trials=500, seed=seed))
             assert s.m0_unanimous_zero + s.m1_unanimous_one + s.disagreements == s.n_trials
             assert sum(s.histogram_n0) == s.n_trials
 
     def test_custom_scenario_runs(self):
         probs = OutcomeProbabilities(0.36)
         scenario = Custom([probs.p1, 0, probs.p0])
-        _, summary = run_experiment(ideal_config(scenario, p0=0.36, n_trials=300, seed=1))
+        summary = run_experiment(ideal_config(scenario, p0=0.36, n_trials=300, seed=1))
         assert summary.disagreements == 0  # two-point pmf reproduces unanimity
 
     def test_determinism_bit_identical(self):
         config = ideal_config(Binomial(), p0=0.36, n_trials=500, seed=7)
-        records_a, summary_a = run_experiment(config)
-        records_b, summary_b = run_experiment(config)
-        assert records_a == records_b
+        summary_a, blocks_a = run_blocks(config)
+        summary_b, blocks_b = run_blocks(config)
+        for field in ("readings", "outcomes"):
+            assert stacked(blocks_a, field).tobytes() == stacked(blocks_b, field).tobytes()
         assert summary_a == summary_b
 
     def test_streaming_matches_in_memory(self):
         config = ideal_config(Binomial(), p0=0.36, n_trials=200, seed=3)
-        blocks = []
-        _, s1 = run_experiment(config, keep_records=False, on_block=blocks.append)
-        kept, s2 = run_experiment(config)
-        assert [r for b in blocks for r in b.records()] == kept
-        assert s1 == s2
+        streamed, blocks = run_blocks(config)
+        assert run_experiment(config) == streamed
+        zeros = (stacked(blocks, "outcomes") == 0).sum(axis=1)
+        assert tuple(np.bincount(zeros, minlength=3).tolist()) == streamed.histogram_n0
 
     def test_oscillator_layer_thresholds_readings(self):
         model = oscillator_pair()
@@ -133,11 +144,10 @@ class TestRunExperiment:
             n_trials=200,
             seed=11,
         )
-        records, summary = run_experiment(config)
+        summary, blocks = run_blocks(config)
         threshold = 10.0  # X/2 = 20/2
-        for r in records:
-            for x, o in zip(r.raw_readings, r.outcomes):
-                assert o == (1 if x > threshold else 0)
+        readings, outcomes = stacked(blocks, "readings"), stacked(blocks, "outcomes")
+        assert outcomes.tolist() == (readings > threshold).astype(int).tolist()
         assert summary.n_trials == 200
 
     def test_oscillator_unanimous_disagreement_bound(self):
@@ -150,7 +160,7 @@ class TestRunExperiment:
             n_trials=10**4,
             seed=13,
         )
-        _, summary = run_experiment(config, keep_records=False)
+        summary = run_experiment(config)
         assert summary.disagreements <= eps * config.n_trials + 4 * math.sqrt(config.n_trials)
 
     def test_qpc_unanimous_disagreement_bound(self):
@@ -164,7 +174,7 @@ class TestRunExperiment:
             n_trials=10**4,
             seed=17,
         )
-        _, summary = run_experiment(config, keep_records=False)
+        summary = run_experiment(config)
         assert summary.disagreements / config.n_trials <= eps
 
     def test_qpc_gaussian_sampling_mode(self):
@@ -175,7 +185,7 @@ class TestRunExperiment:
             n_trials=500,
             seed=19,
         )
-        _, summary = run_experiment(config, keep_records=False)
+        summary = run_experiment(config)
         assert summary.disagreements / summary.n_trials < 0.01
 
     def test_config_validation(self):
@@ -241,30 +251,30 @@ class TestBlockEngine:
     @given(experiments())
     def test_summary_and_records_agree(self, config):
         m, n = config.n_trials, config.n_detectors
-        blocks = []
-        kept, summary = run_experiment(config, on_block=blocks.append)
+        summary, blocks = run_blocks(config)
         assert sum(summary.histogram_n0) == m
         assert summary.m0_unanimous_zero + summary.m1_unanimous_one + summary.disagreements == m
-        assert [r for b in blocks for r in b.records()] == kept
-        assert [r.index for r in kept] == list(range(m))
         assert [b.start for b in blocks] == list(range(0, m, BLOCK_SIZE))
-        # recount with a plain loop over the materialized records
+        # recount with a plain loop over the blocks' rows
         hist = [0] * (n + 1)
-        for record in kept:
-            assert len(record.outcomes) == len(record.raw_readings) == n
-            hist[sum(1 for o in record.outcomes if o == 0)] += 1
+        for block in blocks:
+            size = min(BLOCK_SIZE, m - block.start)
+            assert block.readings.shape == block.outcomes.shape == (size, n)
+            for row in block.outcomes.tolist():
+                hist[sum(1 for o in row if o == 0)] += 1
             if isinstance(config.scenario, Unanimous):
-                assert record.latent in (0, 1)
+                assert block.latent.shape == (size,)
+                assert set(block.latent.tolist()) <= {0, 1}
             else:
-                assert record.latent is None
+                assert block.latent is None
         assert summary.histogram_n0 == tuple(hist)
-        assert run_experiment(config, keep_records=False) == ([], summary)
+        assert run_experiment(config) == summary
 
 
 class TestSummarize:
     def test_histogram_matches_counting_law(self):
         config = ideal_config(Binomial(), p0=0.36, n_detectors=10, n_trials=10**5, seed=23)
-        _, summary = run_experiment(config, keep_records=False)
+        summary = run_experiment(config)
         probs = OutcomeProbabilities(0.36)
         expected = [binomial_pmf(10, k, probs) for k in range(11)]
         assert chisq_gof_pvalue(summary.histogram_n0, expected) > 0.001

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_disagreement_probability, record_loop_logliks
-from multidetect.errors import EmptyInputError, NoDiscriminationError, RaggedRecordsError
-from multidetect.experiment import TrialRecord
+from multidetect.errors import EmptyInputError, NoDiscriminationError
 from multidetect.inference import (
     DECISION_BINOMIAL,
     DECISION_INCONCLUSIVE,
@@ -27,13 +26,6 @@ from multidetect.state import OutcomeProbabilities
 
 P_HALF = OutcomeProbabilities(0.5)
 NO_ERR = ErrorModel.ideal(2)
-
-
-def patterns_to_records(patterns):
-    return [
-        TrialRecord(index=i, latent=None, raw_readings=tuple(map(float, p)), outcomes=tuple(p))
-        for i, p in enumerate(patterns)
-    ]
 
 
 def enumerate_pattern_prob_unanimous(pattern, probs, eps):
@@ -154,7 +146,7 @@ class TestPatternCounts:
         verdict = decide(outcomes, probs, err)
         assert_loglik_matches(verdict.loglik_unanimous, oracle_u)
         assert_loglik_matches(verdict.loglik_binomial, oracle_b)
-        assert decide(patterns_to_records(outcomes.tolist()), probs, err) == verdict
+        assert decide(outcomes.tolist(), probs, err) == verdict
 
     def test_row_permutation_bit_identical(self):
         rng = np.random.default_rng(57)
@@ -195,12 +187,8 @@ class TestPatternCounts:
             decide(np.zeros((0, 2), dtype=np.int8), P_HALF, NO_ERR)
 
     def test_ragged_records(self):
-        recs = [
-            TrialRecord(index=0, latent=None, raw_readings=(0.0, 0.0), outcomes=(0, 0)),
-            TrialRecord(index=1, latent=None, raw_readings=(0.0,), outcomes=(0,)),
-        ]
-        with pytest.raises(RaggedRecordsError):
-            decide(recs, P_HALF, NO_ERR)
+        with pytest.raises(ValueError):
+            decide([(0, 0), (0,)], P_HALF, NO_ERR)
 
     def test_forbidden_pattern_emits_no_warning(self):
         data = np.array([(0, 0)] * 5 + [(0, 1)] * 3, dtype=np.int8)

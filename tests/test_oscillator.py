@@ -84,12 +84,14 @@ class TestGeometry:
 
 class TestRegimeChecks:
     def test_quantum_regime_warns(self):
-        with pytest.warns(QuantumRegimeWarning):
+        with pytest.warns(QuantumRegimeWarning) as caught:
             pointer(1.0, beta=2.0)  # beta*hbar*omega = 2
+        assert caught[0].filename == __file__
 
     def test_slow_relaxation_warns(self):
-        with pytest.warns(RelaxationWarning):
+        with pytest.warns(RelaxationWarning) as caught:
             pointer(1.0, gamma=0.1, tau=10.0)  # gamma*tau = 1
+        assert caught[0].filename == __file__
 
     def test_valid_params_silent(self):
         import warnings

@@ -56,8 +56,10 @@ class TestAttempts:
             attempts(p)
 
     def test_gaussian_floor_warns(self):
-        with pytest.warns(GaussianRegimeWarning):
+        with pytest.warns(GaussianRegimeWarning) as caught:
             make_qpc(0.3, 0.7, 99.0)
+        # located at the constructor's caller, not in the generated __init__
+        assert caught[0].filename == __file__
 
     def test_transmission_bounds(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,12 @@ def test_make_amplitudes_rescales_with_warning():
     assert a.renormalized
 
 
+def test_normalization_warning_located_at_caller():
+    with pytest.warns(NormalizationWarning) as caught:
+        Amplitudes(2, 0)
+    assert caught[0].filename == __file__
+
+
 def test_make_amplitudes_equal_weights():
     with pytest.warns(NormalizationWarning):
         a = make_amplitudes(1, 0, 1, 0)
