@@ -12,6 +12,7 @@ import argparse
 import copy
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -34,6 +35,7 @@ SWEEP_COMMENT = "# multidetect-sweep: "
 REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
 
 _BITS = frozenset((0, 1))
+_BIT_STRINGS = ["0", "1"]
 _LATENTS = frozenset(("", "0", "1"))
 
 
@@ -61,20 +63,56 @@ def _records_header(n_detectors: int) -> str:
     return f"trial,latent,{readings},{outcomes}"
 
 
+def _reading_strings(values: np.ndarray) -> tuple[list[str] | None, object]:
+    """One column of readings as (distinct strings, per-row index into them).
+
+    Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
+    When more than half of them are distinct, indexing would not pay: the
+    result is then (None, the repr of every value).
+    """
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) > len(values):
+        return None, list(map(repr, values.tolist()))
+    return list(map(repr, distinct.view(np.float64).tolist())), inverse
+
+
 def _block_rows(block: TrialBlock, scale: float) -> str:
-    """CSV rows of one block; floats in shortest round-trip form, as repr gives."""
+    """CSV rows of one block, as repr of each reading and str of each bit give.
+
+    Formatting is the cost, so each column of readings formats each of its
+    distinct values once, unless most of them differ, and when at most half
+    of the rows are distinct, each distinct row after its index is joined once.
+    """
     size = len(block.outcomes)
-    latents = [""] * size if block.latent is None else block.latent.tolist()
-    rows = zip(
-        range(block.start, block.start + size),
-        latents,
-        (block.readings * scale).tolist(),
-        block.outcomes.tolist(),
-    )
-    return "".join(
-        f"{i},{latent},{','.join(map(repr, readings))},{','.join(map(str, outcomes))}\n"
-        for i, latent, readings, outcomes in rows
-    )
+    if block.latent is None:
+        columns = [([""], np.zeros(size, dtype=np.intp))]
+    else:
+        columns = [(_BIT_STRINGS, block.latent)]
+    columns += [_reading_strings(r) for r in (block.readings * scale).T]
+    columns += [(_BIT_STRINGS, o) for o in block.outcomes.T]
+    indices = range(block.start, block.start + size)
+
+    if all(strings is not None for strings, _ in columns):
+        # one code per distinct row, renumbered densely whenever the next column could overflow it
+        code = np.zeros(size, dtype=np.int64)
+        span = 1
+        for strings, index in columns:
+            if span * len(strings) >= 2**62:
+                _, code = np.unique(code, return_inverse=True)
+                span = size
+            code = code * len(strings) + index
+            span *= len(strings)
+        _, first, row = np.unique(code, return_index=True, return_inverse=True)
+        if 2 * len(first) <= size:
+            picked = [map(strings.__getitem__, index[first].tolist()) for strings, index in columns]
+            tails = [",".join(cells) + "\n" for cells in zip(*picked)]
+            return "".join([f"{i},{tails[r]}" for i, r in zip(indices, row.tolist())])
+
+    fields = [
+        cells if strings is None else list(map(strings.__getitem__, cells.tolist()))
+        for strings, cells in columns
+    ]
+    return "\n".join(map(",".join, zip(map(str, indices), *fields))) + "\n"
 
 
 def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, threads: int = 1) -> int:
@@ -94,24 +132,18 @@ def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, thread
     csv_path = manifest.output_dir / "records.csv"
     json_path = manifest.output_dir / "summary.json"
 
-    writer = None
-    fh = None
     if "csv" in manifest.formats:
         try:
-            fh = open(csv_path, "w", newline="")
-        except OSError as exc:
+            with open(csv_path, "w", newline="") as fh:
+                fh.write(CONFIG_COMMENT + echo_line + "\n")
+                fh.write(_records_header(experiment.n_detectors) + "\n")
+                summary = run_experiment(
+                    experiment, on_block=lambda block: fh.write(_block_rows(block, scale))
+                )
+        except OSError as exc:  # opening, writing or closing, as a full disk does
             raise ConfigError("output_dir", f"not writable: {exc}") from exc
-        fh.write(CONFIG_COMMENT + echo_line + "\n")
-        fh.write(_records_header(experiment.n_detectors) + "\n")
-
-        def writer(block, _fh=fh, _scale=scale):
-            _fh.write(_block_rows(block, _scale))
-
-    try:
-        summary = run_experiment(experiment, on_block=writer)
-    finally:
-        if fh is not None:
-            fh.close()
+    else:
+        summary = run_experiment(experiment)
 
     if "json" in manifest.formats:
         payload = {
@@ -133,57 +165,90 @@ def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, thread
     return EXIT_OK
 
 
+def _check_tail(parts: list[str], n: int) -> tuple[int, object]:
+    """The verdict on a row's tail, the text after its latent field, as (stage, result).
+
+    ``parts`` is ``row.split(",", 2)``, whose last item is the tail when the
+    row has three fields or more.  Stage 3 means the tail is valid and comes
+    with its outcome tuple.  A lower stage comes with the message of its
+    first fault and says where that fault ranks among the row's checks:
+    0 before the trial index, 1 before the latent, 2 before the index order.
+    """
+    fields = parts[-1].split(",")
+    if len(parts) + len(fields) != 2 * n + 3:
+        return 0, f"expected {2 * n + 2} fields, got {len(parts) - 1 + len(fields)}"
+    try:
+        total = sum(map(float, fields[:n]))
+        outcomes = tuple(map(int, fields[n:]))
+    except ValueError as exc:
+        return 1, str(exc)
+    # nan or inf makes the sum non-finite, but so can finite readings that overflow it
+    if not math.isfinite(total) and not all(map(math.isfinite, map(float, fields[:n]))):
+        return 2, "readings must be finite"
+    if not _BITS.issuperset(outcomes):
+        return 2, "outcomes must be 0 or 1"
+    return 3, outcomes
+
+
 def _parse_records_csv(path) -> tuple[int, np.ndarray]:
     """Detector count and the (M, N) int8 outcomes of a records CSV.
 
     Every row is checked; trial indices must increase strictly, so duplicated
-    rows or two concatenated runs cannot count their evidence twice.
+    rows or two concatenated runs cannot count their evidence twice.  A row's
+    validity and outcomes depend only on its text after the latent field, so
+    each distinct tail is checked once.  The memo of checked tails never
+    holds more tails than it has had hits, so rows that do not repeat leave
+    it empty.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("records", f"cannot read {path}: {exc}") from exc
 
-    header = None
-    header_line = 0
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        if header is None:
+    for header_line, line in lines:
+        if line.strip() and not line.startswith("#"):
             header = line.split(",")
-            header_line = lineno
-            continue
-        rows.append((lineno, line))
-    if header is None:
+            break
+    else:
         raise ConfigError("records", "no header row found")
-
     n = sum(1 for col in header if col.startswith("outcome_"))
     if n < 1 or ",".join(header) != _records_header(n):
         raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
 
-    outcomes = []
+    memo: dict[str, int] = {}
+    patterns = []  # outcome tuples of the tails checked; rows point into it
+    rows = []
+    hits = 0
     previous = -math.inf
-    for lineno, line in rows:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ConfigError(
-                "records", f"line {lineno}: expected {len(header)} fields, got {len(parts)}"
-            )
+    for lineno, line in lines:
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split(",", 2)
+        # only a row of at least three fields can have a valid tail in the memo
+        pattern = memo.get(parts[-1])
+        if pattern is None:
+            stage, verdict = _check_tail(parts, n)
+            if stage == 0:
+                raise ConfigError("records", f"line {lineno}: {verdict}")
+            if stage == 3:
+                pattern = len(patterns)
+                patterns.append(verdict)
+                if len(memo) <= hits:
+                    memo[parts[-1]] = pattern
+        else:
+            hits += 1
+            stage = 3
+        index_text, latent, _ = parts
         try:
-            index = int(parts[0])
-            # the latent bit and the readings are checked but not kept
-            total = sum(map(float, parts[2 : 2 + n]))
-            row = list(map(int, parts[2 + n :]))
+            index = int(index_text)
         except ValueError as exc:
             raise ConfigError("records", f"line {lineno}: {exc}") from exc
-        if parts[1] not in _LATENTS:
-            raise ConfigError("records", f"line {lineno}: latent must be empty, 0 or 1, got {parts[1]!r}")
-        # nan or inf makes the sum non-finite, but so can finite readings that overflow it
-        if not math.isfinite(total) and not all(map(math.isfinite, map(float, parts[2 : 2 + n]))):
-            raise ConfigError("records", f"line {lineno}: readings must be finite")
-        if not _BITS.issuperset(row):
-            raise ConfigError("records", f"line {lineno}: outcomes must be 0 or 1")
+        if stage == 1:
+            raise ConfigError("records", f"line {lineno}: {verdict}")
+        if latent not in _LATENTS:
+            raise ConfigError("records", f"line {lineno}: latent must be empty, 0 or 1, got {latent!r}")
+        if stage == 2:
+            raise ConfigError("records", f"line {lineno}: {verdict}")
         if index <= previous:
             raise ConfigError(
                 "records",
@@ -191,10 +256,10 @@ def _parse_records_csv(path) -> tuple[int, np.ndarray]:
                 "indices must increase strictly",
             )
         previous = index
-        outcomes.append(row)
-    if not outcomes:
+        rows.append(pattern)
+    if not rows:
         raise ConfigError("records", "no trial rows found")
-    return n, np.array(outcomes, dtype=np.int8)
+    return n, np.array(patterns, dtype=np.int8)[rows]
 
 
 def cmd_infer(records_path, config_path) -> int:
@@ -274,7 +339,21 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     if steps < 1:
         raise ConfigError("steps", "sweep needs at least one grid point")
     raw = cfg.read_raw(config_path)
-    base = cfg.resolve(raw, seed_override=seed_override)
+    shown = set()
+
+    def resolve(point_raw):
+        # recording a resolve's warnings resets Python's once-per-location
+        # registry, so the sweep itself shows each distinct warning once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resolved = cfg.resolve(point_raw, seed_override=seed_override)
+        for w in caught:
+            if (w.category, str(w.message)) not in shown:
+                shown.add((w.category, str(w.message)))
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return resolved
+
+    base = resolve(raw)
     # fail fast on unknown fields before running anything
     probe = copy.deepcopy(raw)
     _apply_field(probe, field, float(start))
@@ -294,39 +373,40 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     try:
         if out_path.parent != Path(""):
             out_path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(out_path, "w", newline="")
-    except OSError as exc:
+        with open(out_path, "w", newline="") as fh:
+            fh.write(SWEEP_COMMENT + cfg.canonical_json(sweep_echo, compact=True) + "\n")
+            fh.write(",".join(header) + "\n")
+            for value in np.linspace(start, stop, steps):
+                point_raw = copy.deepcopy(raw)
+                _apply_field(point_raw, field, float(value))
+                fh.write(_sweep_row(float(value), resolve(point_raw)))
+    except OSError as exc:  # creating, writing or closing, as a full disk does
         raise ConfigError("out", f"not writable: {exc}") from exc
-    with fh:
-        fh.write(SWEEP_COMMENT + cfg.canonical_json(sweep_echo, compact=True) + "\n")
-        fh.write(",".join(header) + "\n")
-        for value in np.linspace(start, stop, steps):
-            point_raw = copy.deepcopy(raw)
-            _apply_field(point_raw, field, float(value))
-            point = cfg.resolve(point_raw, seed_override=seed_override)
-            blocks = []
-            summary = run_experiment(
-                point.experiment, on_block=lambda block: blocks.append(block.outcomes)
-            )
-            probs = born_probabilities(point.experiment.state)
-            verdict = decide(
-                np.concatenate(blocks),
-                probs,
-                point.error_model,
-                log_odds_threshold=point.log_odds_threshold,
-                prior_log_odds=point.prior_log_odds,
-            )
-            m_total = summary.n_trials
-            row = [
-                repr(float(value)),
-                repr(summary.disagreements / m_total),
-                repr(summary.m0_unanimous_zero / m_total),
-                repr(summary.m1_unanimous_one / m_total),
-                repr(float(verdict.log_odds)),
-            ]
-            row += [repr(float(d.value)) for d in point.experiment.detector_model.diagnostics()]
-            fh.write(",".join(row) + "\n")
     return EXIT_OK
+
+
+def _sweep_row(value: float, point: cfg.ResolvedConfig) -> str:
+    """One sweep CSV row: agreement fractions, log odds and detector diagnostics at one grid point."""
+    blocks = []
+    summary = run_experiment(point.experiment, on_block=lambda block: blocks.append(block.outcomes))
+    probs = born_probabilities(point.experiment.state)
+    verdict = decide(
+        np.concatenate(blocks),
+        probs,
+        point.error_model,
+        log_odds_threshold=point.log_odds_threshold,
+        prior_log_odds=point.prior_log_odds,
+    )
+    m_total = summary.n_trials
+    row = [
+        value,
+        summary.disagreements / m_total,
+        summary.m0_unanimous_zero / m_total,
+        summary.m1_unanimous_one / m_total,
+        float(verdict.log_odds),
+    ]
+    row += [float(d.value) for d in point.experiment.detector_model.diagnostics()]
+    return ",".join(map(repr, row)) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:

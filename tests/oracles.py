@@ -10,9 +10,12 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
+
+from multidetect.errors import ConfigError
 
 
 def gauss_legendre_1d(f, a: float, b: float, n: int = 200) -> float:
@@ -145,3 +148,84 @@ def chisq_gof_pvalue(counts, expected_probs, min_expected: float = 5.0) -> float
 def gaussian_upper_tail(z: float) -> float:
     """P(Z > z) for standard normal Z."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def repr_block_rows(block, scale: float) -> str:
+    """Records CSV rows of one TrialBlock, formatting every value with repr or str."""
+    size = len(block.outcomes)
+    latents = [""] * size if block.latent is None else block.latent.tolist()
+    rows = zip(
+        range(block.start, block.start + size),
+        latents,
+        (block.readings * scale).tolist(),
+        block.outcomes.tolist(),
+    )
+    return "".join(
+        f"{i},{latent},{','.join(map(repr, readings))},{','.join(map(str, outcomes))}\n"
+        for i, latent, readings, outcomes in rows
+    )
+
+
+def line_checker_parse(path) -> tuple[int, np.ndarray]:
+    """Detector count and (M, N) int8 outcomes of a records CSV, checking every line in full.
+
+    Raises ConfigError("records", ...) naming the first faulty line and its
+    first fault, checked in this order: field count, trial index, readings,
+    outcomes, latent, finite readings, 0/1 outcomes, increasing index.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("records", f"cannot read {path}: {exc}") from exc
+
+    header = None
+    header_line = 0
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if header is None:
+            header = line.split(",")
+            header_line = lineno
+            continue
+        rows.append((lineno, line))
+    if header is None:
+        raise ConfigError("records", "no header row found")
+
+    n = sum(1 for col in header if col.startswith("outcome_"))
+    expected = ["trial", "latent"]
+    expected += [f"reading_{i + 1}" for i in range(n)] + [f"outcome_{i + 1}" for i in range(n)]
+    if n < 1 or header != expected:
+        raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
+
+    outcomes = []
+    previous = -math.inf
+    for lineno, line in rows:
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(
+                "records", f"line {lineno}: expected {len(header)} fields, got {len(parts)}"
+            )
+        try:
+            index = int(parts[0])
+            total = sum(map(float, parts[2 : 2 + n]))
+            row = list(map(int, parts[2 + n :]))
+        except ValueError as exc:
+            raise ConfigError("records", f"line {lineno}: {exc}") from exc
+        if parts[1] not in ("", "0", "1"):
+            raise ConfigError("records", f"line {lineno}: latent must be empty, 0 or 1, got {parts[1]!r}")
+        if not math.isfinite(total) and not all(map(math.isfinite, map(float, parts[2 : 2 + n]))):
+            raise ConfigError("records", f"line {lineno}: readings must be finite")
+        if not {0, 1}.issuperset(row):
+            raise ConfigError("records", f"line {lineno}: outcomes must be 0 or 1")
+        if index <= previous:
+            raise ConfigError(
+                "records",
+                f"line {lineno}: trial index {index} does not follow {previous}; "
+                "indices must increase strictly",
+            )
+        previous = index
+        outcomes.append(row)
+    if not outcomes:
+        raise ConfigError("records", "no trial rows found")
+    return n, np.array(outcomes, dtype=np.int8)
