@@ -35,7 +35,7 @@ SWEEP_COMMENT = "# multidetect-sweep: "
 REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
 
 _BITS = frozenset((0, 1))
-_BIT_STRINGS = ["0", "1"]
+_BIT_STRINGS = ("0", "1")
 _LATENTS = frozenset(("", "0", "1"))
 
 
@@ -63,7 +63,7 @@ def _records_header(n_detectors: int) -> str:
     return f"trial,latent,{readings},{outcomes}"
 
 
-def _reading_strings(values: np.ndarray) -> tuple[list[str] | None, object]:
+def _reading_strings(values: np.ndarray) -> tuple[list[str] | None, list[str] | np.ndarray]:
     """One column of readings as (distinct strings, per-row index into them).
 
     Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
@@ -85,7 +85,7 @@ def _block_rows(block: TrialBlock, scale: float) -> str:
     """
     size = len(block.outcomes)
     if block.latent is None:
-        columns = [([""], np.zeros(size, dtype=np.intp))]
+        columns = [(("",), np.zeros(size, dtype=np.intp))]
     else:
         columns = [(_BIT_STRINGS, block.latent)]
     columns += [_reading_strings(r) for r in (block.readings * scale).T]

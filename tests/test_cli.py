@@ -542,3 +542,42 @@ class TestBadInput:
         assert "detector_model.detectors[1]: attempt count 20 < 100" in result.stderr
         assert "detector_model.detectors[2]: attempt count 40 < 100" in result.stderr
         assert "<string>" not in result.stderr
+
+    def test_sweep_warns_once_per_detector(self, tmp_path):
+        # recording each grid point's warnings must not show them once per point
+        raw = qpc_config(n_trials=50)
+        raw["detector_model"]["detectors"] = [qpc_detector(0.4, 0.6, 12), qpc_detector(0.6, 0.4, 24)]
+        cfg = write_config(tmp_path, raw)
+        src = Path(multidetect.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "multidetect.cli", "sweep", "--config", str(cfg),
+             "--field", "state.p0", "--start", "0.1", "--stop", "0.9", "--steps", "9",
+             "--out", str(tmp_path / "sweep.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0
+        warned = [line for line in result.stderr.splitlines() if "GaussianRegimeWarning" in line]
+        assert len(warned) == 2
+        assert "detector_model.detectors[0]: attempt count 12 < 100" in warned[0]
+        assert "detector_model.detectors[1]: attempt count 24 < 100" in warned[1]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_full_disk_named(self, tmp_path, capsys, command):
+        # opening succeeds; the writes and the close fail
+        cfg = write_config(tmp_path, ideal_config(n_trials=20000))
+        if command == "simulate":
+            out = tmp_path / "run"
+            out.mkdir()
+            (out / "records.csv").symlink_to("/dev/full")
+            args, field = ["--out", str(out)], "output_dir"
+        else:
+            (tmp_path / "sweep.csv").symlink_to("/dev/full")
+            args = ["--field", "state.p0", "--start", "0.1", "--stop", "0.9", "--steps", "3",
+                    "--out", str(tmp_path / "sweep.csv")]
+            field = "out"
+        code = main([command, "--config", str(cfg), *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: {field}: not writable: [Errno 28]" in err
+        assert "Traceback" not in err
