@@ -197,8 +197,8 @@ def _parse_records_csv(path) -> tuple[int, np.ndarray]:
     rows or two concatenated runs cannot count their evidence twice.  A row's
     validity and outcomes depend only on its text after the latent field, so
     each distinct tail is checked once.  The memo of checked tails never
-    holds more tails than it has had hits, so rows that do not repeat leave
-    it empty.
+    holds more tails than it has had hits, so rows that never repeat leave
+    at most one tail in it.
     """
     try:
         lines = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
