@@ -21,6 +21,7 @@ from .experiment import (
 )
 from .inference import (
     ErrorModel,
+    PatternTable,
     ScenarioVerdict,
     decide,
     loglik_binomial,
@@ -58,6 +59,7 @@ __all__ = [
     "OscillatorModel",
     "OscillatorParams",
     "OutcomeProbabilities",
+    "PatternTable",
     "PhysicalConstants",
     "QpcModel",
     "QpcParams",

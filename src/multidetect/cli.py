@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfg
 from .errors import ConfigError, ModelError, NoDiscriminationError
 from .experiment import TrialBlock, run_experiment
-from .inference import DECISION_INCONCLUSIVE, decide, required_trials
+from .inference import DECISION_INCONCLUSIVE, MAX_DETECTORS, PatternTable, decide, required_trials
 from .state import born_probabilities
 
 EXIT_OK = 0
@@ -190,8 +190,8 @@ def _check_tail(parts: list[str], n: int) -> tuple[int, object]:
     return 3, outcomes
 
 
-def _parse_records_csv(path) -> tuple[int, np.ndarray]:
-    """Detector count and the (M, N) int8 outcomes of a records CSV.
+def _parse_records_csv(path) -> PatternTable:
+    """The outcome-pattern table of a records CSV.
 
     Every row is checked; trial indices must increase strictly, so duplicated
     rows or two concatenated runs cannot count their evidence twice.  A row's
@@ -259,38 +259,43 @@ def _parse_records_csv(path) -> tuple[int, np.ndarray]:
         rows.append(pattern)
     if not rows:
         raise ConfigError("records", "no trial rows found")
-    return n, np.array(patterns, dtype=np.int8)[rows]
+    if n > MAX_DETECTORS:
+        raise ConfigError("records", f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
+    return PatternTable.from_outcomes(np.array(patterns, dtype=np.int8), np.bincount(rows))
+
+
+def _verdict(table: PatternTable, resolved: cfg.ResolvedConfig):
+    """Both laws scored on ``table`` with the config's state, error model, threshold and prior."""
+    return decide(
+        table, born_probabilities(resolved.experiment.state), resolved.error_model,
+        log_odds_threshold=resolved.log_odds_threshold, prior_log_odds=resolved.prior_log_odds,
+    )
+
+
+def _required_trials(resolved: cfg.ResolvedConfig, alpha: float) -> int | None:
+    """required_trials for the config's state and error model; None if no count exists."""
+    try:
+        return required_trials(born_probabilities(resolved.experiment.state), alpha, resolved.error_model)
+    except NoDiscriminationError:
+        return None
 
 
 def cmd_infer(records_path, config_path) -> int:
     """Score the recorded trials under both laws and print the verdict JSON."""
     resolved = cfg.load(config_path)
-    n, outcomes = _parse_records_csv(records_path)
-    if n != resolved.experiment.n_detectors:
-        raise ConfigError(
-            "records",
-            f"records have {n} detectors but config says {resolved.experiment.n_detectors}",
-        )
-    probs = born_probabilities(resolved.experiment.state)
-    verdict = decide(
-        outcomes,
-        probs,
-        resolved.error_model,
-        log_odds_threshold=resolved.log_odds_threshold,
-        prior_log_odds=resolved.prior_log_odds,
-    )
-    try:
-        m_required = required_trials(probs, resolved.alpha, resolved.error_model)
-    except NoDiscriminationError:
-        m_required = None
+    table = _parse_records_csv(records_path)
+    n = resolved.experiment.n_detectors
+    if table.n_detectors != n:
+        raise ConfigError("records", f"records have {table.n_detectors} detectors but config says {n}")
+    verdict = _verdict(table, resolved)
     payload = {
         "loglik_H1": _json_safe(verdict.loglik_unanimous),
         "loglik_H2": _json_safe(verdict.loglik_binomial),
         "log_odds": _json_safe(verdict.log_odds),
         "decision": verdict.decision,
         "confidence": verdict.confidence,
-        "M_used": len(outcomes),
-        "M_required_alpha": m_required,
+        "M_used": table.n_trials,
+        "M_required_alpha": _required_trials(resolved, resolved.alpha),
     }
     print(cfg.canonical_json(payload), end="")
     return EXIT_INCONCLUSIVE if verdict.decision == DECISION_INCONCLUSIVE else EXIT_OK
@@ -304,14 +309,7 @@ def cmd_discriminability(config_path) -> int:
     if not detectors:
         raise ConfigError("detector_model", "discriminability requires a physical detector model")
 
-    probs = born_probabilities(resolved.experiment.state)
-    table = {}
-    for alpha in REQUIRED_TRIALS_ALPHAS:
-        try:
-            table[str(alpha)] = required_trials(probs, alpha, resolved.error_model)
-        except NoDiscriminationError:
-            table[str(alpha)] = None
-
+    table = {str(alpha): _required_trials(resolved, alpha) for alpha in REQUIRED_TRIALS_ALPHAS}
     payload = {
         "model": model.model,
         "detectors": detectors,
@@ -387,16 +385,8 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
 
 def _sweep_row(value: float, point: cfg.ResolvedConfig) -> str:
     """One sweep CSV row: agreement fractions, log odds and detector diagnostics at one grid point."""
-    blocks = []
-    summary = run_experiment(point.experiment, on_block=lambda block: blocks.append(block.outcomes))
-    probs = born_probabilities(point.experiment.state)
-    verdict = decide(
-        np.concatenate(blocks),
-        probs,
-        point.error_model,
-        log_odds_threshold=point.log_odds_threshold,
-        prior_log_odds=point.prior_log_odds,
-    )
+    summary = run_experiment(point.experiment)
+    verdict = _verdict(summary.patterns, point)
     m_total = summary.n_trials
     row = [
         value,

@@ -13,8 +13,8 @@ Philox stream keyed by (seed, block index), in this order:
 Unanimous trials feed one shared latent bit to every detector sampler;
 binomial and custom trials feed each detector its own bit, which is exactly
 the distinction between the one-latent mixture law and the
-independent-detector law at the physical level.  Agreement counts
-accumulate per block from a bincount of the number of detectors reading 0.
+independent-detector law at the physical level.  Each block's outcomes
+are tallied into a ``PatternTable``; the tables are merged once at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import oscillator as osc
 from . import qpc as qpcmod
+from .inference import MAX_DETECTORS, PatternTable
 from .rng import BLOCK_SIZE, SEED_LIMIT, block_rng
 from .scenarios import Custom, ScenarioKind
 from .state import Amplitudes, born_probabilities
@@ -139,8 +140,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if self.n_detectors < 2:
-            raise ValueError("agreement statistics need at least two detectors")
+        if not 2 <= self.n_detectors <= MAX_DETECTORS:
+            raise ValueError(f"n_detectors = {self.n_detectors} outside [2, {MAX_DETECTORS}] (the packing limit)")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not isinstance(self.detector_model, IdealModel):
@@ -155,7 +156,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Agreement statistics over a full run; M0 + M1 + m = M."""
+    """Agreement statistics over a full run, read off its pattern table; M0 + M1 + m = M."""
 
     n_trials: int
     n_detectors: int
@@ -164,6 +165,7 @@ class ExperimentSummary:
     disagreements: int
     histogram_n0: tuple[int, ...]
     agreement_fraction: float
+    patterns: PatternTable
 
 
 @dataclass(frozen=True)
@@ -180,15 +182,13 @@ class TrialBlock:
     outcomes: np.ndarray
 
 
-def _histogram(outcomes: np.ndarray) -> np.ndarray:
-    """Trials per number of detectors reading 0, for a (B, N) outcome array."""
-    return np.bincount((outcomes == 0).sum(axis=1), minlength=outcomes.shape[1] + 1)
-
-
-def _summary(hist: np.ndarray) -> ExperimentSummary:
-    n = len(hist) - 1
-    total = int(hist.sum())
-    m0, m1 = int(hist[n]), int(hist[0])
+def _summary(table: PatternTable) -> ExperimentSummary:
+    n = table.n_detectors
+    # detectors reading 1 per pattern, one detector at a time to keep memory at O(K)
+    ones = sum((table.codes >> np.uint64(a)) & np.uint64(1) for a in range(n))
+    hist = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(hist, n - ones.astype(np.intp), table.counts)
+    m0, m1, total = int(hist[n]), int(hist[0]), table.n_trials
     return ExperimentSummary(
         n_trials=total,
         n_detectors=n,
@@ -197,27 +197,27 @@ def _summary(hist: np.ndarray) -> ExperimentSummary:
         disagreements=total - m0 - m1,
         histogram_n0=tuple(hist.tolist()),
         agreement_fraction=(m0 + m1) / total,
+        patterns=table,
     )
 
 
 def run_experiment(
     config: ExperimentConfig, on_block: Callable[[TrialBlock], None] | None = None
 ) -> ExperimentSummary:
-    """Run all trials block by block and aggregate agreement statistics.
+    """Run all trials block by block and tally their outcome-pattern table.
 
-    ``on_block`` is called with each TrialBlock in trial order; callers
-    that need the trials themselves (to write them out or to score them)
-    collect them there, a block at a time.  Output is a pure function of
-    the config.
+    ``on_block`` is called with each TrialBlock in trial order, for callers
+    that need the trials themselves (to write them out), a block at a time.
+    Output is a pure function of the config.
     """
     probs = born_probabilities(config.state)
-    hist = np.zeros(config.n_detectors + 1, dtype=np.int64)
+    tables = []
     for block_index, start in enumerate(range(0, config.n_trials, BLOCK_SIZE)):
         rng = block_rng(config.seed, block_index)
         size = min(BLOCK_SIZE, config.n_trials - start)
         bits, latent = config.scenario.draw(probs, config.n_detectors, rng, size)
         block = TrialBlock(start, latent, *config.detector_model.detect(bits, rng))
-        hist += _histogram(block.outcomes)
+        tables.append(PatternTable.from_outcomes(block.outcomes))
         if on_block is not None:
             on_block(block)
-    return _summary(hist)
+    return _summary(PatternTable.merge(tables))

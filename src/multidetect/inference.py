@@ -16,9 +16,9 @@ hypotheses decide the verdict; misreads absorb into an effective flip
 probability per detector on the binomial side, which is used throughout.
 
 Both log likelihoods depend on the data only through how many trials show
-each of the 2^N outcome patterns.  Each trial's pattern is packed into one
-integer code, the codes are counted, and every distinct pattern is scored
-once, weighted by its count; this caps N at ``MAX_DETECTORS``.
+each of the 2^N outcome patterns: a ``PatternTable`` packs each trial's
+pattern into one integer code (so N <= ``MAX_DETECTORS``) and counts the
+codes, and every distinct pattern is scored once, weighted by its count.
 
 ``required_trials`` inverts the zero-disagreement probability: it returns
 the smallest M at which the binomial law would produce at least one trial
@@ -77,32 +77,58 @@ class ScenarioVerdict:
     confidence: float
 
 
-def _outcome_array(data: Sequence | np.ndarray) -> np.ndarray:
-    """Every trial's outcomes as an (M, N) integer array; ValueError if ragged."""
-    data = np.asarray(data)
-    if len(data) == 0:
-        raise EmptyInputError("no trials to score")
-    if data.ndim != 2:
-        raise ValueError(f"expected an (M, N) array of outcomes, got shape {data.shape}")
-    return outcome_bits(data).astype(np.uint64)
+@dataclass(frozen=True, eq=False)
+class PatternTable:
+    """How many trials show each distinct outcome pattern of N detectors.
 
+    ``codes`` are sorted and distinct, bit a of a code being detector a's
+    outcome; ``counts`` (int64) are their numbers of trials.
+    """
 
-def _pattern_counts(
-    data: Sequence | np.ndarray, err: ErrorModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct outcome patterns, (K, N), and how many trials show each."""
-    outcomes = _outcome_array(data)
-    n = outcomes.shape[1]
-    if n != len(err.eps):
-        raise ValueError(f"trials have {n} detectors but the error model has {len(err.eps)}")
-    if n > MAX_DETECTORS:
-        raise ValueError(f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
-    shifts = np.arange(n, dtype=np.uint64)
-    codes = np.zeros(len(outcomes), dtype=np.uint64)
-    for a in range(n):
-        codes |= outcomes[:, a] << shifts[a]
-    codes, counts = np.unique(codes, return_counts=True)
-    return (codes[:, None] >> shifts) & np.uint64(1), counts
+    codes: np.ndarray
+    counts: np.ndarray
+    n_detectors: int
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Sequence | np.ndarray, counts=None) -> "PatternTable":
+        """The table of an (M, N) array-like of 0/1 outcomes; row i stands for counts[i] trials, or one."""
+        outcomes = np.asarray(outcomes)
+        if len(outcomes) == 0:
+            raise EmptyInputError("no trials to score")
+        if outcomes.ndim != 2:
+            raise ValueError(f"expected an (M, N) array of outcomes, got shape {outcomes.shape}")
+        n = outcomes.shape[1]
+        if n > MAX_DETECTORS:
+            raise ValueError(f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
+        codes = outcome_bits(outcomes).astype(np.uint64) @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
+        return cls._tally(codes, counts, n)
+
+    @classmethod
+    def merge(cls, tables: Sequence["PatternTable"]) -> "PatternTable":
+        """One table holding the trials of all ``tables``, which share their detector count."""
+        codes = np.concatenate([t.codes for t in tables])
+        return cls._tally(codes, np.concatenate([t.counts for t in tables]), tables[0].n_detectors)
+
+    @classmethod
+    def _tally(cls, codes: np.ndarray, counts, n: int) -> "PatternTable":
+        if counts is None:  # one trial per code: counting needs no inverse, which costs twice as much
+            return cls(*np.unique(codes, return_counts=True), n)
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        totals = np.zeros(len(distinct), dtype=np.int64)
+        np.add.at(totals, inverse, counts)
+        return cls(distinct, totals, n)
+
+    @property
+    def n_trials(self) -> int:
+        return int(self.counts.sum())
+
+    def patterns(self) -> np.ndarray:
+        """The distinct patterns as a (K, N) array of 0/1 outcomes, in code order."""
+        return (self.codes[:, None] >> np.arange(self.n_detectors, dtype=np.uint64)) & np.uint64(1)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, PatternTable) and self.n_detectors == other.n_detectors
+        return same and np.array_equal(self.codes, other.codes) and np.array_equal(self.counts, other.counts)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -115,60 +141,52 @@ def _flip_prob(probs: OutcomeProbabilities, eps: float) -> float:
     return probs.p0 * (1.0 - eps) + probs.p1 * eps
 
 
-def _loglik_unanimous(patterns, counts, probs, eps) -> float:
-    # sum logs per latent branch: a product of many small misreads would underflow
-    eps = np.asarray(eps)
-    branches = [
-        _log(p_sigma) + np.where(patterns != sigma, _log(eps), np.log1p(-eps)).sum(axis=1)
-        for sigma, p_sigma in ((0, probs.p0), (1, probs.p1))
-    ]
-    return float((counts * np.logaddexp(*branches)).sum())
+def _eps(table: PatternTable, err: ErrorModel) -> np.ndarray:
+    if table.n_detectors != len(err.eps):
+        raise ValueError(f"trials have {table.n_detectors} detectors but the error model has {len(err.eps)}")
+    return np.asarray(err.eps)
 
 
-def _loglik_binomial(patterns, counts, probs, eps) -> float:
-    effective = np.array([_flip_prob(probs, e) for e in eps])
-    per_pattern = np.where(patterns == 0, _log(effective), _log(1.0 - effective)).sum(axis=1)
-    return float((counts * per_pattern).sum())
-
-
-def loglik_unanimous(
-    data: Sequence | np.ndarray, probs: OutcomeProbabilities, err: ErrorModel
-) -> float:
-    """Log likelihood of the data under the one-shared-bit law.
+def loglik_unanimous(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
+    """Log likelihood of the trials under the one-shared-bit law.
 
     Each distinct outcome pattern is scored once and weighted by the number
     of trials that show it.  A pattern impossible under the law yields -inf
     rather than raising.
     """
-    return _loglik_unanimous(*_pattern_counts(data, err), probs, err.eps)
+    eps, patterns = _eps(table, err), table.patterns()
+    # sum logs per latent branch: a product of many small misreads would underflow
+    branches = [
+        _log(p_sigma) + np.where(patterns != sigma, _log(eps), np.log1p(-eps)).sum(axis=1)
+        for sigma, p_sigma in ((0, probs.p0), (1, probs.p1))
+    ]
+    return float((table.counts * np.logaddexp(*branches)).sum())
 
 
-def loglik_binomial(
-    data: Sequence | np.ndarray, probs: OutcomeProbabilities, err: ErrorModel
-) -> float:
-    """Log likelihood of the data under the independent-detectors law."""
-    return _loglik_binomial(*_pattern_counts(data, err), probs, err.eps)
+def loglik_binomial(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
+    """Log likelihood of the trials under the independent-detectors law."""
+    effective = np.array([_flip_prob(probs, e) for e in _eps(table, err)])
+    per_pattern = np.where(table.patterns() == 0, _log(effective), _log(1.0 - effective)).sum(axis=1)
+    return float((table.counts * per_pattern).sum())
 
 
 def decide(
-    data: Sequence | np.ndarray,
+    table: PatternTable,
     probs: OutcomeProbabilities,
     err: ErrorModel,
     log_odds_threshold: float = DEFAULT_LOG_ODDS_THRESHOLD,
     prior_log_odds: float = 0.0,
 ) -> ScenarioVerdict:
-    """Score both laws and return the thresholded verdict.
+    """Score both laws on the trials' pattern table and return the thresholded verdict.
 
     log_odds = loglik_unanimous - loglik_binomial (+ prior, zero by
     default); |log_odds| below the threshold is inconclusive.  Confidence
-    is the posterior mass of the winning law under equal priors.  ``data``
-    is an (M, N) array-like of 0/1 outcomes.
+    is the posterior mass of the winning law under equal priors.
     """
     if log_odds_threshold <= 0.0:
         raise ValueError("log_odds_threshold must be positive")
-    patterns, counts = _pattern_counts(data, err)
-    ll_u = _loglik_unanimous(patterns, counts, probs, err.eps)
-    ll_b = _loglik_binomial(patterns, counts, probs, err.eps)
+    ll_u = loglik_unanimous(table, probs, err)
+    ll_b = loglik_binomial(table, probs, err)
     if ll_u == -math.inf and ll_b == -math.inf:
         # impossible under both laws (degenerate state with forbidden data)
         return ScenarioVerdict(ll_u, ll_b, 0.0, DECISION_INCONCLUSIVE, 0.5)
@@ -216,7 +234,9 @@ def required_trials(
         raise NoDiscriminationError("misread-adjusted disagreement probability is zero")
     if alpha == 1.0:
         return 1
-    trials = math.log(alpha) / math.log1p(-disagree)
+    # once the summed disagreement rounds to 1, 1 - q is all0 + all1 exactly
+    log_agree = math.log1p(-disagree) if disagree < 1.0 else math.log(all0 + all1)
+    trials = math.log(alpha) / log_agree
     if math.isinf(trials):
         raise NoDiscriminationError(f"disagreement probability {disagree:.3g} is too small to count trials")
     return max(1, math.ceil(trials))

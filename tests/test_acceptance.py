@@ -259,9 +259,7 @@ def test_criterion_6_inference_calibration_and_trial_bound():
                     n_detectors=2,
                     seed=block * 10**6 + lane * 10**4 + rep,
                 )
-                outcomes = []
-                run_experiment(config, on_block=lambda b: outcomes.append(b.outcomes))
-                verdict = decide(np.concatenate(outcomes), probs, no_err)
+                verdict = decide(run_experiment(config).patterns, probs, no_err)
                 if verdict.decision == wrong_decision:
                     wrong += 1
             worst_wrong = max(worst_wrong, wrong / reps)

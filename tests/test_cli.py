@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import multidetect
-from multidetect.cli import CONFIG_COMMENT, main
+from multidetect.cli import CONFIG_COMMENT, _records_header, main
 from multidetect.constants import SI
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -357,6 +357,23 @@ class TestInfer:
         code = main(["infer", "--records", str(records), "--config", str(cfg)])
         assert code == 1
         assert "detectors" in capsys.readouterr().err
+
+    def test_records_beyond_packing_limit_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        records.write_text(_records_header(65) + "\n0,," + ",".join(["0.0"] * 65 + ["0"] * 65) + "\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error: records: 65 detectors exceed the packing limit of 64" in err
+
+    def test_sixty_four_detectors(self, tmp_path, capsys):
+        # the summed disagreement probability rounds to 1 here; the trial count is still 1
+        code, payload = self.run_infer(tmp_path, ideal_config(n_trials=200, n_detectors=64), capsys)
+        assert code == 0
+        assert payload["decision"] == "binomial"
+        assert payload["M_used"] == 200
+        assert payload["M_required_alpha"] == 1
 
 
 class TestDiscriminability:

@@ -15,6 +15,7 @@ from multidetect.experiment import (
     QpcModel,
     run_experiment,
 )
+from multidetect.inference import MAX_DETECTORS, PatternTable
 from multidetect.oscillator import OscillatorParams, misread_probability as osc_misread
 from multidetect.qpc import QpcParams, discriminability, misread_probability as qpc_misread
 from multidetect.rng import BLOCK_SIZE, block_rng
@@ -188,6 +189,11 @@ class TestRunExperiment:
         summary = run_experiment(config)
         assert summary.disagreements / summary.n_trials < 0.01
 
+    def test_packing_limit(self):
+        assert ideal_config(Binomial(), n_detectors=MAX_DETECTORS).n_detectors == MAX_DETECTORS
+        with pytest.raises(ValueError, match="packing limit"):
+            ideal_config(Binomial(), n_detectors=MAX_DETECTORS + 1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ideal_config(Binomial(), n_trials=0)
@@ -268,6 +274,7 @@ class TestBlockEngine:
             else:
                 assert block.latent is None
         assert summary.histogram_n0 == tuple(hist)
+        assert summary.patterns == PatternTable.from_outcomes(stacked(blocks, "outcomes"))
         assert run_experiment(config) == summary
 
 

@@ -16,6 +16,7 @@ from multidetect.inference import (
     DECISION_UNANIMOUS,
     MAX_DETECTORS,
     ErrorModel,
+    PatternTable,
     decide,
     loglik_binomial,
     loglik_unanimous,
@@ -26,6 +27,7 @@ from multidetect.state import OutcomeProbabilities
 
 P_HALF = OutcomeProbabilities(0.5)
 NO_ERR = ErrorModel.ideal(2)
+table = PatternTable.from_outcomes
 
 
 def enumerate_pattern_prob_unanimous(pattern, probs, eps):
@@ -55,15 +57,15 @@ class TestLoglikUnanimous:
         probs = OutcomeProbabilities(0.36)
         data = [(0, 0)] * 30 + [(1, 1)] * 70
         expected = 30 * math.log(0.36) + 70 * math.log(0.64)
-        assert loglik_unanimous(data, probs, NO_ERR) == pytest.approx(expected, rel=1e-12)
+        assert loglik_unanimous(table(data), probs, NO_ERR) == pytest.approx(expected, rel=1e-12)
 
     def test_mixed_trial_forbidden_without_misreads(self):
-        assert loglik_unanimous([(0, 0), (0, 1)], P_HALF, NO_ERR) == -math.inf
+        assert loglik_unanimous(table([(0, 0), (0, 1)]), P_HALF, NO_ERR) == -math.inf
 
     def test_mixed_trial_with_misreads(self):
         err = ErrorModel([0.01, 0.01])
         # sum over the shared bit: 0.5*(0.99*0.01) + 0.5*(0.01*0.99) = 0.0099
-        got = loglik_unanimous([(0, 1)], P_HALF, err)
+        got = loglik_unanimous(table([(0, 1)]), P_HALF, err)
         assert got == pytest.approx(math.log(0.0099), rel=1e-12)
 
     def test_matches_enumeration_oracle(self):
@@ -73,7 +75,7 @@ class TestLoglikUnanimous:
             err = ErrorModel(rng.uniform(0.0, 0.4, size=3))
             pattern = tuple(rng.integers(0, 2, size=3))
             oracle = math.log(enumerate_pattern_prob_unanimous(pattern, probs, err.eps))
-            assert loglik_unanimous([pattern], probs, err) == pytest.approx(oracle, rel=1e-12)
+            assert loglik_unanimous(table([pattern]), probs, err) == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-11, 1e-10])
     def test_many_small_factors_do_not_underflow(self, eps):
@@ -81,17 +83,17 @@ class TestLoglikUnanimous:
         # about e^-810.51 and e^-736.83, below the smallest normal double
         row = np.array([[1] * 32 + [0] * 32], dtype=np.int8)
         expected = 32 * (math.log(eps) + math.log1p(-eps))
-        verdict = decide(row, P_HALF, ErrorModel([eps] * 64))
+        verdict = decide(table(row), P_HALF, ErrorModel([eps] * 64))
         assert verdict.loglik_unanimous == pytest.approx(expected, rel=1e-12)
 
 
 class TestLoglikBinomial:
     def test_pattern_products(self):
         probs = OutcomeProbabilities(0.36)
-        assert loglik_binomial([(0, 1)], probs, NO_ERR) == pytest.approx(
+        assert loglik_binomial(table([(0, 1)]), probs, NO_ERR) == pytest.approx(
             math.log(0.36 * 0.64), rel=1e-12
         )
-        assert loglik_binomial([(0, 0)], probs, NO_ERR) == pytest.approx(
+        assert loglik_binomial(table([(0, 0)]), probs, NO_ERR) == pytest.approx(
             2 * math.log(0.36), rel=1e-12
         )
 
@@ -106,7 +108,7 @@ class TestLoglikBinomial:
                 p_eff = probs.p0 * (1 - eps) + probs.p1 * eps
                 absorbed = math.prod(p_eff if o == 0 else 1 - p_eff for o in pattern)
                 assert absorbed == pytest.approx(oracle, rel=1e-12)
-                assert loglik_binomial([pattern], probs, err) == pytest.approx(
+                assert loglik_binomial(table([pattern]), probs, err) == pytest.approx(
                     math.log(oracle), rel=1e-12
                 )
 
@@ -143,10 +145,10 @@ class TestPatternCounts:
     def test_arrays_match_record_loop_oracle(self, case):
         outcomes, probs, err = case
         oracle_u, oracle_b = record_loop_logliks(outcomes.tolist(), probs, err.eps)
-        verdict = decide(outcomes, probs, err)
+        verdict = decide(table(outcomes), probs, err)
         assert_loglik_matches(verdict.loglik_unanimous, oracle_u)
         assert_loglik_matches(verdict.loglik_binomial, oracle_b)
-        assert decide(outcomes.tolist(), probs, err) == verdict
+        assert decide(table(outcomes.tolist()), probs, err) == verdict
 
     def test_row_permutation_bit_identical(self):
         rng = np.random.default_rng(57)
@@ -155,7 +157,19 @@ class TestPatternCounts:
         outcomes = (rng.random((500, 6)) >= 0.3).astype(np.int8)
         shuffled = outcomes[rng.permutation(len(outcomes))]
         for loglik in (loglik_unanimous, loglik_binomial):
-            assert loglik(shuffled, probs, err) == loglik(outcomes, probs, err)
+            assert loglik(table(shuffled), probs, err) == loglik(table(outcomes), probs, err)
+
+    def test_counts_and_merge_match_repeated_rows(self):
+        rng = np.random.default_rng(59)
+        rows = (rng.random((40, 5)) >= 0.5).astype(np.int8)
+        counts = rng.integers(1, 6, size=40)
+        whole = table(np.repeat(rows, counts, axis=0))
+        assert whole.n_trials == counts.sum()
+        assert np.all(np.diff(whole.codes.astype(float)) > 0)
+        assert table(rows, counts) == whole
+        assert table(whole.patterns(), whole.counts) == whole
+        parts = [table(np.repeat(rows[:15], counts[:15], axis=0)), table(rows[15:], counts[15:])]
+        assert PatternTable.merge(parts) == whole
 
     def test_max_detectors_accepted(self):
         rng = np.random.default_rng(58)
@@ -163,39 +177,39 @@ class TestPatternCounts:
         err = ErrorModel(rng.uniform(0.0, 0.2, size=MAX_DETECTORS))
         outcomes = (rng.random((200, MAX_DETECTORS)) >= 0.4).astype(np.int8)
         oracle_u, oracle_b = record_loop_logliks(outcomes.tolist(), probs, err.eps)
-        verdict = decide(outcomes, probs, err)
+        verdict = decide(table(outcomes), probs, err)
         assert verdict.loglik_unanimous == pytest.approx(oracle_u, rel=1e-10)
         assert verdict.loglik_binomial == pytest.approx(oracle_b, rel=1e-10)
 
     def test_too_many_detectors_rejected(self):
         n = MAX_DETECTORS + 1
         with pytest.raises(ValueError, match="packing"):
-            decide(np.zeros((3, n), dtype=np.int8), P_HALF, ErrorModel.ideal(n))
+            decide(table(np.zeros((3, n), dtype=np.int8)), P_HALF, ErrorModel.ideal(n))
 
     def test_detector_count_must_match_error_model(self):
         with pytest.raises(ValueError, match="error model"):
-            decide([(0, 0, 0)], P_HALF, NO_ERR)
+            decide(table([(0, 0, 0)]), P_HALF, NO_ERR)
 
     def test_outcome_other_than_bit_rejected(self):
         with pytest.raises(ValueError):
-            decide([(0, 2)], P_HALF, NO_ERR)
+            decide(table([(0, 2)]), P_HALF, NO_ERR)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            decide([], P_HALF, NO_ERR)
+            decide(table([]), P_HALF, NO_ERR)
         with pytest.raises(EmptyInputError):
-            decide(np.zeros((0, 2), dtype=np.int8), P_HALF, NO_ERR)
+            decide(table(np.zeros((0, 2), dtype=np.int8)), P_HALF, NO_ERR)
 
     def test_ragged_records(self):
         with pytest.raises(ValueError):
-            decide([(0, 0), (0,)], P_HALF, NO_ERR)
+            decide(table([(0, 0), (0,)]), P_HALF, NO_ERR)
 
     def test_forbidden_pattern_emits_no_warning(self):
         data = np.array([(0, 0)] * 5 + [(0, 1)] * 3, dtype=np.int8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verdict = decide(data, P_HALF, NO_ERR)
-            both_forbidden = decide(data, OutcomeProbabilities(1.0), NO_ERR)
+            verdict = decide(table(data), P_HALF, NO_ERR)
+            both_forbidden = decide(table(data), OutcomeProbabilities(1.0), NO_ERR)
         assert verdict.loglik_unanimous == -math.inf
         assert both_forbidden.loglik_binomial == -math.inf
 
@@ -203,14 +217,14 @@ class TestPatternCounts:
 class TestDecide:
     def test_unanimous_data_decides_unanimous(self):
         data = [(0, 0)] * 40 + [(1, 1)] * 60
-        verdict = decide(data, P_HALF, NO_ERR)
+        verdict = decide(table(data), P_HALF, NO_ERR)
         assert verdict.decision == DECISION_UNANIMOUS
         assert verdict.log_odds == pytest.approx(100 * math.log(2), rel=1e-12)
         assert verdict.confidence > 0.999
 
     def test_forbidden_pattern_decides_binomial_with_certainty(self):
         data = [(0, 0)] * 10 + [(0, 1)]
-        verdict = decide(data, P_HALF, NO_ERR)
+        verdict = decide(table(data), P_HALF, NO_ERR)
         assert verdict.decision == DECISION_BINOMIAL
         assert verdict.loglik_unanimous == -math.inf
         assert verdict.confidence == 1.0
@@ -219,7 +233,7 @@ class TestDecide:
         rng = np.random.default_rng(54)
         data, _ = Binomial().draw(P_HALF, 2, rng, 100)
         data = data.tolist()
-        verdict = decide(data, P_HALF, ErrorModel([0.01, 0.01]))
+        verdict = decide(table(data), P_HALF, ErrorModel([0.01, 0.01]))
         assert verdict.decision == DECISION_BINOMIAL
         assert math.isfinite(verdict.log_odds)
 
@@ -227,32 +241,32 @@ class TestDecide:
         probs = OutcomeProbabilities(0.99)
         m = required_trials(probs, 0.001) - 1
         data = [(0, 0)] * m
-        verdict = decide(data, probs, NO_ERR)
+        verdict = decide(table(data), probs, NO_ERR)
         assert verdict.decision == DECISION_INCONCLUSIVE
 
     def test_impossible_under_both_is_inconclusive(self):
         probs = OutcomeProbabilities(1.0)
-        verdict = decide([(1, 1)], probs, NO_ERR)
+        verdict = decide(table([(1, 1)]), probs, NO_ERR)
         assert verdict.decision == DECISION_INCONCLUSIVE
         assert verdict.confidence == 0.5
 
     def test_prior_shifts_odds(self):
         data = [(0, 0)] * 3
-        with_prior = decide(data, P_HALF, NO_ERR, prior_log_odds=1.5)
-        without = decide(data, P_HALF, NO_ERR)
+        with_prior = decide(table(data), P_HALF, NO_ERR, prior_log_odds=1.5)
+        without = decide(table(data), P_HALF, NO_ERR)
         assert with_prior.log_odds == pytest.approx(without.log_odds + 1.5, rel=1e-12)
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            decide([(0, 0)], P_HALF, NO_ERR, log_odds_threshold=0.0)
+            decide(table([(0, 0)]), P_HALF, NO_ERR, log_odds_threshold=0.0)
 
     def test_scenario1_never_loses_to_binomial_without_misreads(self):
         rng = np.random.default_rng(55)
         for p0 in (0.2, 0.5, 0.8):
             probs = OutcomeProbabilities(p0)
             data = Unanimous().draw(probs, 2, rng, 50)[0].tolist()
-            llu = loglik_unanimous(data, probs, NO_ERR)
-            llb = loglik_binomial(data, probs, NO_ERR)
+            llu = loglik_unanimous(table(data), probs, NO_ERR)
+            llb = loglik_binomial(table(data), probs, NO_ERR)
             assert llu > llb  # strict for 0 < p0 < 1
 
 
@@ -328,6 +342,17 @@ class TestRequiredTrials:
         assert values == sorted(values, reverse=True)
         assert values[0] > values[-1]
 
+    @pytest.mark.parametrize(
+        "n, alpha, expected",
+        [(55, 0.01, 1), (56, 0.01, 1), (64, 0.01, 1), (55, 1e-30, 2), (64, 1e-30, 2),
+         (56, 1e-300, 19), (64, 1e-300, 16)],
+    )
+    def test_near_certain_disagreement(self, n, alpha, expected):
+        # q = 1 - 2^(1-n) rounds to 1, so ln(1 - q) must come from the agreeing
+        # terms: M = ceil(ln alpha / ((1 - n) ln 2))
+        assert math.ceil(math.log(alpha) / ((1 - n) * math.log(2))) == expected
+        assert required_trials(P_HALF, alpha, ErrorModel.ideal(n)) == expected
+
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
             required_trials(P_HALF, 0.0)
@@ -376,8 +401,8 @@ class TestTwoDetectorReduction:
         for pattern in unanimous:
             zeros = pattern.count(0)
             binomial = zeros * math.log(p0_eff) + (2 - zeros) * math.log(p1_eff)
-            assert_close(loglik_unanimous([pattern], probs, err), unanimous[pattern])
-            assert_close(loglik_binomial([pattern], probs, err), binomial)
+            assert_close(loglik_unanimous(table([pattern]), probs, err), unanimous[pattern])
+            assert_close(loglik_binomial(table([pattern]), probs, err), binomial)
 
 
 def assert_close(got, expected):
@@ -397,10 +422,10 @@ class TestCalibration:
             wrong_unanimous = wrong_binomial = 0
             for _ in range(reps):
                 data_u = Unanimous().draw(probs, 2, rng, m)[0].tolist()
-                if decide(data_u, probs, NO_ERR).decision == DECISION_BINOMIAL:
+                if decide(table(data_u), probs, NO_ERR).decision == DECISION_BINOMIAL:
                     wrong_unanimous += 1
                 data_b = Binomial().draw(probs, 2, rng, m)[0].tolist()
-                if decide(data_b, probs, NO_ERR).decision == DECISION_UNANIMOUS:
+                if decide(table(data_b), probs, NO_ERR).decision == DECISION_UNANIMOUS:
                     wrong_binomial += 1
             assert wrong_unanimous / reps <= 0.02
             assert wrong_binomial / reps <= 0.02

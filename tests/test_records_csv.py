@@ -17,6 +17,7 @@ from oracles import line_checker_parse, repr_block_rows
 from multidetect.cli import _block_rows, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, run_experiment
+from multidetect.inference import PatternTable
 from multidetect.rng import BLOCK_SIZE
 from multidetect.state import make_amplitudes
 from test_experiment import detector_model, scenario_for
@@ -184,12 +185,17 @@ def mutated_csvs(draw):
     return newline.join(preamble + [header] + lines) + end
 
 
+def _oracle_table(path):
+    """The pattern table of the line checker's outcome array."""
+    return PatternTable.from_outcomes(line_checker_parse(path)[1])
+
+
 def _outcome(parse, path):
     try:
-        n, outcomes = parse(path)
+        table = parse(path)
     except ConfigError as exc:
         return "error", exc.field, str(exc)
-    return "ok", n, outcomes.dtype, outcomes.shape, outcomes.tobytes()
+    return "ok", table
 
 
 class TestParser:
@@ -198,7 +204,7 @@ class TestParser:
     def test_matches_line_checker(self, tmp_path, text):
         path = tmp_path / "records.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _outcome(_parse_records_csv, path) == _outcome(line_checker_parse, path)
+        assert _outcome(_parse_records_csv, path) == _outcome(_oracle_table, path)
 
     @pytest.mark.parametrize(
         "lines, message",
