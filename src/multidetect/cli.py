@@ -13,7 +13,7 @@ import copy
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +37,6 @@ REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
 _BITS = frozenset((0, 1))
 _BIT_STRINGS = ("0", "1")
 _LATENTS = frozenset(("", "0", "1"))
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Where to read the config and put the outputs."""
-
-    config_path: Path
-    output_dir: Path
-    formats: frozenset[str] = frozenset({"csv", "json"})
-    verbosity: int = 0
 
 
 def _json_safe(value):
@@ -115,79 +105,64 @@ def _block_rows(block: TrialBlock, scale: float) -> str:
     return "\n".join(map(",".join, zip(map(str, indices), *fields))) + "\n"
 
 
-def cmd_simulate(manifest: RunManifest, seed_override: int | None = None, threads: int = 1) -> int:
-    """Run the configured experiment; write records CSV and summary JSON."""
+def cmd_simulate(config_path, output_dir: Path, formats, seed_override=None, threads: int = 1, verbosity: int = 0) -> int:
+    """Run the configured experiment; write the records CSV and summary JSON of ``formats``."""
     if threads < 1:
         raise ConfigError("threads", "must be at least 1")
-    resolved = cfg.load(manifest.config_path, seed_override=seed_override)
-    try:
-        manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("output_dir", f"not writable: {exc}") from exc
-
+    resolved = cfg.load(config_path, seed_override=seed_override)
     experiment = resolved.experiment
-    echo_line = cfg.canonical_json(resolved.echo, compact=True)
     scale = experiment.detector_model.reading_scale
-
-    csv_path = manifest.output_dir / "records.csv"
-    json_path = manifest.output_dir / "summary.json"
-
-    if "csv" in manifest.formats:
-        try:
-            with open(csv_path, "w", newline="") as fh:
-                fh.write(CONFIG_COMMENT + echo_line + "\n")
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        if "csv" in formats:
+            with open(output_dir / "records.csv", "w", newline="") as fh:
+                fh.write(CONFIG_COMMENT + cfg.canonical_json(resolved.echo, compact=True) + "\n")
                 fh.write(_records_header(experiment.n_detectors) + "\n")
                 summary = run_experiment(
                     experiment, on_block=lambda block: fh.write(_block_rows(block, scale))
                 )
-        except OSError as exc:  # opening, writing or closing, as a full disk does
-            raise ConfigError("output_dir", f"not writable: {exc}") from exc
-    else:
-        summary = run_experiment(experiment)
-
-    if "json" in manifest.formats:
-        payload = {
-            "M": summary.n_trials,
-            "M0": summary.m0_unanimous_zero,
-            "M1": summary.m1_unanimous_one,
-            "m": summary.disagreements,
-            "histogram_n0": list(summary.histogram_n0),
-            "agreement_fraction": summary.agreement_fraction,
-            "config_echo": resolved.echo,
-            "seed": experiment.seed,
-        }
-        try:
-            json_path.write_text(cfg.canonical_json(payload))
-        except OSError as exc:
-            raise ConfigError("output_dir", f"not writable: {exc}") from exc
-    if manifest.verbosity:
-        print(f"simulated {summary.n_trials} trials into {manifest.output_dir}", file=sys.stderr)
+        else:
+            summary = run_experiment(experiment)
+        if "json" in formats:
+            payload = {
+                "M": summary.n_trials,
+                "M0": summary.m0_unanimous_zero,
+                "M1": summary.m1_unanimous_one,
+                "m": summary.disagreements,
+                "histogram_n0": list(summary.histogram_n0),
+                "agreement_fraction": summary.agreement_fraction,
+                "config_echo": resolved.echo,
+                "seed": experiment.seed,
+            }
+            (output_dir / "summary.json").write_text(cfg.canonical_json(payload))
+    except OSError as exc:  # creating, opening, writing or closing, as a full disk does
+        raise ConfigError("output_dir", f"not writable: {exc}") from exc
+    if verbosity:
+        print(f"simulated {summary.n_trials} trials into {output_dir}", file=sys.stderr)
     return EXIT_OK
 
 
-def _check_tail(parts: list[str], n: int) -> tuple[int, object]:
-    """The verdict on a row's tail, the text after its latent field, as (stage, result).
+def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
+    """A row's trial index and outcomes; ValueError with the message of its first fault.
 
-    ``parts`` is ``row.split(",", 2)``, whose last item is the tail when the
-    row has three fields or more.  Stage 3 means the tail is valid and comes
-    with its outcome tuple.  A lower stage comes with the message of its
-    first fault and says where that fault ranks among the row's checks:
-    0 before the trial index, 1 before the latent, 2 before the index order.
+    ``parts`` is ``row.split(",", 2)``.  Faults are checked in this order:
+    field count, trial index, readings, outcomes, latent, finite readings,
+    0/1 outcomes.  The index order is the caller's to check.
     """
     fields = parts[-1].split(",")
     if len(parts) + len(fields) != 2 * n + 3:
-        return 0, f"expected {2 * n + 2} fields, got {len(parts) - 1 + len(fields)}"
-    try:
-        total = sum(map(float, fields[:n]))
-        outcomes = tuple(map(int, fields[n:]))
-    except ValueError as exc:
-        return 1, str(exc)
+        raise ValueError(f"expected {2 * n + 2} fields, got {len(parts) - 1 + len(fields)}")
+    index = int(parts[0])
+    total = sum(map(float, fields[:n]))
+    outcomes = tuple(map(int, fields[n:]))
+    if parts[1] not in _LATENTS:
+        raise ValueError(f"latent must be empty, 0 or 1, got {parts[1]!r}")
     # nan or inf makes the sum non-finite, but so can finite readings that overflow it
     if not math.isfinite(total) and not all(map(math.isfinite, map(float, fields[:n]))):
-        return 2, "readings must be finite"
+        raise ValueError("readings must be finite")
     if not _BITS.issuperset(outcomes):
-        return 2, "outcomes must be 0 or 1"
-    return 3, outcomes
+        raise ValueError("outcomes must be 0 or 1")
+    return index, outcomes
 
 
 def _parse_records_csv(path) -> PatternTable:
@@ -195,10 +170,10 @@ def _parse_records_csv(path) -> PatternTable:
 
     Every row is checked; trial indices must increase strictly, so duplicated
     rows or two concatenated runs cannot count their evidence twice.  A row's
-    validity and outcomes depend only on its text after the latent field, so
-    each distinct tail is checked once.  The memo of checked tails never
-    holds more tails than it has had hits, so rows that never repeat leave
-    at most one tail in it.
+    readings and outcomes lie in its tail, the text after the latent field,
+    so a row whose tail is in the memo of valid tails re-checks only its
+    index and latent.  The memo never holds more tails than it has had hits,
+    so rows that never repeat leave at most one tail in it.
     """
     try:
         lines = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
@@ -226,29 +201,18 @@ def _parse_records_csv(path) -> PatternTable:
         parts = line.split(",", 2)
         # only a row of at least three fields can have a valid tail in the memo
         pattern = memo.get(parts[-1])
-        if pattern is None:
-            stage, verdict = _check_tail(parts, n)
-            if stage == 0:
-                raise ConfigError("records", f"line {lineno}: {verdict}")
-            if stage == 3:
+        try:
+            if pattern is not None and parts[1] in _LATENTS:
+                hits += 1
+                index = int(parts[0])
+            else:  # a new tail, or a bad latent, which the full check reports after the index
+                index, outcomes = _check_row(parts, n)
                 pattern = len(patterns)
-                patterns.append(verdict)
+                patterns.append(outcomes)
                 if len(memo) <= hits:
                     memo[parts[-1]] = pattern
-        else:
-            hits += 1
-            stage = 3
-        index_text, latent, _ = parts
-        try:
-            index = int(index_text)
         except ValueError as exc:
             raise ConfigError("records", f"line {lineno}: {exc}") from exc
-        if stage == 1:
-            raise ConfigError("records", f"line {lineno}: {verdict}")
-        if latent not in _LATENTS:
-            raise ConfigError("records", f"line {lineno}: latent must be empty, 0 or 1, got {latent!r}")
-        if stage == 2:
-            raise ConfigError("records", f"line {lineno}: {verdict}")
         if index <= previous:
             raise ConfigError(
                 "records",
@@ -336,6 +300,9 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     """Run one experiment per grid point of a numeric config field; emit tidy CSV."""
     if steps < 1:
         raise ConfigError("steps", "sweep needs at least one grid point")
+    for name, bound in (("start", start), ("stop", stop)):
+        if not math.isfinite(bound):
+            raise ConfigError(name, "must be finite")
     raw = cfg.read_raw(config_path)
     shown = set()
 
@@ -439,13 +406,7 @@ def main(argv=None) -> int:
             formats = frozenset(f.strip() for f in args.format.split(",") if f.strip())
             if not formats or not formats <= {"csv", "json"}:
                 raise ConfigError("format", f"must be a subset of {{csv,json}}, got {args.format!r}")
-            manifest = RunManifest(
-                config_path=args.config,
-                output_dir=args.out,
-                formats=formats,
-                verbosity=args.verbose,
-            )
-            return cmd_simulate(manifest, seed_override=args.seed, threads=args.threads)
+            return cmd_simulate(args.config, args.out, formats, args.seed, args.threads, args.verbose)
         if args.command == "infer":
             return cmd_infer(args.records, args.config)
         if args.command == "discriminability":

@@ -43,6 +43,9 @@ DEFAULT_LOG_ODDS_THRESHOLD = math.log(100.0)
 #: Each trial's outcome pattern is packed into one uint64, a bit per detector.
 MAX_DETECTORS = 64
 
+#: Distinct patterns scored at a time, which bounds scoring's (k, N) temporaries.
+SCORE_SLICE = 4096
+
 DECISION_UNANIMOUS = "unanimous"
 DECISION_BINOMIAL = "binomial"
 DECISION_INCONCLUSIVE = "inconclusive"
@@ -122,9 +125,9 @@ class PatternTable:
     def n_trials(self) -> int:
         return int(self.counts.sum())
 
-    def patterns(self) -> np.ndarray:
-        """The distinct patterns as a (K, N) array of 0/1 outcomes, in code order."""
-        return (self.codes[:, None] >> np.arange(self.n_detectors, dtype=np.uint64)) & np.uint64(1)
+    def patterns(self, rows: slice = slice(None)) -> np.ndarray:
+        """The distinct patterns, or the ``rows`` slice of them, as a (K, N) array of 0/1 outcomes, in code order."""
+        return (self.codes[rows, None] >> np.arange(self.n_detectors, dtype=np.uint64)) & np.uint64(1)
 
     def __eq__(self, other) -> bool:
         same = isinstance(other, PatternTable) and self.n_detectors == other.n_detectors
@@ -147,6 +150,20 @@ def _eps(table: PatternTable, err: ErrorModel) -> np.ndarray:
     return np.asarray(err.eps)
 
 
+def _weighted_sum(table: PatternTable, score) -> float:
+    """Sum over the table of each distinct pattern's count times ``score`` of it.
+
+    ``score`` maps a (k, N) array of patterns to their k values; it sees at
+    most ``SCORE_SLICE`` patterns at a time, which bounds its temporaries,
+    and scores each pattern as it would in one call on the whole table.
+    """
+    values = np.empty(len(table.codes))
+    for start in range(0, len(values), SCORE_SLICE):
+        rows = slice(start, start + SCORE_SLICE)
+        values[rows] = score(table.patterns(rows))
+    return float((table.counts * values).sum())
+
+
 def loglik_unanimous(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
     """Log likelihood of the trials under the one-shared-bit law.
 
@@ -154,20 +171,25 @@ def loglik_unanimous(table: PatternTable, probs: OutcomeProbabilities, err: Erro
     of trials that show it.  A pattern impossible under the law yields -inf
     rather than raising.
     """
-    eps, patterns = _eps(table, err), table.patterns()
-    # sum logs per latent branch: a product of many small misreads would underflow
-    branches = [
-        _log(p_sigma) + np.where(patterns != sigma, _log(eps), np.log1p(-eps)).sum(axis=1)
-        for sigma, p_sigma in ((0, probs.p0), (1, probs.p1))
-    ]
-    return float((table.counts * np.logaddexp(*branches)).sum())
+    eps = _eps(table, err)
+    log_miss, log_hit = _log(eps), np.log1p(-eps)
+
+    def score(patterns):
+        # sum logs per latent branch: a product of many small misreads would underflow
+        branches = [
+            _log(p_sigma) + np.where(patterns != sigma, log_miss, log_hit).sum(axis=1)
+            for sigma, p_sigma in ((0, probs.p0), (1, probs.p1))
+        ]
+        return np.logaddexp(*branches)
+
+    return _weighted_sum(table, score)
 
 
 def loglik_binomial(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
     """Log likelihood of the trials under the independent-detectors law."""
     effective = np.array([_flip_prob(probs, e) for e in _eps(table, err)])
-    per_pattern = np.where(table.patterns() == 0, _log(effective), _log(1.0 - effective)).sum(axis=1)
-    return float((table.counts * per_pattern).sum())
+    log_zero, log_one = _log(effective), _log(1.0 - effective)
+    return _weighted_sum(table, lambda patterns: np.where(patterns == 0, log_zero, log_one).sum(axis=1))
 
 
 def decide(

@@ -482,6 +482,20 @@ class TestSweep:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("bound", ["start", "stop"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_bound_rejected_before_writing(self, tmp_path, capsys, bound, value):
+        cfg = write_config(tmp_path, ideal_config())
+        out = tmp_path / "s.csv"
+        bounds = {"start": "0.1", "stop": "0.9", bound: value}
+        code = main([
+            "sweep", "--config", str(cfg), "--field", "state.p0", "--steps", "3", "--out", str(out),
+            *(f"--{name}={text}" for name, text in bounds.items()),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {bound}: must be finite\n"
+        assert not out.exists()
+
     def test_sweep_reruns_identical(self, tmp_path):
         cfg = write_config(tmp_path, ideal_config(n_trials=200))
         args = [

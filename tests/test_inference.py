@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from itertools import product
@@ -170,6 +171,32 @@ class TestPatternCounts:
         assert table(whole.patterns(), whole.counts) == whole
         parts = [table(np.repeat(rows[:15], counts[:15], axis=0)), table(rows[15:], counts[15:])]
         assert PatternTable.merge(parts) == whole
+
+    def test_scoring_memory_bounded_and_values_unchanged(self):
+        # 1e5 distinct patterns of 64 detectors: each whole-table (K, N) temporary takes 51 MB
+        rng = np.random.default_rng(61)
+        codes = np.unique(rng.integers(0, 2**64 - 1, size=100_100, dtype=np.uint64, endpoint=True))
+        whole = PatternTable(codes, rng.integers(1, 4, size=len(codes)), MAX_DETECTORS)
+        probs = OutcomeProbabilities(0.3)
+        eps = rng.uniform(0.0, 0.2, size=MAX_DETECTORS)
+        tracemalloc.start()
+        try:
+            verdict = decide(whole, probs, ErrorModel(eps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(codes) >= 100_000
+        assert peak < 16e6
+
+        patterns = whole.patterns()
+        branches = [
+            np.log(p_sigma) + np.where(patterns != sigma, np.log(eps), np.log1p(-eps)).sum(axis=1)
+            for sigma, p_sigma in ((0, probs.p0), (1, probs.p1))
+        ]
+        assert verdict.loglik_unanimous == float((whole.counts * np.logaddexp(*branches)).sum())
+        effective = np.array([probs.p0 * (1.0 - e) + probs.p1 * e for e in eps])
+        per_pattern = np.where(patterns == 0, np.log(effective), np.log(1.0 - effective)).sum(axis=1)
+        assert verdict.loglik_binomial == float((whole.counts * per_pattern).sum())
 
     def test_max_detectors_accepted(self):
         rng = np.random.default_rng(58)

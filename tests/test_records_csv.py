@@ -220,6 +220,11 @@ class TestParser:
             (["0,,1.0,1", "1,,inf,2"], "line 3: readings must be finite"),
             # a memoised good tail still has its index order checked
             (["0,,1.0,1", "1,,1.0,1", "1,,1.0,1"], "line 4: trial index 1 does not follow 1"),
+            # and its index and latent
+            (["0,,1.0,1", "y,,1.0,1"], "line 3: invalid literal for int() with base 10: 'y'"),
+            (["0,,1.0,1", "1,7,1.0,1"], "line 3: latent must be empty, 0 or 1, got '7'"),
+            # a comment whose text after two commas is a memoised tail is skipped, not scored
+            (["0,,1.0,1", "#,,1.0,1", "0,,1.0,1"], "line 4: trial index 0 does not follow 0"),
         ],
     )
     def test_first_fault_reported(self, tmp_path, lines, message):
