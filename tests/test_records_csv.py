@@ -223,6 +223,7 @@ class TestParser:
             # and its index and latent
             (["0,,1.0,1", "y,,1.0,1"], "line 3: invalid literal for int() with base 10: 'y'"),
             (["0,,1.0,1", "1,7,1.0,1"], "line 3: latent must be empty, 0 or 1, got '7'"),
+            (["0,,1.0,1", "y,7,1.0,1"], "line 3: invalid literal for int() with base 10: 'y'"),
             # a comment whose text after two commas is a memoised tail is skipped, not scored
             (["0,,1.0,1", "#,,1.0,1", "0,,1.0,1"], "line 4: trial index 0 does not follow 0"),
         ],
