@@ -293,39 +293,43 @@ def _apply_field(raw, dotted: str, value: float) -> None:
         parent, key, node = node, part, node[part]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(dotted, "field is not numeric")
-    parent[key] = value
+    # an integer field takes an integral grid value as an integer; a float field reads either alike
+    parent[key] = int(value) if isinstance(node, int) and value.is_integer() else value
 
 
 def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, out_path, seed_override=None) -> int:
-    """Run one experiment per grid point of a numeric config field; emit tidy CSV."""
+    """Run one experiment per grid point of a numeric config field; write the tidy CSV once all have run."""
     if steps < 1:
         raise ConfigError("steps", "sweep needs at least one grid point")
     for name, bound in (("start", start), ("stop", stop)):
         if not math.isfinite(bound):
             raise ConfigError(name, "must be finite")
+    if field == "seed" and seed_override is not None:
+        raise ConfigError("seed", "cannot be both the swept field and overridden by --seed")
     raw = cfg.read_raw(config_path)
-    shown = set()
+    values = np.linspace(start, stop, steps).tolist()
 
-    def resolve(point_raw):
-        # recording a resolve's warnings resets Python's once-per-location
-        # registry, so the sweep itself shows each distinct warning once
+    # recording the resolves' warnings resets Python's once-per-location
+    # registry, so the sweep shows each distinct one itself, once, also when a point fails
+    try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            resolved = cfg.resolve(point_raw, seed_override=seed_override)
+            base = cfg.resolve(raw, seed_override=seed_override)
+            points = []
+            for value in values:
+                point_raw = copy.deepcopy(raw)
+                _apply_field(point_raw, field, value)
+                points.append(cfg.resolve(point_raw, seed_override=seed_override))
+    finally:
+        first = {}
         for w in caught:
-            if (w.category, str(w.message)) not in shown:
-                shown.add((w.category, str(w.message)))
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        return resolved
-
-    base = resolve(raw)
-    # fail fast on unknown fields before running anything
-    probe = copy.deepcopy(raw)
-    _apply_field(probe, field, float(start))
+            first.setdefault((w.category, str(w.message)), w)
+        for w in first.values():
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    rows = [_sweep_row(value, point) for value, point in zip(values, points)]
 
     header = ["value", "m_over_M", "M0_over_M", "M1_over_M", "log_odds"]
     header += [f"disc_{i + 1}" for i in range(len(base.experiment.detector_model.diagnostics()))]
-
     sweep_echo = {
         "config_echo": base.echo,
         "field": field,
@@ -333,18 +337,13 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
         "stop": float(stop),
         "steps": int(steps),
     }
+    text = SWEEP_COMMENT + cfg.canonical_json(sweep_echo, compact=True) + "\n" + ",".join(header) + "\n"
 
     out_path = Path(out_path)
     try:
         if out_path.parent != Path(""):
             out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", newline="") as fh:
-            fh.write(SWEEP_COMMENT + cfg.canonical_json(sweep_echo, compact=True) + "\n")
-            fh.write(",".join(header) + "\n")
-            for value in np.linspace(start, stop, steps):
-                point_raw = copy.deepcopy(raw)
-                _apply_field(point_raw, field, float(value))
-                fh.write(_sweep_row(float(value), resolve(point_raw)))
+        out_path.write_text(text + "".join(rows), newline="")
     except OSError as exc:  # creating, writing or closing, as a full disk does
         raise ConfigError("out", f"not writable: {exc}") from exc
     return EXIT_OK

@@ -10,17 +10,16 @@ from dataclasses import dataclass
 class PhysicalConstants:
     """Bundle of the constants entering the detector models.
 
-    ``si()`` gives 2018 CODATA values; ``natural()`` sets hbar = k_B = e = 1
+    ``si()`` gives 2018 CODATA values; ``natural()`` sets hbar = e = 1
     (and planck = 2*pi for consistency with hbar).
     """
 
     hbar: float = 1.054571817e-34        # J s
-    boltzmann: float = 1.380649e-23      # J / K
     electron_charge: float = 1.602176634e-19  # C
     planck: float = 6.62607015e-34       # J s
 
     def __post_init__(self):
-        for name in ("hbar", "boltzmann", "electron_charge", "planck"):
+        for name in ("hbar", "electron_charge", "planck"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -30,7 +29,7 @@ class PhysicalConstants:
 
     @classmethod
     def natural(cls) -> "PhysicalConstants":
-        return cls(hbar=1.0, boltzmann=1.0, electron_charge=1.0, planck=2.0 * math.pi)
+        return cls(hbar=1.0, electron_charge=1.0, planck=2.0 * math.pi)
 
     @property
     def conductance_quantum(self) -> float:

@@ -118,9 +118,9 @@ def distinguishability_ratio(params: OscillatorParams) -> float:
     return displacement(params) / thermal_std(params)
 
 
-def is_reliable(params: OscillatorParams, ratio_threshold: float = RELIABLE_RATIO) -> bool:
-    """Whether readout misreads are negligible at the configured threshold."""
-    return distinguishability_ratio(params) >= ratio_threshold
+def is_reliable(params: OscillatorParams) -> bool:
+    """Whether readout misreads are negligible: X/dx at least RELIABLE_RATIO."""
+    return distinguishability_ratio(params) >= RELIABLE_RATIO
 
 
 def sample_pointer(

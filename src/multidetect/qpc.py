@@ -194,8 +194,8 @@ def discriminability(params: QpcParams) -> float:
     return delta**2 * params.observation_time / (s0.noise + s1.noise)
 
 
-def is_reliable(params: QpcParams, d_threshold: float = RELIABLE_DISCRIMINABILITY) -> bool:
-    return discriminability(params) >= d_threshold
+def is_reliable(params: QpcParams) -> bool:
+    return discriminability(params) >= RELIABLE_DISCRIMINABILITY
 
 
 def current_readout(current, params: QpcParams):

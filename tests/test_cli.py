@@ -12,6 +12,7 @@ import pytest
 import multidetect
 from multidetect.cli import CONFIG_COMMENT, _records_header, main
 from multidetect.constants import SI
+from multidetect.errors import GaussianRegimeWarning
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -72,6 +73,19 @@ def oscillator_config(coupling=20.0, n_trials=200, seed=9):
         "n_trials": n_trials,
         "seed": seed,
     }
+
+
+def custom_law_config():
+    # mean of the pmf fits p0 = 0.3 only, so a sweep of state.p0 fails after its first point
+    raw = ideal_config(p0=0.3, scenario="custom", n_trials=500)
+    raw["scenario"]["pmf"] = [0.6, 0.2, 0.2]
+    return raw
+
+
+def low_attempt_qpc_config():
+    raw = qpc_config(n_trials=50)
+    raw["detector_model"]["detectors"] = [qpc_detector(0.4, 0.6, 12), qpc_detector(0.6, 0.4, 24)]
+    return raw
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -507,6 +521,68 @@ class TestSweep:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @staticmethod
+    def sweep(tmp_path, raw, field, start, stop, steps, *extra):
+        cfg = write_config(tmp_path, raw)
+        return main([
+            "sweep", "--config", str(cfg), "--field", field, "--start", str(start), "--stop", str(stop),
+            "--steps", str(steps), "--out", str(tmp_path / "sweep.csv"), *extra,
+        ])
+
+    @pytest.mark.parametrize(
+        "raw, grid, code, message",
+        [
+            pytest.param(
+                custom_law_config(), ("state.p0", 0.3, 0.9, 3), 1,
+                "config error: scenario.pmf: pmf mean 0.6000000000000001 violates the mean constraint "
+                "p0*N = 1.2000000000000002\n",
+                id="custom-law-point",
+            ),
+            pytest.param(
+                qpc_config(t_pair=((0.5, 0.5), (0.6, 0.4))), ("state.p0", 0.3, 0.9, 3), 2,
+                "model error: NoContrastError: t_given_0 == t_given_1: current carries no outcome signal\n",
+                id="no-contrast",
+            ),
+            pytest.param(
+                ideal_config(), ("n_trials", 1000, 2000, 4), 1,
+                "config error: n_trials: expected an integer, got 1333.3333333333333\n",
+                id="non-integral-n_trials",
+            ),
+            pytest.param(
+                ideal_config(), ("seed", 1, 3, 3, "--seed", "5"), 1,
+                "config error: seed: cannot be both the swept field and overridden by --seed\n",
+                id="seed-swept-and-overridden",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("existing", [None, b"kept as it was\n"], ids=["absent", "existing"])
+    def test_failing_sweep_writes_nothing(self, tmp_path, capsys, raw, grid, code, message, existing):
+        out = tmp_path / "sweep.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert self.sweep(tmp_path, raw, *grid) == code
+        assert capsys.readouterr().err == message
+        assert (out.read_bytes() if out.exists() else None) == existing
+
+    def test_warnings_shown_once_when_a_point_fails(self, tmp_path, capsys):
+        with pytest.warns(GaussianRegimeWarning) as shown:
+            code = self.sweep(tmp_path, low_attempt_qpc_config(), "state.p0", 0.1, 1.5, 8)
+        assert code == 1
+        assert capsys.readouterr().err == "config error: state.p0: must be <= 1.0, got 1.0999999999999999\n"
+        assert [str(w.message).split(" <")[0] for w in shown] == [
+            "detector_model.detectors[0]: attempt count 12",
+            "detector_model.detectors[1]: attempt count 24",
+        ]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("field, start, stop", [("n_trials", 1000, 3000), ("seed", 1, 3), ("n_detectors", 2, 4)])
+    def test_integer_field(self, tmp_path, field, start, stop):
+        assert self.sweep(tmp_path, ideal_config(), field, start, stop, 3) == 0
+        _, rows = read_sweep_csv(tmp_path / "sweep.csv")
+        assert [row["value"] for row in rows] == [start, (start + stop) / 2, stop]
+        # each grid value reached its run: no two rows hold the same fractions
+        assert len({tuple(row.values())[1:] for row in rows}) == 3
+
 
 class TestBadInput:
     NOT_UTF8 = b'{"state": {"p0": 0.5}, "scenario": {"kind": "binomial\xff"}}'
@@ -576,9 +652,7 @@ class TestBadInput:
 
     def test_sweep_warns_once_per_detector(self, tmp_path):
         # recording each grid point's warnings must not show them once per point
-        raw = qpc_config(n_trials=50)
-        raw["detector_model"]["detectors"] = [qpc_detector(0.4, 0.6, 12), qpc_detector(0.6, 0.4, 24)]
-        cfg = write_config(tmp_path, raw)
+        cfg = write_config(tmp_path, low_attempt_qpc_config())
         src = Path(multidetect.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-m", "multidetect.cli", "sweep", "--config", str(cfg),
@@ -612,3 +686,18 @@ class TestBadInput:
         assert code == 1
         assert f"config error: {field}: not writable: [Errno 28]" in err
         assert "Traceback" not in err
+
+
+def test_cli_imports_no_test_only_package():
+    # pyproject.toml declares numpy as the one runtime dependency
+    src = Path(multidetect.__file__).resolve().parents[1]
+    probe = (
+        "import sys, multidetect.cli; "
+        "print(sorted(set(sys.modules) & {'scipy', 'hypothesis', 'jsonschema', 'pytest'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
