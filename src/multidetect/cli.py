@@ -9,6 +9,7 @@ to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import math
 import sys
@@ -135,8 +136,15 @@ def cmd_simulate(config_path, output_dir: Path, formats, seed_override=None, thr
                 "seed": experiment.seed,
             }
             (output_dir / "summary.json").write_text(cfg.canonical_json(payload))
-    except OSError as exc:  # creating, opening, writing or closing, as a full disk does
-        raise ConfigError("output_dir", f"not writable: {exc}") from exc
+    except BaseException as exc:
+        # as make's .DELETE_ON_ERROR does: leave no file of the run's formats, partial or older
+        for fmt, name in (("csv", "records.csv"), ("json", "summary.json")):
+            if fmt in formats:
+                with contextlib.suppress(OSError):  # cleanup never raises, also when --out is a file
+                    (output_dir / name).unlink()
+        if isinstance(exc, OSError):  # creating, opening, writing or closing, as a full disk does
+            raise ConfigError("output_dir", f"not writable: {exc}") from exc
+        raise
     if verbosity:
         print(f"simulated {summary.n_trials} trials into {output_dir}", file=sys.stderr)
     return EXIT_OK
@@ -410,12 +418,9 @@ def main(argv=None) -> int:
             return cmd_infer(args.records, args.config)
         if args.command == "discriminability":
             return cmd_discriminability(args.config)
-        if args.command == "sweep":
-            return cmd_sweep(
-                args.config, args.field, args.start, args.stop, args.steps, args.out,
-                seed_override=args.seed,
-            )
-        raise AssertionError(f"unhandled command {args.command}")
+        return cmd_sweep(
+            args.config, args.field, args.start, args.stop, args.steps, args.out, seed_override=args.seed,
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -39,10 +39,8 @@ _DERIVED_EPS_CAP = 0.5 - 1e-9
 
 _OSC_FIELDS = ("mass", "omega", "beta", "coupling_lambda", "relaxation_rate", "measurement_time")
 _QPC_FIELDS = ("bias_voltage_uV", "observation_time_ns", "t0", "t1")
-_TOP_FIELDS = (
-    "state", "scenario", "detector_model", "n_trials", "n_detectors", "seed", "error_model",
-    "inference",
-)
+_TOP_REQUIRED = ("state", "scenario", "detector_model", "n_trials")
+_TOP_OPTIONAL = ("n_detectors", "seed", "error_model", "inference")
 _INFERENCE_FIELDS = ("log_odds_threshold", "prior_log_odds", "alpha")
 
 
@@ -58,17 +56,22 @@ class ResolvedConfig:
     echo: dict
 
 
-def _require(raw: dict, field: str, path: str):
-    if field not in raw:
-        raise ConfigError(f"{path}.{field}" if path else field, "missing required field")
-    return raw[field]
+def _object(raw, path: str, required=(), optional=()) -> dict:
+    """``raw`` as the config object at ``path`` ("" for the top level).
 
-
-def _reject_unknown(raw: dict, allowed, path: str) -> None:
+    Its first fault raises ConfigError: not an object, an unknown field, a missing required one.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "config", "expected an object")
+    prefix = f"{path}." if path else ""
+    allowed = sorted((*required, *optional))
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
-        field = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ConfigError(field, f"unknown field; expected one of {sorted(allowed)}")
+        raise ConfigError(prefix + unknown[0], f"unknown field; expected one of {allowed}")
+    for field in required:
+        if field not in raw:
+            raise ConfigError(prefix + field, "missing required field")
+    return raw
 
 
 def _number(value, path: str, minimum=None, maximum=None, strict_min=False) -> float:
@@ -96,9 +99,7 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
 
 def _parse_state(raw) -> Amplitudes:
     if isinstance(raw, dict):
-        if set(raw.keys()) != {"p0"}:
-            raise ConfigError("state", "shorthand form must be exactly {\"p0\": x}")
-        p0 = _number(raw["p0"], "state.p0", minimum=0.0, maximum=1.0)
+        p0 = _number(_object(raw, "state", ("p0",))["p0"], "state.p0", minimum=0.0, maximum=1.0)
         return make_amplitudes(math.sqrt(p0), 0.0, math.sqrt(1.0 - p0), 0.0)
     if isinstance(raw, list) and len(raw) == 4:
         comps = [_number(v, f"state[{i}]") for i, v in enumerate(raw)]
@@ -110,10 +111,9 @@ def _parse_state(raw) -> Amplitudes:
 
 
 def _parse_scenario(raw) -> ScenarioKind:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("scenario", "expected an object with a \"kind\" field")
-    kind = raw["kind"]
-    _reject_unknown(raw, ("kind", "pmf") if kind == "custom" else ("kind",), "scenario")
+    kind = _object(raw, "scenario", ("kind",), ("pmf",))["kind"]
+    if kind != "custom":  # only a custom law takes a pmf
+        _object(raw, "scenario", ("kind",))
     if kind == "unanimous":
         return Unanimous()
     if kind == "binomial":
@@ -140,7 +140,6 @@ def _qpc_detector(raw: dict, path: str, sampling: str) -> QpcParams:
         observation_time=_number(raw["observation_time_ns"], f"{path}.observation_time_ns", 0.0, strict_min=True) * 1e-9,
         t_given_0=_number(raw["t0"], f"{path}.t0", minimum=0.0, maximum=1.0),
         t_given_1=_number(raw["t1"], f"{path}.t1", minimum=0.0, maximum=1.0),
-        constants=SI,
     )
 
 
@@ -153,19 +152,19 @@ _PHYSICAL_MODELS = {
     ),
     "qpc": ("sampling", ("exact", "gaussian"), _QPC_FIELDS, _qpc_detector, QpcModel),
 }
+_MODEL_FIELDS = ("detectors", *(spec[0] for spec in _PHYSICAL_MODELS.values()))
 
 
 def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
-    if not isinstance(raw, dict) or "model" not in raw:
-        raise ConfigError("detector_model", "expected an object with a \"model\" field")
-    model = raw["model"]
+    # any model's fields first; once the model is known, its own
+    model = _object(raw, "detector_model", ("model",), _MODEL_FIELDS)["model"]
     if model == "ideal":
-        _reject_unknown(raw, ("model",), "detector_model")
+        _object(raw, "detector_model", ("model",))
         return IdealModel(), {"model": "ideal"}
     if not isinstance(model, str) or model not in _PHYSICAL_MODELS:
         raise ConfigError("detector_model.model", f"unknown model {model!r}")
     option, choices, fields, parse_detector, build = _PHYSICAL_MODELS[model]
-    _reject_unknown(raw, ("model", option, "detectors"), "detector_model")
+    _object(raw, "detector_model", ("model",), (option, "detectors"))
     value = raw.get(option, choices[0])
     if value not in choices:
         raise ConfigError(
@@ -177,11 +176,7 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
     detectors = []
     for i, det in enumerate(detectors_raw):
         path = f"detector_model.detectors[{i}]"
-        if not isinstance(det, dict):
-            raise ConfigError(path, "expected an object")
-        for f in fields:
-            _require(det, f, path)
-        _reject_unknown(det, fields, path)
+        _object(det, path, fields)
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -203,14 +198,11 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
 
 def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
     """Validate a raw config dict and build the runnable objects plus echo."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    _reject_unknown(raw, _TOP_FIELDS, "")
-
-    state = _parse_state(_require(raw, "state", ""))
-    scenario = _parse_scenario(_require(raw, "scenario", ""))
-    model, model_echo = _parse_detector_model(_require(raw, "detector_model", ""))
-    n_trials = _integer(_require(raw, "n_trials", ""), "n_trials", minimum=1)
+    _object(raw, "", _TOP_REQUIRED, _TOP_OPTIONAL)
+    state = _parse_state(raw["state"])
+    scenario = _parse_scenario(raw["scenario"])
+    model, model_echo = _parse_detector_model(raw["detector_model"])
+    n_trials = _integer(raw["n_trials"], "n_trials", minimum=1)
     n_detectors = _integer(
         raw.get("n_detectors", len(model.detectors) or 2),
         "n_detectors",
@@ -234,13 +226,10 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
         raise ConfigError(field, str(exc)) from exc
 
     if "error_model" in raw:
-        em_raw = raw["error_model"]
-        if not isinstance(em_raw, dict) or "eps" not in em_raw or not isinstance(em_raw["eps"], list):
-            raise ConfigError("error_model", "expected {\"eps\": [..]}")
-        _reject_unknown(em_raw, ("eps",), "error_model")
-        eps = [
-            _number(e, f"error_model.eps[{i}]", minimum=0.0) for i, e in enumerate(em_raw["eps"])
-        ]
+        eps = _object(raw["error_model"], "error_model", ("eps",))["eps"]
+        if not isinstance(eps, list):
+            raise ConfigError("error_model.eps", "expected a list")
+        eps = [_number(e, f"error_model.eps[{i}]", minimum=0.0) for i, e in enumerate(eps)]
         if len(eps) != n_detectors:
             raise ConfigError("error_model.eps", f"need {n_detectors} entries, got {len(eps)}")
         try:
@@ -251,10 +240,7 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
         misreads = [d.misread for d in model.diagnostics()] or [0.0] * n_detectors
         error_model = ErrorModel(min(e, _DERIVED_EPS_CAP) for e in misreads)
 
-    inf_raw = raw.get("inference", {})
-    if not isinstance(inf_raw, dict):
-        raise ConfigError("inference", "expected an object")
-    _reject_unknown(inf_raw, _INFERENCE_FIELDS, "inference")
+    inf_raw = _object(raw.get("inference", {}), "inference", optional=_INFERENCE_FIELDS)
     threshold = _number(
         inf_raw.get("log_odds_threshold", DEFAULT_LOG_ODDS_THRESHOLD),
         "inference.log_odds_threshold",
@@ -293,13 +279,23 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its key-value pairs; ValueError naming a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_raw(path):
-    """The parsed JSON of a config file, not yet validated."""
+    """The parsed JSON of a config file, not yet validated; every key may appear once per object."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except ValueError as exc:  # not UTF-8, not JSON, or a key given twice
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -10,23 +10,6 @@ from .errors import OutOfRangeError
 EXACT_LIMIT = 60
 
 
-def count_log_pmf(n: int, k: int, p: float) -> float:
-    """log C(n,k) + k log p + (n-k) log(1-p), with 0*log(0) = 0 conventions."""
-    if not 0 <= k <= n:
-        raise OutOfRangeError(f"count {k} outside 0..{n}")
-    if p == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if k == n else -math.inf
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-
-
 def count_pmf(n: int, k: int, p: float) -> float:
     """Probability of k successes in n independent attempts at success rate p.
 
@@ -35,10 +18,16 @@ def count_pmf(n: int, k: int, p: float) -> float:
     """
     if not 0 <= k <= n:
         raise OutOfRangeError(f"count {k} outside 0..{n}")
-    if p in (0.0, 1.0) or n <= EXACT_LIMIT:
-        if p == 0.0:
-            return 1.0 if k == 0 else 0.0
-        if p == 1.0:
-            return 1.0 if k == n else 0.0
+    if p == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if k == n else 0.0
+    if n <= EXACT_LIMIT:
         return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    return math.exp(count_log_pmf(n, k, p))
+    return math.exp(
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import counting
-from .constants import SI, PhysicalConstants
+from .constants import SI
 from .errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
 from .state import OutcomeProbabilities, outcome_bits
 
@@ -54,7 +54,6 @@ class QpcParams:
     observation_time: float
     t_given_0: float
     t_given_1: float
-    constants: PhysicalConstants = field(default=SI, compare=False)
 
     def __post_init__(self):
         if self.bias_voltage <= 0:
@@ -91,8 +90,7 @@ class CurrentStats:
 
 def raw_attempts(params: QpcParams) -> float:
     """Unrounded attempt count 2 e V tau / h (spin-degenerate channel)."""
-    c = params.constants
-    return 2.0 * c.electron_charge * params.bias_voltage * params.observation_time / c.planck
+    return 2.0 * SI.electron_charge * params.bias_voltage * params.observation_time / SI.planck
 
 
 def attempts(params: QpcParams) -> int:
@@ -112,12 +110,11 @@ def count_pmf(params: QpcParams, sigma: int, n: int) -> float:
 
 def current_stats(params: QpcParams, sigma: int) -> CurrentStats:
     """Mean current, shot noise, and spread for the latched outcome."""
-    c = params.constants
     t = params.transmission(sigma)
     r = 1.0 - t
-    g2v = 2.0 * c.conductance_quantum * params.bias_voltage
+    g2v = 2.0 * SI.conductance_quantum * params.bias_voltage
     mean = g2v * t
-    noise = g2v * c.electron_charge * r * t
+    noise = g2v * SI.electron_charge * r * t
     return CurrentStats(
         mean_current=mean,
         noise=noise,
@@ -159,7 +156,7 @@ def sample_current(
     if mode == "exact":
         t = np.where(sigma == 0, params.t_given_0, params.t_given_1)
         n = rng.binomial(attempts(params), t, size=size)
-        return params.constants.electron_charge * n / params.observation_time
+        return SI.electron_charge * n / params.observation_time
     if mode == "gaussian":
         s0, s1 = current_stats(params, 0), current_stats(params, 1)
         mean = np.where(sigma == 0, s0.mean_current, s1.mean_current)

@@ -8,6 +8,7 @@ prediction made here.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +29,8 @@ class Amplitudes:
     The constructor rescales any nonzero input vector onto the unit sphere;
     ``renormalized`` records whether the input norm was off by more than
     ``NORM_TOLERANCE``.  Inputs off by more than ``NORM_WARN_THRESHOLD``
-    also raise a :class:`NormalizationWarning`.
+    also raise a :class:`NormalizationWarning`.  Components too large or
+    too small to square are divided by the largest of them first.
     """
 
     c0: complex
@@ -36,19 +38,29 @@ class Amplitudes:
     renormalized: bool = field(init=False, default=False, compare=False)
 
     def __post_init__(self):
-        norm = math.sqrt(abs(self.c0) ** 2 + abs(self.c1) ** 2)
-        if norm == 0.0:
-            raise ZeroStateError("both amplitudes are zero")
-        deviation = abs(norm - 1.0)
+        c0, c1, scale = self.c0, self.c1, 1.0
+        try:
+            squared = abs(c0) ** 2 + abs(c1) ** 2
+        except OverflowError:
+            squared = math.inf
+        if squared == math.inf or squared < sys.float_info.min:
+            # a square overflowed, or underflowed to a zero or subnormal sum that lost its digits
+            scale = max(map(abs, (c0.real, c0.imag, c1.real, c1.imag)))
+            if scale == 0.0:
+                raise ZeroStateError("both amplitudes are zero")
+            c0, c1 = c0 / scale, c1 / scale
+            squared = abs(c0) ** 2 + abs(c1) ** 2
+        norm = math.sqrt(squared)
+        deviation = abs(scale * norm - 1.0)
         if deviation > NORM_WARN_THRESHOLD:
             warnings.warn(
-                f"input norm {norm:.6g} deviates from 1 by {deviation:.3g}; renormalizing",
+                f"input norm {scale * norm:.6g} deviates from 1 by {deviation:.3g}; renormalizing",
                 NormalizationWarning,
                 stacklevel=3,  # past __post_init__ and the generated __init__
             )
         if deviation > NORM_TOLERANCE:
-            object.__setattr__(self, "c0", self.c0 / norm)
-            object.__setattr__(self, "c1", self.c1 / norm)
+            object.__setattr__(self, "c0", c0 / norm)
+            object.__setattr__(self, "c1", c1 / norm)
             object.__setattr__(self, "renormalized", True)
 
 

@@ -12,7 +12,7 @@ import pytest
 import multidetect
 from multidetect.cli import CONFIG_COMMENT, _records_header, main
 from multidetect.constants import SI
-from multidetect.errors import GaussianRegimeWarning
+from multidetect.errors import GaussianRegimeWarning, NormalizationWarning
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -88,6 +88,71 @@ def low_attempt_qpc_config():
     return raw
 
 
+DROP = object()
+QPC_DETECTOR = qpc_detector(0.4, 0.6, 302)
+QPC_MODEL = {"model": "qpc", "detectors": [QPC_DETECTOR, QPC_DETECTOR]}
+NO_T1 = {k: v for k, v in QPC_DETECTOR.items() if k != "t1"}
+
+# one bad config per error branch of the config reader, as the top-level
+# fields that replace (or, as DROP, remove) those of ideal_config() or as
+# the file's text, with the start of its message; at every level of the
+# config a non-object comes first, then an unknown field, then a missing one
+BAD_CONFIGS = {
+    "top-not-object": ("[1, 2]", "config: expected an object"),
+    "duplicated-key": (
+        json.dumps(ideal_config(n_trials=10))[:-1] + ', "n_trials": 1000}',
+        "config: invalid JSON in ",
+    ),
+    "top-missing": ({"n_trials": DROP}, "n_trials: missing required field"),
+    # required top-level fields are checked before any field is parsed
+    "top-missing-before-bad-state": (
+        {"scenario": DROP, "state": {"p0": 2.0}}, "scenario: missing required field",
+    ),
+    "state-empty": ({"state": {}}, "state.p0: missing required field"),
+    "scenario-not-object": ({"scenario": "binomial"}, "scenario: expected an object"),
+    "scenario-no-kind": ({"scenario": {"pmf": [0.25, 0.5, 0.25]}}, "scenario.kind: missing required field"),
+    "scenario-kind": ({"scenario": {"kind": "split"}}, "scenario.kind: unknown scenario kind"),
+    "pmf-not-list": ({"scenario": {"kind": "custom", "pmf": 0.5}}, "scenario.pmf: custom scenario needs"),
+    "pmf-empty": ({"scenario": {"kind": "custom", "pmf": []}}, "scenario.pmf: custom scenario needs"),
+    "model-not-object": ({"detector_model": "ideal"}, "detector_model: expected an object"),
+    "model-missing": ({"detector_model": {"detectors": []}}, "detector_model.model: missing required field"),
+    "model-unknown": ({"detector_model": {"model": "squid"}}, "detector_model.model: unknown model"),
+    "model-field-unknown": (
+        {"detector_model": {**QPC_MODEL, "samplng": "exact"}}, "detector_model.samplng: unknown field",
+    ),
+    "model-option": (
+        {"detector_model": {**QPC_MODEL, "sampling": "fast"}},
+        'detector_model.sampling: must be "exact" or "gaussian"',
+    ),
+    "detectors-not-list": (
+        {"detector_model": {**QPC_MODEL, "detectors": QPC_DETECTOR}},
+        "detector_model.detectors: need a non-empty list",
+    ),
+    "detectors-empty": (
+        {"detector_model": {**QPC_MODEL, "detectors": []}}, "detector_model.detectors: need a non-empty list",
+    ),
+    "detector-not-object": (
+        {"detector_model": {**QPC_MODEL, "detectors": [0.5, 0.5]}},
+        "detector_model.detectors[0]: expected an object",
+    ),
+    "detector-unknown-before-missing": (
+        {"detector_model": {**QPC_MODEL, "detectors": [{**NO_T1, "temperature_mK": 20.0}, QPC_DETECTOR]}},
+        "detector_model.detectors[0].temperature_mK: unknown field",
+    ),
+    "detector-missing": (
+        {"detector_model": {**QPC_MODEL, "detectors": [NO_T1, QPC_DETECTOR]}},
+        "detector_model.detectors[0].t1: missing required field",
+    ),
+    "error-model-not-object": ({"error_model": [0.1, 0.1]}, "error_model: expected an object"),
+    "error-model-empty": ({"error_model": {}}, "error_model.eps: missing required field"),
+    "eps-not-list": ({"error_model": {"eps": 0.1}}, "error_model.eps: expected a list"),
+    "eps-half": ({"error_model": {"eps": [0.5, 0.1]}}, "error_model.eps: misread probability 0.5"),
+    "inference-not-object": ({"inference": [0.05]}, "inference: expected an object"),
+    "number-type": ({"inference": {"alpha": "0.05"}}, "inference.alpha: expected a number"),
+    "number-nan": ({"inference": {"prior_log_odds": math.nan}}, "inference.prior_log_odds: must be finite"),
+}
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -139,6 +204,16 @@ class TestSimulate:
         assert (out_a / "records.csv").read_bytes() == (out_b / "records.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_state_renormalized(self, tmp_path, scale):
+        # the squared components overflow or underflow; the ray is still [1, 0, 1, 0]'s
+        with pytest.warns(NormalizationWarning):
+            _, out_a = simulate(tmp_path, ideal_config(state=[1.0, 0.0, 1.0, 0.0]), out="a")
+            code, out_b = simulate(tmp_path, ideal_config(state=[scale, 0.0, scale, 0.0]), out="b")
+        assert code == 0
+        assert (out_a / "records.csv").read_bytes() == (out_b / "records.csv").read_bytes()
+        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
     def test_seed_override_changes_data_and_echo(self, tmp_path):
         _, out_a = simulate(tmp_path, ideal_config(), out="a")
         _, out_b = simulate(tmp_path, ideal_config(), out="b", extra=("--seed", "99"))
@@ -170,6 +245,31 @@ class TestSimulate:
         assert code == 2
         assert "NoContrast" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "failure, code, message",
+        [
+            ("model", 2, "model error: NoContrastError: "),
+            ("full-disk", 1, "config error: output_dir: not writable: [Errno 28]"),
+        ],
+        ids=["model", "full-disk"],
+    )
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys, failure, code, message):
+        # the files of an earlier run in the same directory must not pass for this one's
+        assert simulate(tmp_path, ideal_config())[0] == 0
+        if failure == "model":
+            raw = qpc_config(t_pair=((0.5, 0.5), (0.6, 0.4)))
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            (tmp_path / "run" / "records.csv").unlink()
+            (tmp_path / "run" / "records.csv").symlink_to("/dev/full")
+            raw = ideal_config(n_trials=20000)
+        assert simulate(tmp_path, raw)[0] == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_unwritable_output_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ideal_config())
         code = main(["simulate", "--config", str(cfg), "--out", "/dev/null/run"])
@@ -194,6 +294,7 @@ class TestSimulate:
         "location, field",
         [
             ("top", "error_modle"),
+            ("state", "state.p1"),
             ("scenario", "scenario.pmf"),
             ("detector_model", "detector_model.sampling"),
             ("error_model", "error_model.epsilon"),
@@ -326,6 +427,7 @@ class TestInfer:
             ("2,,nan,0.0,0,0", "readings must be finite"),
             ("2,1,0.0,-inf,0,0", "readings must be finite"),
             ("2,1,inf,-inf,0,0", "readings must be finite"),
+            ("2,,0.0,0.0,0,2", "outcomes must be 0 or 1"),
         ],
     )
     def test_bad_latent_or_reading_rejected(self, tmp_path, capsys, row, message):
@@ -340,6 +442,24 @@ class TestInfer:
         assert captured.out == ""
         assert f"records: line 4: {message}" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# multidetect-config: {}\n\n", "no header row found"),
+            ("trial,latent,reading_1,reading_2,outcome_1,outcome_2\n# no trials\n", "no trial rows found"),
+        ],
+        ids=["comment-only", "header-only"],
+    )
+    def test_records_without_trials_rejected(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        records.write_text(text)
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"config error: records: {message}\n"
 
     def test_huge_finite_readings_accepted(self, tmp_path, capsys):
         # their sum overflows to inf, but each reading is finite
@@ -586,6 +706,40 @@ class TestSweep:
 
 class TestBadInput:
     NOT_UTF8 = b'{"state": {"p0": 0.5}, "scenario": {"kind": "binomial\xff"}}'
+
+    @pytest.mark.parametrize("config, message", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_config_named(self, tmp_path, capsys, config, message):
+        if isinstance(config, dict):
+            raw = {**ideal_config(), **config}
+            config = json.dumps({k: v for k, v in raw.items() if v is not DROP})
+        (tmp_path / "config.json").write_text(config)
+        code = main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--threads", "0"), "threads: must be at least 1"),
+            (("--format", "xml"), "format: must be a subset of {csv,json}, got 'xml'"),
+        ],
+        ids=["threads", "format"],
+    )
+    def test_bad_option_named(self, tmp_path, capsys, option, message):
+        code, out = simulate(tmp_path, ideal_config(), extra=option)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_missing_config_named(self, tmp_path, capsys):
+        code = main(["discriminability", "--config", str(tmp_path / "absent.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: config: cannot read {tmp_path / 'absent.json'}: ")
 
     @pytest.mark.parametrize("command", ["simulate", "infer", "discriminability", "sweep"])
     def test_non_utf8_config_named(self, tmp_path, capsys, command):

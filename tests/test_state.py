@@ -58,6 +58,26 @@ def test_make_amplitudes_equal_weights():
     assert abs(a.c1) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "components, unit",
+    [
+        ((1e200, 0, 1e200, 0), (1, 0, 1, 0)),
+        ((1.7e308, 1.7e308, 1.7e308, -1.7e308), (1, 1, 1, -1)),
+        ((1e-200, 0, 1e-200, 0), (1, 0, 1, 0)),
+        ((5e-324, 0, 0, 0), (1, 0, 0, 0)),
+        # squares summing to a subnormal keep only a few digits
+        ((3e-162, 0, 1e-162, 0), (3, 0, 1, 0)),
+    ],
+)
+def test_extreme_components_renormalized(components, unit):
+    with pytest.warns(NormalizationWarning):
+        a, b = make_amplitudes(*components), make_amplitudes(*unit)
+    assert a.renormalized
+    assert a.c0 == pytest.approx(b.c0, abs=1e-15)
+    assert a.c1 == pytest.approx(b.c1, abs=1e-15)
+    assert born_probabilities(a).p0 == pytest.approx(born_probabilities(b).p0, abs=1e-15)
+
+
 def test_zero_state_rejected():
     with pytest.raises(ZeroStateError):
         make_amplitudes(0, 0, 0, 0)
