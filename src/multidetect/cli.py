@@ -14,7 +14,6 @@ import copy
 import math
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -277,7 +276,7 @@ def cmd_discriminability(config_path) -> int:
     """Print per-detector separation diagnostics and the required-trials table."""
     resolved = cfg.load(config_path)
     model = resolved.experiment.detector_model
-    detectors = [{"index": i, **asdict(d)} for i, d in enumerate(model.diagnostics())]
+    detectors = [{"index": i, **d._asdict()} for i, d in enumerate(model.diagnostics())]
     if not detectors:
         raise ConfigError("detector_model", "discriminability requires a physical detector model")
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .constants import NATURAL, SI
 from .errors import ConfigError, InvalidPmfError, ZeroStateError
@@ -44,8 +43,7 @@ _TOP_OPTIONAL = ("n_detectors", "seed", "error_model", "inference")
 _INFERENCE_FIELDS = ("log_odds_threshold", "prior_log_odds", "alpha")
 
 
-@dataclass(frozen=True)
-class ResolvedConfig:
+class ResolvedConfig(NamedTuple):
     """Validated experiment plus inference settings and the canonical echo."""
 
     experiment: ExperimentConfig
@@ -97,17 +95,32 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
+def _named_warnings(path: str, build, *args):
+    """``build(*args)``; each warning it raises is raised again, prefixed with ``path``, the field it concerns.
+
+    Recording clears Python's once-per-location registry, so every warning is
+    shown.  The prefixed copies point at the caller of ``resolve``.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        built = build(*args)
+    for warning in caught:
+        warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=4)
+    return built
+
+
 def _parse_state(raw) -> Amplitudes:
     if isinstance(raw, dict):
         p0 = _number(_object(raw, "state", ("p0",))["p0"], "state.p0", minimum=0.0, maximum=1.0)
-        return make_amplitudes(math.sqrt(p0), 0.0, math.sqrt(1.0 - p0), 0.0)
-    if isinstance(raw, list) and len(raw) == 4:
+        comps = [math.sqrt(p0), 0.0, math.sqrt(1.0 - p0), 0.0]
+    elif isinstance(raw, list) and len(raw) == 4:
         comps = [_number(v, f"state[{i}]") for i, v in enumerate(raw)]
-        try:
-            return make_amplitudes(*comps)
-        except ZeroStateError as exc:
-            raise ConfigError("state", str(exc)) from exc
-    raise ConfigError("state", "expected [re0, im0, re1, im1] or {\"p0\": x}")
+    else:
+        raise ConfigError("state", "expected [re0, im0, re1, im1] or {\"p0\": x}")
+    try:
+        return _named_warnings("state", make_amplitudes, *comps)
+    except ZeroStateError as exc:
+        raise ConfigError("state", str(exc)) from exc
 
 
 def _parse_scenario(raw) -> ScenarioKind:
@@ -178,14 +191,9 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
         path = f"detector_model.detectors[{i}]"
         _object(det, path, fields)
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                detectors.append(parse_detector(det, path, value))
+            detectors.append(_named_warnings(path, parse_detector, det, path, value))
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
-        for warning in caught:
-            # name the detector: the regime warnings cannot tell which one they are
-            warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=3)
     # echo the values as given: a back-conversion from SI would not
     # round-trip bit-exactly, breaking rerun-from-echo reproducibility
     echo = {

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class PhysicalConstants:
     """Bundle of the constants entering the detector models.
 
@@ -14,12 +12,16 @@ class PhysicalConstants:
     (and planck = 2*pi for consistency with hbar).
     """
 
-    hbar: float = 1.054571817e-34        # J s
-    electron_charge: float = 1.602176634e-19  # C
-    planck: float = 6.62607015e-34       # J s
+    __slots__ = ("hbar", "electron_charge", "planck")
 
-    def __post_init__(self):
-        for name in ("hbar", "electron_charge", "planck"):
+    def __init__(
+        self,
+        hbar: float = 1.054571817e-34,        # J s
+        electron_charge: float = 1.602176634e-19,  # C
+        planck: float = 6.62607015e-34,       # J s
+    ):
+        self.hbar, self.electron_charge, self.planck = hbar, electron_charge, planck
+        for name in self.__slots__:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

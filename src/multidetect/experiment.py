@@ -20,7 +20,7 @@ are tallied into a ``PatternTable``; the tables are merged once at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .scenarios import Custom, ScenarioKind
 from .state import Amplitudes, born_probabilities
 
 
-@dataclass(frozen=True)
-class DetectorDiagnostic:
+class DetectorDiagnostic(NamedTuple):
     """How well one detector separates the two outcomes, and its misread estimate."""
 
     metric: str
@@ -49,11 +48,11 @@ class DetectorModel:
     readings) and ``_diagnostic``; records.csv holds readings * ``reading_scale``.
     """
 
-    detectors = ()
+    __slots__ = ("detectors",)
     reading_scale = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "detectors", tuple(self.detectors))
+    def __init__(self, detectors=()):
+        self.detectors = tuple(detectors)
 
     def detect(self, bits: np.ndarray, rng: np.random.Generator):
         """Readings and their thresholded outcomes for a (B, N) block of bits."""
@@ -67,10 +66,10 @@ class DetectorModel:
         return tuple(self._diagnostic(params) for params in self.detectors)
 
 
-@dataclass(frozen=True)
 class IdealModel(DetectorModel):
     """No physical layer; outcomes are read off losslessly."""
 
+    __slots__ = ()
     model = "ideal"
 
     def detect(self, bits: np.ndarray, rng: np.random.Generator):
@@ -78,11 +77,10 @@ class IdealModel(DetectorModel):
         return bits.astype(float), bits
 
 
-@dataclass(frozen=True)
 class OscillatorModel(DetectorModel):
     """One thermal oscillator pointer per detector."""
 
-    detectors: tuple[osc.OscillatorParams, ...]
+    __slots__ = ()
     model = "oscillator"
 
     def _column(self, params, bits, rng):
@@ -98,20 +96,19 @@ class OscillatorModel(DetectorModel):
         )
 
 
-@dataclass(frozen=True)
 class QpcModel(DetectorModel):
     """One biased point contact per detector; sampling mode exact or gaussian."""
 
-    detectors: tuple[qpcmod.QpcParams, ...]
-    sampling: str = "exact"
+    __slots__ = ("sampling",)
     model = "qpc"
     # currents are reported in nA
     reading_scale = 1e9
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sampling not in ("exact", "gaussian"):
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
+    def __init__(self, detectors, sampling: str = "exact"):
+        super().__init__(detectors)
+        if sampling not in ("exact", "gaussian"):
+            raise ValueError(f"unknown sampling mode {sampling!r}")
+        self.sampling = sampling
 
     def _column(self, params, bits, rng):
         currents = qpcmod.sample_current(params, bits, rng, mode=self.sampling)
@@ -126,32 +123,34 @@ class QpcModel(DetectorModel):
         )
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment bit-for-bit."""
 
-    state: Amplitudes
-    scenario: ScenarioKind
-    detector_model: DetectorModel
-    n_trials: int
-    n_detectors: int = 2
-    seed: int = 0
+    __slots__ = ("state", "scenario", "detector_model", "n_trials", "n_detectors", "seed")
 
-    def __post_init__(self):
-        if self.n_trials < 1:
+    def __init__(
+        self,
+        state: Amplitudes,
+        scenario: ScenarioKind,
+        detector_model: DetectorModel,
+        n_trials: int,
+        n_detectors: int = 2,
+        seed: int = 0,
+    ):
+        if n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if not 2 <= self.n_detectors <= MAX_DETECTORS:
-            raise ValueError(f"n_detectors = {self.n_detectors} outside [2, {MAX_DETECTORS}] (the packing limit)")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not isinstance(self.detector_model, IdealModel):
-            n = len(self.detector_model.detectors)
-            if n != self.n_detectors:
-                raise ValueError(
-                    f"detector_model has {n} parameter sets but n_detectors = {self.n_detectors}"
-                )
-        if isinstance(self.scenario, Custom):
-            self.scenario.validate(born_probabilities(self.state), self.n_detectors)
+        if not 2 <= n_detectors <= MAX_DETECTORS:
+            raise ValueError(f"n_detectors = {n_detectors} outside [2, {MAX_DETECTORS}] (the packing limit)")
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        if not isinstance(detector_model, IdealModel):
+            n = len(detector_model.detectors)
+            if n != n_detectors:
+                raise ValueError(f"detector_model has {n} parameter sets but n_detectors = {n_detectors}")
+        if isinstance(scenario, Custom):
+            scenario.validate(born_probabilities(state), n_detectors)
+        self.state, self.scenario, self.detector_model = state, scenario, detector_model
+        self.n_trials, self.n_detectors, self.seed = n_trials, n_detectors, seed
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,7 @@ class ExperimentSummary:
     patterns: PatternTable
 
 
-@dataclass(frozen=True)
-class TrialBlock:
+class TrialBlock(NamedTuple):
     """Trials start .. start + B - 1 of one experiment, as arrays.
 
     ``latent`` is the (B,) shared bit for unanimous trials, else None;

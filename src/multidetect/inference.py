@@ -29,8 +29,7 @@ operational form of "enough trials to tell the laws apart".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,26 +50,24 @@ DECISION_BINOMIAL = "binomial"
 DECISION_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class ErrorModel:
     """Per-detector misread probabilities, each strictly below 1/2."""
 
-    eps: tuple[float, ...]
+    __slots__ = ("eps",)
 
     def __init__(self, eps):
         eps = tuple(float(e) for e in eps)
         for e in eps:
             if not 0.0 <= e < 0.5:
                 raise ValueError(f"misread probability {e} outside [0, 0.5)")
-        object.__setattr__(self, "eps", eps)
+        self.eps = eps
 
     @classmethod
     def ideal(cls, n_detectors: int) -> "ErrorModel":
         return cls((0.0,) * n_detectors)
 
 
-@dataclass(frozen=True)
-class ScenarioVerdict:
+class ScenarioVerdict(NamedTuple):
     """Both log likelihoods, their odds, and the thresholded decision."""
 
     loglik_unanimous: float
@@ -80,7 +77,6 @@ class ScenarioVerdict:
     confidence: float
 
 
-@dataclass(frozen=True, eq=False)
 class PatternTable:
     """How many trials show each distinct outcome pattern of N detectors.
 
@@ -88,9 +84,10 @@ class PatternTable:
     outcome; ``counts`` (int64) are their numbers of trials.
     """
 
-    codes: np.ndarray
-    counts: np.ndarray
-    n_detectors: int
+    __slots__ = ("codes", "counts", "n_detectors")
+
+    def __init__(self, codes: np.ndarray, counts: np.ndarray, n_detectors: int):
+        self.codes, self.counts, self.n_detectors = codes, counts, n_detectors
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence | np.ndarray, counts=None) -> "PatternTable":

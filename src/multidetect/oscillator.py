@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +42,6 @@ RELIABLE_RATIO = 5.0
 RELAXATION_FLOOR = 5.0
 
 
-@dataclass(frozen=True)
 class OscillatorParams:
     """Physical configuration of one oscillator pointer.
 
@@ -66,19 +64,15 @@ class OscillatorParams:
     and when gamma*tau < RELAXATION_FLOOR.
     """
 
-    mass: float
-    omega: float
-    beta: float
-    coupling_lambda: float
-    relaxation_rate: float
-    measurement_time: float
-    constants: PhysicalConstants = field(default=SI, compare=False)
+    __slots__ = ("mass", "omega", "beta", "coupling_lambda", "relaxation_rate", "measurement_time", "constants")
 
-    def __post_init__(self):
+    def __init__(self, mass, omega, beta, coupling_lambda, relaxation_rate, measurement_time, constants=SI):
+        self.mass, self.omega, self.beta, self.coupling_lambda = mass, omega, beta, coupling_lambda
+        self.relaxation_rate, self.measurement_time, self.constants = relaxation_rate, measurement_time, constants
         for name in ("mass", "omega", "beta", "relaxation_rate", "measurement_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.coupling_lambda < 0:
+        if coupling_lambda < 0:
             raise ValueError("coupling_lambda must be non-negative")
         b_hw = self.beta * self.constants.hbar * self.omega
         if b_hw >= 1.0:
@@ -86,7 +80,7 @@ class OscillatorParams:
                 f"beta*hbar*omega = {b_hw:.3g} >= 1: thermal spread does not dominate "
                 "quantum fluctuations; classical pointer statistics are unreliable",
                 QuantumRegimeWarning,
-                stacklevel=3,  # past __post_init__ and the generated __init__
+                stacklevel=2,  # the caller of OscillatorParams(...)
             )
         g_t = self.relaxation_rate * self.measurement_time
         if g_t < RELAXATION_FLOOR:
@@ -94,7 +88,7 @@ class OscillatorParams:
                 f"gamma*tau = {g_t:.3g} < {RELAXATION_FLOOR}: pointer may not have relaxed "
                 "to its displaced equilibrium within the measurement window",
                 RelaxationWarning,
-                stacklevel=3,  # past __post_init__ and the generated __init__
+                stacklevel=2,  # the caller of OscillatorParams(...)
             )
 
     @property

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ RELIABLE_DISCRIMINABILITY = 25.0
 GAUSSIAN_REGIME_FLOOR = 100
 
 
-@dataclass(frozen=True)
 class QpcParams:
     """One point contact: bias, observation window, and the two transmissions.
 
@@ -50,27 +49,25 @@ class QpcParams:
     the closed-form Gaussian density degrades.
     """
 
-    bias_voltage: float
-    observation_time: float
-    t_given_0: float
-    t_given_1: float
+    __slots__ = ("bias_voltage", "observation_time", "t_given_0", "t_given_1")
 
-    def __post_init__(self):
-        if self.bias_voltage <= 0:
+    def __init__(self, bias_voltage: float, observation_time: float, t_given_0: float, t_given_1: float):
+        if bias_voltage <= 0:
             raise ValueError("bias_voltage must be strictly positive")
-        if self.observation_time <= 0:
+        if observation_time <= 0:
             raise ValueError("observation_time must be strictly positive")
-        for name in ("t_given_0", "t_given_1"):
-            t = getattr(self, name)
+        for name, t in (("t_given_0", t_given_0), ("t_given_1", t_given_1)):
             if not 0.0 < t < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {t}")
+        self.bias_voltage, self.observation_time = bias_voltage, observation_time
+        self.t_given_0, self.t_given_1 = t_given_0, t_given_1
         n_rounded = math.floor(raw_attempts(self) + 0.5)
         if n_rounded < GAUSSIAN_REGIME_FLOOR:
             warnings.warn(
                 f"attempt count {n_rounded} < {GAUSSIAN_REGIME_FLOOR}: "
                 "Gaussian current density is inaccurate; prefer exact-binomial sampling",
                 GaussianRegimeWarning,
-                stacklevel=3,  # past __post_init__ and the generated __init__
+                stacklevel=2,  # the caller of QpcParams(...)
             )
 
     def transmission(self, sigma: int) -> float:
@@ -79,8 +76,7 @@ class QpcParams:
         return self.t_given_0 if sigma == 0 else self.t_given_1
 
 
-@dataclass(frozen=True)
-class CurrentStats:
+class CurrentStats(NamedTuple):
     """Mean current, shot noise, and the resulting current spread."""
 
     mean_current: float

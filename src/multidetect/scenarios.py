@@ -13,7 +13,6 @@ detectors watching one prepared two-level system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from . import counting
@@ -26,7 +25,6 @@ PMF_SUM_TOLERANCE = 1e-12
 PMF_MEAN_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
 class Unanimous:
     """All detectors latch the same collective bit each trial."""
 
@@ -40,7 +38,6 @@ class Unanimous:
         return np.repeat(latent[:, None], n_detectors, axis=1), latent
 
 
-@dataclass(frozen=True)
 class Binomial:
     """Each detector latches its own independent bit each trial."""
 
@@ -53,18 +50,17 @@ class Binomial:
         return (rng.random((size, n_detectors)) >= probs.p0).astype(np.int8), None
 
 
-@dataclass(frozen=True)
 class Custom:
     """Zero-count pmf over {0..N} with the standard mean, free otherwise.
 
     Generation only; the inference engine does not score this law.
     """
 
-    pmf: tuple[float, ...]
+    __slots__ = ("pmf",)
     kind = "custom"
 
     def __init__(self, pmf):
-        object.__setattr__(self, "pmf", tuple(float(p) for p in pmf))
+        self.pmf = tuple(float(p) for p in pmf)
 
     def validate(self, probs: OutcomeProbabilities, n_detectors: int) -> None:
         """Raise InvalidPmfError unless the pmf is admissible for (probs, N)."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +21,6 @@ NORM_TOLERANCE = 1e-9
 NORM_WARN_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
 class Amplitudes:
     """Normalized amplitude pair (c0, c1) of the prepared superposition.
 
@@ -33,12 +31,11 @@ class Amplitudes:
     too small to square are divided by the largest of them first.
     """
 
-    c0: complex
-    c1: complex
-    renormalized: bool = field(init=False, default=False, compare=False)
+    __slots__ = ("c0", "c1", "renormalized")
 
-    def __post_init__(self):
-        c0, c1, scale = self.c0, self.c1, 1.0
+    def __init__(self, c0: complex, c1: complex):
+        self.c0, self.c1, self.renormalized = c0, c1, False
+        scale = 1.0
         try:
             squared = abs(c0) ** 2 + abs(c1) ** 2
         except OverflowError:
@@ -56,25 +53,21 @@ class Amplitudes:
             warnings.warn(
                 f"input norm {scale * norm:.6g} deviates from 1 by {deviation:.3g}; renormalizing",
                 NormalizationWarning,
-                stacklevel=3,  # past __post_init__ and the generated __init__
+                stacklevel=2,  # the caller of Amplitudes(...)
             )
         if deviation > NORM_TOLERANCE:
-            object.__setattr__(self, "c0", c0 / norm)
-            object.__setattr__(self, "c1", c1 / norm)
-            object.__setattr__(self, "renormalized", True)
+            self.c0, self.c1, self.renormalized = c0 / norm, c1 / norm, True
 
 
-@dataclass(frozen=True)
 class OutcomeProbabilities:
     """Binary outcome probabilities with p1 stored as 1 - p0 exactly."""
 
-    p0: float
-    p1: float = field(init=False)
+    __slots__ = ("p0", "p1")
 
-    def __post_init__(self):
-        if not 0.0 <= self.p0 <= 1.0:
-            raise ValueError(f"p0 must lie in [0, 1], got {self.p0}")
-        object.__setattr__(self, "p1", 1.0 - self.p0)
+    def __init__(self, p0: float):
+        if not 0.0 <= p0 <= 1.0:
+            raise ValueError(f"p0 must lie in [0, 1], got {p0}")
+        self.p0, self.p1 = p0, 1.0 - p0
 
 
 def make_amplitudes(re0: float, im0: float, re1: float, im1: float) -> Amplitudes:

@@ -207,7 +207,7 @@ class TestSimulate:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_state_renormalized(self, tmp_path, scale):
         # the squared components overflow or underflow; the ray is still [1, 0, 1, 0]'s
-        with pytest.warns(NormalizationWarning):
+        with pytest.warns(NormalizationWarning, match="^state: "):
             _, out_a = simulate(tmp_path, ideal_config(state=[1.0, 0.0, 1.0, 0.0]), out="a")
             code, out_b = simulate(tmp_path, ideal_config(state=[scale, 0.0, scale, 0.0]), out="b")
         assert code == 0
