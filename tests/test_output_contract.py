@@ -21,8 +21,6 @@ import contextlib
 import hashlib
 import io
 import json
-import pprint
-import sys
 import tempfile
 from pathlib import Path
 
@@ -170,4 +168,4 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             table[case] = _digests(CASES[case], Path(tmp))
     print(f"# DIGESTS entry for numpy {NUMPY}")
-    pprint.pprint({NUMPY: table}, width=120, stream=sys.stdout)
+    print(json.dumps({NUMPY: table}, indent=4))
