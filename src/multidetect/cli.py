@@ -20,8 +20,9 @@ import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, ModelError, NoDiscriminationError
-from .experiment import TrialBlock, run_experiment
-from .inference import DECISION_INCONCLUSIVE, MAX_DETECTORS, PatternTable, decide, required_trials
+from .experiment import run_experiment
+from .inference import DECISION_INCONCLUSIVE, PatternTable, decide, required_trials
+from .records import _block_rows, _parse_records_csv, _records_header
 from .state import born_probabilities
 
 EXIT_OK = 0
@@ -34,10 +35,6 @@ SWEEP_COMMENT = "# multidetect-sweep: "
 
 REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
 
-_BITS = frozenset((0, 1))
-_BIT_STRINGS = ("0", "1")
-_LATENTS = frozenset(("", "0", "1"))
-
 
 def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
@@ -45,64 +42,6 @@ def _json_safe(value):
             return "NaN"
         return "Infinity" if value > 0 else "-Infinity"
     return value
-
-
-def _records_header(n_detectors: int) -> str:
-    readings = ",".join(f"reading_{i + 1}" for i in range(n_detectors))
-    outcomes = ",".join(f"outcome_{i + 1}" for i in range(n_detectors))
-    return f"trial,latent,{readings},{outcomes}"
-
-
-def _reading_strings(values: np.ndarray) -> tuple[list[str] | None, list[str] | np.ndarray]:
-    """One column of readings as (distinct strings, per-row index into them).
-
-    Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
-    When more than half of them are distinct, indexing would not pay: the
-    result is then (None, the repr of every value).
-    """
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(distinct) > len(values):
-        return None, list(map(repr, values.tolist()))
-    return list(map(repr, distinct.view(np.float64).tolist())), inverse
-
-
-def _block_rows(block: TrialBlock, scale: float) -> str:
-    """CSV rows of one block, as repr of each reading and str of each bit give.
-
-    Formatting is the cost, so each column of readings formats each of its
-    distinct values once, unless most of them differ, and when at most half
-    of the rows are distinct, each distinct row after its index is joined once.
-    """
-    size = len(block.outcomes)
-    if block.latent is None:
-        columns = [(("",), np.zeros(size, dtype=np.intp))]
-    else:
-        columns = [(_BIT_STRINGS, block.latent)]
-    columns += [_reading_strings(r) for r in (block.readings * scale).T]
-    columns += [(_BIT_STRINGS, o) for o in block.outcomes.T]
-    indices = range(block.start, block.start + size)
-
-    if all(strings is not None for strings, _ in columns):
-        # one code per distinct row, renumbered densely whenever the next column could overflow it
-        code = np.zeros(size, dtype=np.int64)
-        span = 1
-        for strings, index in columns:
-            if span * len(strings) >= 2**62:
-                _, code = np.unique(code, return_inverse=True)
-                span = size
-            code = code * len(strings) + index
-            span *= len(strings)
-        _, first, row = np.unique(code, return_index=True, return_inverse=True)
-        if 2 * len(first) <= size:
-            picked = [map(strings.__getitem__, index[first].tolist()) for strings, index in columns]
-            tails = [",".join(cells) + "\n" for cells in zip(*picked)]
-            return "".join([f"{i},{tails[r]}" for i, r in zip(indices, row.tolist())])
-
-    fields = [
-        cells if strings is None else list(map(strings.__getitem__, cells.tolist()))
-        for strings, cells in columns
-    ]
-    return "\n".join(map(",".join, zip(map(str, indices), *fields))) + "\n"
 
 
 def cmd_simulate(config_path, output_dir: Path, formats, seed_override=None, threads: int = 1, verbosity: int = 0) -> int:
@@ -147,92 +86,6 @@ def cmd_simulate(config_path, output_dir: Path, formats, seed_override=None, thr
     if verbosity:
         print(f"simulated {summary.n_trials} trials into {output_dir}", file=sys.stderr)
     return EXIT_OK
-
-
-def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
-    """A row's trial index and outcomes; ValueError with the message of its first fault.
-
-    ``parts`` is ``row.split(",", 2)``.  Faults are checked in this order:
-    field count, trial index, readings, outcomes, latent, finite readings,
-    0/1 outcomes.  The index order is the caller's to check.
-    """
-    fields = parts[-1].split(",")
-    if len(parts) + len(fields) != 2 * n + 3:
-        raise ValueError(f"expected {2 * n + 2} fields, got {len(parts) - 1 + len(fields)}")
-    index = int(parts[0])
-    total = sum(map(float, fields[:n]))
-    outcomes = tuple(map(int, fields[n:]))
-    if parts[1] not in _LATENTS:
-        raise ValueError(f"latent must be empty, 0 or 1, got {parts[1]!r}")
-    # nan or inf makes the sum non-finite, but so can finite readings that overflow it
-    if not math.isfinite(total) and not all(map(math.isfinite, map(float, fields[:n]))):
-        raise ValueError("readings must be finite")
-    if not _BITS.issuperset(outcomes):
-        raise ValueError("outcomes must be 0 or 1")
-    return index, outcomes
-
-
-def _parse_records_csv(path) -> PatternTable:
-    """The outcome-pattern table of a records CSV.
-
-    Every row is checked; trial indices must increase strictly, so duplicated
-    rows or two concatenated runs cannot count their evidence twice.  A row's
-    readings and outcomes lie in its tail, the text after the latent field,
-    so a row whose tail is in the memo of valid tails re-checks only its
-    index and latent.  The memo never holds more tails than it has had hits,
-    so rows that never repeat leave at most one tail in it.
-    """
-    try:
-        lines = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("records", f"cannot read {path}: {exc}") from exc
-
-    for header_line, line in lines:
-        if line.strip() and not line.startswith("#"):
-            header = line.split(",")
-            break
-    else:
-        raise ConfigError("records", "no header row found")
-    n = sum(1 for col in header if col.startswith("outcome_"))
-    if n < 1 or ",".join(header) != _records_header(n):
-        raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
-
-    memo: dict[str, int] = {}
-    patterns = []  # outcome tuples of the tails checked; rows point into it
-    rows = []
-    hits = 0
-    previous = -math.inf
-    for lineno, line in lines:
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",", 2)
-        # only a row of at least three fields can have a valid tail in the memo
-        pattern = memo.get(parts[-1])
-        try:
-            if pattern is not None and parts[1] in _LATENTS:
-                hits += 1
-                index = int(parts[0])
-            else:  # a new tail, or a bad latent, which the full check reports after the index
-                index, outcomes = _check_row(parts, n)
-                pattern = len(patterns)
-                patterns.append(outcomes)
-                if len(memo) <= hits:
-                    memo[parts[-1]] = pattern
-        except ValueError as exc:
-            raise ConfigError("records", f"line {lineno}: {exc}") from exc
-        if index <= previous:
-            raise ConfigError(
-                "records",
-                f"line {lineno}: trial index {index} does not follow {previous}; "
-                "indices must increase strictly",
-            )
-        previous = index
-        rows.append(pattern)
-    if not rows:
-        raise ConfigError("records", "no trial rows found")
-    if n > MAX_DETECTORS:
-        raise ConfigError("records", f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
-    return PatternTable.from_outcomes(np.array(patterns, dtype=np.int8), np.bincount(rows))
 
 
 def _verdict(table: PatternTable, resolved: cfg.ResolvedConfig):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import multidetect
-from multidetect.cli import CONFIG_COMMENT, _records_header, main
+from multidetect.cli import CONFIG_COMMENT, main
 from multidetect.constants import SI
 from multidetect.errors import GaussianRegimeWarning, NormalizationWarning
+from multidetect.records import _records_header
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 

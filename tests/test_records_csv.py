@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import line_checker_parse, repr_block_rows
-from multidetect.cli import _block_rows, _parse_records_csv, _records_header
+from multidetect.records import _block_rows, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, run_experiment
 from multidetect.inference import PatternTable
