@@ -1,9 +1,4 @@
-"""The records CSV: its header, the block writer and the parser.
-
-A records CSV holds one row per trial: ``trial,latent,reading_1..N,outcome_1..N``.
-The writer formats each reading with ``repr`` and each bit with ``str``; the
-parser checks every row and returns the run's outcome-pattern table.
-"""
+"""The records CSV: one ``trial,latent,reading_1..N,outcome_1..N`` row per trial."""
 
 from __future__ import annotations
 
@@ -105,12 +100,12 @@ def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
 def _parse_records_csv(path) -> PatternTable:
     """The outcome-pattern table of a records CSV.
 
-    Every row is checked; trial indices must increase strictly, so duplicated
-    rows or two concatenated runs cannot count their evidence twice.  A row's
-    readings and outcomes lie in its tail, the text after the latent field,
-    so a row whose tail is in the memo of valid tails re-checks only its
-    index and latent.  The memo never holds more tails than it has had hits,
-    so rows that never repeat leave at most one tail in it.
+    The header is checked first, then every row; trial indices must increase
+    strictly, so duplicated rows or two concatenated runs cannot count their
+    evidence twice.  A row's latent, readings and outcomes lie in its rest,
+    the text after its first comma, so a row whose rest is in the memo of
+    valid rests re-checks only its index.  The memo never holds more rests
+    than it has had hits, so rows that never repeat leave at most one rest in it.
     """
     try:
         lines = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
@@ -126,30 +121,35 @@ def _parse_records_csv(path) -> PatternTable:
     n = sum(1 for col in header if col.startswith("outcome_"))
     if n < 1 or ",".join(header) != _records_header(n):
         raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
+    if n > MAX_DETECTORS:
+        raise ConfigError("records", f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
 
     memo: dict[str, int] = {}
-    patterns = []  # outcome tuples of the tails checked; rows point into it
-    rows = []
+    patterns = []  # outcome tuples of the rows checked in full
+    counts = []  # rows per entry of patterns
     hits = 0
     previous = -math.inf
     for lineno, line in lines:
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",", 2)
-        # only a row of at least three fields can have a valid tail in the memo
-        pattern = memo.get(parts[-1])
-        try:
-            if pattern is not None and parts[1] in _LATENTS:
+        head, _, rest = line.partition(",")
+        pattern = memo.get(rest)
+        if pattern is not None:
+            try:
+                index = int(head)
                 hits += 1
-                index = int(parts[0])
-            else:  # a new tail, or a bad latent, which the full check reports after the index
-                index, outcomes = _check_row(parts, n)
-                pattern = len(patterns)
-                patterns.append(outcomes)
-                if len(memo) <= hits:
-                    memo[parts[-1]] = pattern
-        except ValueError as exc:
-            raise ConfigError("records", f"line {lineno}: {exc}") from exc
+            except ValueError:  # a comment, or a bad index that the full check reports
+                pattern = None
+        if pattern is None:  # int() accepts no blank or commented head, so a hit is neither
+            if not line.strip() or line.startswith("#"):
+                continue
+            try:
+                index, outcomes = _check_row(line.split(",", 2), n)
+            except ValueError as exc:
+                raise ConfigError("records", f"line {lineno}: {exc}") from exc
+            pattern = len(patterns)
+            patterns.append(outcomes)
+            counts.append(0)
+            if len(memo) <= hits:
+                memo[rest] = pattern
         if index <= previous:
             raise ConfigError(
                 "records",
@@ -157,9 +157,7 @@ def _parse_records_csv(path) -> PatternTable:
                 "indices must increase strictly",
             )
         previous = index
-        rows.append(pattern)
-    if not rows:
+        counts[pattern] += 1
+    if not patterns:
         raise ConfigError("records", "no trial rows found")
-    if n > MAX_DETECTORS:
-        raise ConfigError("records", f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
-    return PatternTable.from_outcomes(np.array(patterns, dtype=np.int8), np.bincount(rows))
+    return PatternTable.from_outcomes(np.array(patterns, dtype=np.int8), counts)

@@ -502,6 +502,14 @@ class TestInfer:
         assert code == 1
         assert "config error: records: 65 detectors exceed the packing limit of 64" in err
 
+    def test_packing_limit_reported_before_row_faults(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / "records.csv"
+        records.write_text(_records_header(65) + "\n0,,x\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: records: 65 detectors exceed the packing limit of 64\n"
+
     def test_sixty_four_detectors(self, tmp_path, capsys):
         # the summed disagreement probability rounds to 1 here; the trial count is still 1
         code, payload = self.run_infer(tmp_path, ideal_config(n_trials=200, n_detectors=64), capsys)

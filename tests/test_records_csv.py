@@ -146,8 +146,8 @@ def mutated_csvs(draw):
     lines = [",".join(r) for r in rows]
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(
-            ["field", "field", "latent", "comma+", "comma-", "duplicate", "swap", "copy-tail", "gap",
-             "garbage"]
+            ["field", "field", "latent", "comma+", "comma-", "duplicate", "swap", "copy-tail",
+             "copy-rest", "gap", "garbage"]
         ))
         i = draw(st.integers(0, len(lines) - 1))
         parts = lines[i].split(",")
@@ -172,6 +172,10 @@ def mutated_csvs(draw):
             # a repeated tail, good or bad, behind this row's own index and latent
             j = draw(st.integers(0, len(lines) - 1))
             lines[i] = ",".join(parts[:2] + lines[j].split(",", 2)[2:])
+        elif kind == "copy-rest":
+            # another line's text after its first comma, good or bad, behind this row's own index
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i] = parts[0] + "," + lines[j].partition(",")[2]
         elif kind == "gap":
             lines.insert(i, draw(st.sampled_from(["", "   ", "# a comment", "#", "\t"])))
         elif kind == "garbage":
@@ -226,6 +230,14 @@ class TestParser:
             (["0,,1.0,1", "y,7,1.0,1"], "line 3: invalid literal for int() with base 10: 'y'"),
             # a comment whose text after two commas is a memoised tail is skipped, not scored
             (["0,,1.0,1", "#,,1.0,1", "0,,1.0,1"], "line 4: trial index 0 does not follow 0"),
+            # and so is one whose text after its first comma is a memoised rest
+            (["0,,1.0,1", "#0,,1.0,1", "0,,1.0,1"], "line 4: trial index 0 does not follow 0"),
+            # a memo hit reads its index as int() does, and reports what int() rejects
+            (["0,,1.0,1", " 2,,1.0,1", "2,,1.0,1"], "line 4: trial index 2 does not follow 2"),
+            (["0,,1.0,1", "1_0,,1.0,1", "10,,1.0,1"], "line 4: trial index 10 does not follow 10"),
+            (["0,,1.0,1", "1,,1.0,1", "y,,1.0,1"], "line 4: invalid literal for int() with base 10: 'y'"),
+            # a blank line between two memo hits is skipped
+            (["0,,1.0,1", "1,,1.0,1", "", "2,,1.0,1", "2,,1.0,1"], "line 6: trial index 2 does not follow 2"),
         ],
     )
     def test_first_fault_reported(self, tmp_path, lines, message):
