@@ -125,8 +125,8 @@ def _parse_records_csv(path) -> PatternTable:
         raise ConfigError("records", f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
 
     memo: dict[str, int] = {}
-    patterns = []  # outcome tuples of the rows checked in full
-    counts = []  # rows per entry of patterns
+    patterns: dict[tuple[int, ...], int] = {}  # each distinct outcome tuple's entry in counts
+    counts = []  # rows per entry
     hits = 0
     previous = -math.inf
     for lineno, line in lines:
@@ -145,9 +145,9 @@ def _parse_records_csv(path) -> PatternTable:
                 index, outcomes = _check_row(line.split(",", 2), n)
             except ValueError as exc:
                 raise ConfigError("records", f"line {lineno}: {exc}") from exc
-            pattern = len(patterns)
-            patterns.append(outcomes)
-            counts.append(0)
+            pattern = patterns.setdefault(outcomes, len(patterns))
+            if pattern == len(counts):
+                counts.append(0)
             if len(memo) <= hits:
                 memo[rest] = pattern
         if index <= previous:
@@ -158,6 +158,6 @@ def _parse_records_csv(path) -> PatternTable:
             )
         previous = index
         counts[pattern] += 1
-    if not patterns:
+    if not counts:
         raise ConfigError("records", "no trial rows found")
-    return PatternTable.from_outcomes(np.array(patterns, dtype=np.int8), counts)
+    return PatternTable.from_outcomes(np.array(list(patterns), dtype=np.int8), counts)
