@@ -236,8 +236,8 @@ class TestParser:
             (["0,,1.0,1", " 2,,1.0,1", "2,,1.0,1"], "line 4: trial index 2 does not follow 2"),
             (["0,,1.0,1", "1_0,,1.0,1", "10,,1.0,1"], "line 4: trial index 10 does not follow 10"),
             (["0,,1.0,1", "1,,1.0,1", "y,,1.0,1"], "line 4: invalid literal for int() with base 10: 'y'"),
-            # a blank line between two memo hits is skipped
-            (["0,,1.0,1", "1,,1.0,1", "", "2,,1.0,1", "2,,1.0,1"], "line 6: trial index 2 does not follow 2"),
+            # a blank line between two memo hits is skipped, also one of spaces
+            (["0,,1.0,1", "1,,1.0,1", "   ", "2,,1.0,1", "2,,1.0,1"], "line 6: trial index 2 does not follow 2"),
         ],
     )
     def test_first_fault_reported(self, tmp_path, lines, message):
