@@ -19,7 +19,6 @@ are tallied into a ``PatternTable``; the tables are merged once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -153,18 +152,31 @@ class ExperimentConfig:
         self.n_trials, self.n_detectors, self.seed = n_trials, n_detectors, seed
 
 
-@dataclass(frozen=True)
 class ExperimentSummary:
-    """Agreement statistics over a full run, read off its pattern table; M0 + M1 + m = M."""
+    """Agreement statistics over a full run, read off its pattern table; M0 + M1 + m = M.
 
-    n_trials: int
-    n_detectors: int
-    m0_unanimous_zero: int
-    m1_unanimous_one: int
-    disagreements: int
-    histogram_n0: tuple[int, ...]
-    agreement_fraction: float
-    patterns: PatternTable
+    Summaries compare equal when their tables do.
+    """
+
+    __slots__ = (
+        "patterns", "n_trials", "n_detectors", "m0_unanimous_zero", "m1_unanimous_one",
+        "disagreements", "histogram_n0", "agreement_fraction",
+    )
+
+    def __init__(self, patterns: PatternTable):
+        n, total = patterns.n_detectors, patterns.n_trials
+        # detectors reading 1 per pattern, one detector at a time to keep memory at O(K)
+        ones = sum((patterns.codes >> np.uint64(a)) & np.uint64(1) for a in range(n))
+        hist = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(hist, n - ones.astype(np.intp), patterns.counts)
+        m0, m1 = int(hist[n]), int(hist[0])
+        self.patterns, self.n_trials, self.n_detectors = patterns, total, n
+        self.m0_unanimous_zero, self.m1_unanimous_one, self.disagreements = m0, m1, total - m0 - m1
+        self.histogram_n0 = tuple(hist.tolist())
+        self.agreement_fraction = (m0 + m1) / total
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExperimentSummary) and self.patterns == other.patterns
 
 
 class TrialBlock(NamedTuple):
@@ -178,25 +190,6 @@ class TrialBlock(NamedTuple):
     latent: Optional[np.ndarray]
     readings: np.ndarray
     outcomes: np.ndarray
-
-
-def _summary(table: PatternTable) -> ExperimentSummary:
-    n = table.n_detectors
-    # detectors reading 1 per pattern, one detector at a time to keep memory at O(K)
-    ones = sum((table.codes >> np.uint64(a)) & np.uint64(1) for a in range(n))
-    hist = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(hist, n - ones.astype(np.intp), table.counts)
-    m0, m1, total = int(hist[n]), int(hist[0]), table.n_trials
-    return ExperimentSummary(
-        n_trials=total,
-        n_detectors=n,
-        m0_unanimous_zero=m0,
-        m1_unanimous_one=m1,
-        disagreements=total - m0 - m1,
-        histogram_n0=tuple(hist.tolist()),
-        agreement_fraction=(m0 + m1) / total,
-        patterns=table,
-    )
 
 
 def run_experiment(
@@ -218,4 +211,4 @@ def run_experiment(
         tables.append(PatternTable.from_outcomes(block.outcomes))
         if on_block is not None:
             on_block(block)
-    return _summary(PatternTable.merge(tables))
+    return ExperimentSummary(PatternTable.merge(tables))

@@ -1,4 +1,8 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -6,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chisq_gof_pvalue
+import multidetect
 from multidetect.config import resolve
 from multidetect.constants import NATURAL
 from multidetect.experiment import (
     ExperimentConfig,
+    ExperimentSummary,
     IdealModel,
     OscillatorModel,
     QpcModel,
@@ -252,6 +258,18 @@ def experiments(draw):
     )
 
 
+@st.composite
+def pattern_tables(draw):
+    """A table of N = 2..64 detectors with 1..1000 trials per code; one code has bit N - 1 set."""
+    n = draw(st.integers(2, MAX_DETECTORS))
+    mask = (1 << n) - 1
+    raw = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    extra = draw(st.sets(st.sampled_from([0, mask])))
+    codes = sorted({c & mask for c in raw} | {(raw[0] & mask) | 1 << (n - 1)} | extra)
+    counts = draw(st.lists(st.integers(1, 1000), min_size=len(codes), max_size=len(codes)))
+    return PatternTable(np.array(codes, dtype=np.uint64), np.array(counts, dtype=np.int64), n)
+
+
 class TestBlockEngine:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(experiments())
@@ -285,6 +303,56 @@ class TestSummarize:
         probs = OutcomeProbabilities(0.36)
         expected = [binomial_pmf(10, k, probs) for k in range(11)]
         assert chisq_gof_pvalue(summary.histogram_n0, expected) > 0.001
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(pattern_tables())
+    def test_summary_matches_a_recount(self, table):
+        summary = ExperimentSummary(table)
+        n = table.n_detectors
+        hist = [0] * (n + 1)
+        for code, count in zip(table.codes.tolist(), table.counts.tolist()):
+            hist[n - int(code).bit_count()] += count
+        m = sum(hist)
+        assert summary.histogram_n0 == tuple(hist)
+        assert all(type(h) is int for h in summary.histogram_n0)
+        assert (summary.n_trials, summary.n_detectors) == (m, n)
+        assert (summary.m0_unanimous_zero, summary.m1_unanimous_one) == (hist[n], hist[0])
+        assert summary.disagreements == m - hist[n] - hist[0]
+        assert summary.agreement_fraction == (hist[n] + hist[0]) / m
+        assert summary.patterns is table
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(pattern_tables())
+    def test_summaries_compare_by_table(self, table):
+        outcomes = np.repeat(table.patterns(), table.counts, axis=0)
+        summary = ExperimentSummary(PatternTable.from_outcomes(outcomes))
+        assert summary == ExperimentSummary(PatternTable.from_outcomes(outcomes[::-1]))
+        assert summary == ExperimentSummary(table)
+        counts = table.counts.copy()
+        counts[-1] += 1
+        assert summary != ExperimentSummary(PatternTable(table.codes, counts, table.n_detectors))
+        if not np.array_equal(table.counts, table.counts[::-1]):  # same trials, other patterns
+            assert summary != ExperimentSummary(PatternTable(table.codes, table.counts[::-1], table.n_detectors))
+        assert summary != table
+        with pytest.raises(TypeError):
+            hash(summary)
+
+
+class TestLibraryObjects:
+    def test_no_class_is_a_dataclass(self):
+        classes = [
+            obj
+            for info in pkgutil.iter_modules(multidetect.__path__)
+            for module in [importlib.import_module(f"multidetect.{info.name}")]
+            for obj in vars(module).values()
+            if inspect.isclass(obj) and obj.__module__ == module.__name__
+        ]
+        assert ExperimentSummary in classes and PatternTable in classes
+        assert [cls for cls in classes if dataclasses.is_dataclass(cls)] == []
+
+    def test_summary_is_not_a_tuple(self):
+        # a tuple result of run_experiment reads as (summary, records) to the benchmark's tracing
+        assert not issubclass(ExperimentSummary, tuple)
 
 
 class TestModelMisreads:
