@@ -349,8 +349,6 @@ class TestLibraryObjects:
         ]
         assert ExperimentSummary in classes and PatternTable in classes
         assert [cls for cls in classes if dataclasses.is_dataclass(cls)] == []
-
-    def test_summary_is_not_a_tuple(self):
         # a tuple result of run_experiment reads as (summary, records) to the benchmark's tracing
         assert not issubclass(ExperimentSummary, tuple)
 
