@@ -1,4 +1,4 @@
-"""Physical constants with SI (CODATA) defaults and a natural-units preset."""
+"""Physical constants with SI defaults and a natural-units preset."""
 
 from __future__ import annotations
 
@@ -8,30 +8,26 @@ import math
 class PhysicalConstants:
     """Bundle of the constants entering the detector models.
 
-    ``si()`` gives 2018 CODATA values; ``natural()`` sets hbar = e = 1
-    (and planck = 2*pi for consistency with hbar).
+    The defaults are the exact SI values of e and h; ``NATURAL`` sets
+    e = 1 and h = 2*pi, so hbar = 1.  ``hbar`` is derived from ``planck``.
     """
 
-    __slots__ = ("hbar", "electron_charge", "planck")
+    __slots__ = ("electron_charge", "planck")
 
     def __init__(
         self,
-        hbar: float = 1.054571817e-34,        # J s
         electron_charge: float = 1.602176634e-19,  # C
         planck: float = 6.62607015e-34,       # J s
     ):
-        self.hbar, self.electron_charge, self.planck = hbar, electron_charge, planck
+        self.electron_charge, self.planck = electron_charge, planck
         for name in self.__slots__:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
-    @classmethod
-    def si(cls) -> "PhysicalConstants":
-        return cls()
-
-    @classmethod
-    def natural(cls) -> "PhysicalConstants":
-        return cls(hbar=1.0, electron_charge=1.0, planck=2.0 * math.pi)
+    @property
+    def hbar(self) -> float:
+        """Reduced Planck constant h/(2 pi)."""
+        return self.planck / (2 * math.pi)
 
     @property
     def conductance_quantum(self) -> float:
@@ -39,5 +35,5 @@ class PhysicalConstants:
         return self.electron_charge**2 / self.planck
 
 
-SI = PhysicalConstants.si()
-NATURAL = PhysicalConstants.natural()
+SI = PhysicalConstants()
+NATURAL = PhysicalConstants(electron_charge=1.0, planck=2.0 * math.pi)

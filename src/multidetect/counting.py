@@ -1,8 +1,10 @@
-"""Binomial counting law shared by the outcome scenarios and the transport model."""
+"""The counting and Gaussian laws shared by the scenarios and the detector models."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import OutOfRangeError
 
@@ -31,3 +33,14 @@ def count_pmf(n: int, k: int, p: float) -> float:
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )
+
+
+def gaussian_tail(z: float) -> float:
+    """Standard normal upper tail P(Z > z)."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def gaussian_density(x, mean: float, std: float):
+    """Normal(mean, std^2) density at x, a scalar or an array."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))

@@ -33,8 +33,9 @@ import warnings
 import numpy as np
 
 from .constants import SI, PhysicalConstants
+from .counting import gaussian_density, gaussian_tail
 from .errors import NotDistinguishableError, QuantumRegimeWarning, RelaxationWarning
-from .state import OutcomeProbabilities, outcome_bits
+from .state import OutcomeProbabilities, outcome_bits, threshold
 
 #: X/dx at or above which readout is flagged reliable (misread ~ 6e-3 at 5).
 RELIABLE_RATIO = 5.0
@@ -133,13 +134,8 @@ def sample_pointer(
     return rng.normal(sigma * displacement(params), thermal_std(params), size=size)
 
 
-def _gauss(x, mean: float, std: float):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
-
-
 def _conditional(params: OscillatorParams, sigma: int, x):
-    return _gauss(x, sigma * displacement(params), thermal_std(params))
+    return gaussian_density(x, sigma * displacement(params), thermal_std(params))
 
 
 def joint_density_qm(
@@ -154,10 +150,9 @@ def joint_density_qm(
     p0 * gA(xA|0) gB(xB|0) + p1 * gA(xA|1) gB(xB|1); accepts scalars or
     broadcastable arrays.
     """
-    out = probs.p0 * _conditional(paramsA, 0, xA) * _conditional(paramsB, 0, xB) + (
+    return probs.p0 * _conditional(paramsA, 0, xA) * _conditional(paramsB, 0, xB) + (
         probs.p1 * _conditional(paramsA, 1, xA) * _conditional(paramsB, 1, xB)
     )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def joint_density_counterfactual(
@@ -175,8 +170,7 @@ def joint_density_counterfactual(
     gA0, gA1 = _conditional(paramsA, 0, xA), _conditional(paramsA, 1, xA)
     gB0, gB1 = _conditional(paramsB, 0, xB), _conditional(paramsB, 1, xB)
     p0, p1 = probs.p0, probs.p1
-    out = p0**2 * gA0 * gB0 + p1**2 * gA1 * gB1 + p0 * p1 * (gA0 * gB1 + gA1 * gB0)
-    return float(out) if np.ndim(out) == 0 else out
+    return p0**2 * gA0 * gB0 + p1**2 * gA1 * gB1 + p0 * p1 * (gA0 * gB1 + gA1 * gB0)
 
 
 def readout(x, params: OscillatorParams):
@@ -190,15 +184,10 @@ def readout(x, params: OscillatorParams):
         raise NotDistinguishableError(
             f"X/dx = {distinguishability_ratio(params):.3g} < 1; readout is meaningless"
         )
-    threshold = 0.5 * displacement(params)
-    out = np.asarray(x, dtype=float) > threshold
-    if np.ndim(out) == 0:
-        return int(out)
-    return out.astype(int)
+    return threshold(x, 0.5 * displacement(params))
 
 
 def misread_probability(params: OscillatorParams) -> float:
     """Closed-form P(readout != sigma): Gaussian tail beyond X/(2 dx)."""
-    half_sep = 0.5 * distinguishability_ratio(params)
-    return 0.5 * math.erfc(half_sep / math.sqrt(2.0))
+    return gaussian_tail(0.5 * distinguishability_ratio(params))
 

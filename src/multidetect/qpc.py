@@ -31,7 +31,7 @@ import numpy as np
 from . import counting
 from .constants import SI
 from .errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
-from .state import OutcomeProbabilities, outcome_bits
+from .state import OutcomeProbabilities, outcome_bits, threshold
 
 #: D at or above which readout is flagged reliable (misread ~ 6e-3 at 25).
 RELIABLE_DISCRIMINABILITY = 25.0
@@ -125,12 +125,7 @@ def current_density(params: QpcParams, sigma: int, current):
     Accepts a scalar or an array of currents.
     """
     stats = current_stats(params, sigma)
-    var = stats.noise / params.observation_time
-    current = np.asarray(current, dtype=float)
-    out = np.exp(-0.5 * (current - stats.mean_current) ** 2 / var) / math.sqrt(
-        2.0 * math.pi * var
-    )
-    return float(out) if np.ndim(out) == 0 else out
+    return counting.gaussian_density(current, stats.mean_current, stats.std_current)
 
 
 def sample_current(
@@ -173,10 +168,9 @@ def joint_current_density(
     Has peaks at (I_A|0, I_B|0) and (I_A|1, I_B|1); the mass near the two
     mixed points is negligible whenever both detectors are discriminating.
     """
-    out = probs.p0 * current_density(paramsA, 0, iA) * current_density(paramsB, 0, iB) + (
+    return probs.p0 * current_density(paramsA, 0, iA) * current_density(paramsB, 0, iB) + (
         probs.p1 * current_density(paramsA, 1, iA) * current_density(paramsB, 1, iB)
     )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def discriminability(params: QpcParams) -> float:
@@ -203,11 +197,7 @@ def current_readout(current, params: QpcParams):
     i0 = current_stats(params, 0).mean_current
     i1 = current_stats(params, 1).mean_current
     mid = 0.5 * (i0 + i1)
-    current = np.asarray(current, dtype=float)
-    out = current > mid if t1 > t0 else current < mid
-    if np.ndim(out) == 0:
-        return int(out)
-    return out.astype(int)
+    return threshold(current, mid, rising=t1 > t0)
 
 
 def misread_probability(params: QpcParams) -> float:
@@ -217,5 +207,4 @@ def misread_probability(params: QpcParams) -> float:
     bounds either single-outcome spread, so the estimate is never smaller
     than the true per-outcome tail of the midpoint readout.
     """
-    half_sep = 0.5 * math.sqrt(discriminability(params))
-    return 0.5 * math.erfc(half_sep / math.sqrt(2.0))
+    return counting.gaussian_tail(0.5 * math.sqrt(discriminability(params)))

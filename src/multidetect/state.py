@@ -87,3 +87,9 @@ def outcome_bits(sigma) -> np.ndarray:
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("sigma must be 0 or 1")
     return bits
+
+
+def threshold(x, level: float, rising: bool = True):
+    """Read x as 1 above ``level`` (below it when not ``rising``), else 0; ties read 0."""
+    x = np.asarray(x, dtype=float)
+    return (x > level if rising else x < level).astype(int)
