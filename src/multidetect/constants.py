@@ -21,7 +21,10 @@ class PhysicalConstants:
     ):
         self.electron_charge, self.planck = electron_charge, planck
         for name in self.__slots__:
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
     @property

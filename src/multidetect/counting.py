@@ -42,5 +42,6 @@ def gaussian_tail(z: float) -> float:
 
 def gaussian_density(x, mean: float, std: float):
     """Normal(mean, std^2) density at x, a scalar or an array."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+    # z * z, not z ** 2: numpy squares a scalar with pow(), which can miss the product by a bit
+    z = (np.asarray(x, dtype=float) - mean) / std
+    return np.exp(-0.5 * (z * z)) / (std * math.sqrt(2.0 * math.pi))

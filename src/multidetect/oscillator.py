@@ -70,6 +70,9 @@ class OscillatorParams:
     def __init__(self, mass, omega, beta, coupling_lambda, relaxation_rate, measurement_time, constants=SI):
         self.mass, self.omega, self.beta, self.coupling_lambda = mass, omega, beta, coupling_lambda
         self.relaxation_rate, self.measurement_time, self.constants = relaxation_rate, measurement_time, constants
+        for name in ("mass", "omega", "beta", "coupling_lambda", "relaxation_rate", "measurement_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("mass", "omega", "beta", "relaxation_rate", "measurement_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")

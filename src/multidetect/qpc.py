@@ -52,6 +52,11 @@ class QpcParams:
     __slots__ = ("bias_voltage", "observation_time", "t_given_0", "t_given_1")
 
     def __init__(self, bias_voltage: float, observation_time: float, t_given_0: float, t_given_1: float):
+        self.bias_voltage, self.observation_time = bias_voltage, observation_time
+        self.t_given_0, self.t_given_1 = t_given_0, t_given_1
+        for name in self.__slots__:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if bias_voltage <= 0:
             raise ValueError("bias_voltage must be strictly positive")
         if observation_time <= 0:
@@ -59,8 +64,6 @@ class QpcParams:
         for name, t in (("t_given_0", t_given_0), ("t_given_1", t_given_1)):
             if not 0.0 < t < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {t}")
-        self.bias_voltage, self.observation_time = bias_voltage, observation_time
-        self.t_given_0, self.t_given_1 = t_given_0, t_given_1
         n_rounded = math.floor(raw_attempts(self) + 0.5)
         if n_rounded < GAUSSIAN_REGIME_FLOOR:
             warnings.warn(

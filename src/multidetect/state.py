@@ -7,6 +7,7 @@ prediction made here.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import warnings
@@ -28,12 +29,16 @@ class Amplitudes:
     ``renormalized`` records whether the input norm was off by more than
     ``NORM_TOLERANCE``.  Inputs off by more than ``NORM_WARN_THRESHOLD``
     also raise a :class:`NormalizationWarning`.  Components too large or
-    too small to square are divided by the largest of them first.
+    too small to square are divided by the largest of them first; a
+    component that is not finite is a ValueError.
     """
 
     __slots__ = ("c0", "c1", "renormalized")
 
     def __init__(self, c0: complex, c1: complex):
+        for name, c in (("c0", c0), ("c1", c1)):
+            if not cmath.isfinite(c):
+                raise ValueError(f"{name} must be finite, got {c}")
         self.c0, self.c1, self.renormalized = c0, c1, False
         scale = 1.0
         try:

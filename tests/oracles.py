@@ -150,6 +150,15 @@ def gaussian_upper_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def assert_one_path(f, scalar_type, *arrays) -> None:
+    """f on arrays equals, bit for bit, f on their elements one at a time, each a numpy scalar."""
+    whole = f(*arrays)
+    singles = [f(*args) for args in zip(*(a.tolist() for a in arrays))]
+    assert all(type(one) is scalar_type for one in singles)
+    assert whole.dtype == scalar_type
+    assert whole.tobytes() == np.array(singles, dtype=scalar_type).tobytes()
+
+
 def repr_block_rows(block, scale: float) -> str:
     """Records CSV rows of one TrialBlock, formatting every value with repr or str."""
     size = len(block.outcomes)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import gauss_legendre_2d, quadrant_masses
-from multidetect.constants import NATURAL
+from oracles import assert_one_path, gauss_legendre_2d, quadrant_masses
+from multidetect.constants import NATURAL, SI, PhysicalConstants
 from multidetect.errors import NotDistinguishableError, QuantumRegimeWarning, RelaxationWarning
 from multidetect.oscillator import (
     OscillatorParams,
@@ -105,6 +107,27 @@ class TestRegimeChecks:
             pointer(1.0, beta=-1.0)
         with pytest.raises(ValueError):
             pointer(-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["mass", "omega", "beta", "coupling_lambda", "relaxation_rate", "measurement_time"]
+    )
+    def test_non_finite_field_named(self, field, value):
+        kwargs = {name: getattr(WELL_SEPARATED, name) for name in OscillatorParams.__slots__}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            OscillatorParams(**{**kwargs, field: value})
+
+
+class TestPhysicalConstants:
+    def test_hbar_derived_from_planck(self):
+        assert SI.hbar == SI.planck / (2 * math.pi)
+        assert NATURAL.hbar == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["electron_charge", "planck"])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            PhysicalConstants(**{field: value})
 
 
 class TestSampling:
@@ -292,3 +315,31 @@ class TestReadout:
             errors += errors_sigma
         assert abs(errors / (2 * n) - analytic) <= 4 * math.sqrt(analytic / (2 * n)) + 2 / n
 
+
+
+# positions in thermal spreads, measured from the X/2 threshold
+SPREADS = st.lists(st.floats(-8.0, 8.0) | st.just(0.0), min_size=1, max_size=12)
+
+
+def _positions(spreads) -> np.ndarray:
+    return 0.5 * displacement(WELL_SEPARATED) + np.array(spreads) * thermal_std(WELL_SEPARATED)
+
+
+class TestScalarArrayPath:
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(SPREADS)
+    def test_readout(self, spreads):
+        assert_one_path(lambda x: readout(x, WELL_SEPARATED), np.int64, _positions(spreads))
+
+    @pytest.mark.parametrize("density", [joint_density_qm, joint_density_counterfactual])
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_joint_densities(self, density, data):
+        spreads = data.draw(SPREADS)
+        other = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=len(spreads), max_size=len(spreads)))
+        assert_one_path(
+            lambda a, b: density(WELL_SEPARATED, WELL_SEPARATED, PROBS, a, b),
+            np.float64,
+            _positions(spreads),
+            _positions(other),
+        )

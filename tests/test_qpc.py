@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import gauss_legendre_1d, gauss_legendre_2d
+from oracles import assert_one_path, gauss_legendre_1d, gauss_legendre_2d
 from multidetect.constants import SI
 from multidetect.errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
 from multidetect.qpc import (
@@ -66,6 +68,14 @@ class TestAttempts:
             make_qpc(0.0, 0.7, 1000.0)
         with pytest.raises(ValueError):
             make_qpc(0.3, 1.0, 1000.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["bias_voltage", "observation_time", "t_given_0", "t_given_1"])
+    def test_non_finite_field_named(self, field, value):
+        p = make_qpc(0.3, 0.7, 1000.0)
+        kwargs = {name: getattr(p, name) for name in QpcParams.__slots__}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            QpcParams(**{**kwargs, field: value})
 
 
 class TestCountPmf:
@@ -314,9 +324,9 @@ class TestCurrentReadout:
             assert current_readout(current_stats(p, 1).mean_current, p) == 1
 
     def test_tie_resolves_to_zero(self):
-        p = make_qpc(0.3, 0.7, 1000.0)
-        mid = 0.5 * (current_stats(p, 0).mean_current + current_stats(p, 1).mean_current)
-        assert current_readout(mid, p) == 0
+        for p in (make_qpc(0.3, 0.7, 1000.0), make_qpc(0.7, 0.3, 1000.0)):
+            mid = 0.5 * (current_stats(p, 0).mean_current + current_stats(p, 1).mean_current)
+            assert current_readout(mid, p) == 0
 
     def test_no_contrast_raises(self):
         p = make_qpc(0.5, 0.5, 1000.0)
@@ -373,3 +383,48 @@ class TestDisagreementUnderSharedOutcome:
             rates.append(np.mean(current_readout(ia, pa) != current_readout(ib, pb)))
         assert max(rates) - min(rates) <= budget
 
+
+
+# currents in units of the wider spread, measured from the midpoint of the two means
+SPREADS = st.lists(st.floats(-8.0, 8.0) | st.just(0.0), min_size=1, max_size=12)
+UP, DOWN = make_qpc(0.4, 0.6, 302.0), make_qpc(0.6, 0.4, 302.0)
+
+
+def _currents(p: QpcParams, spreads) -> np.ndarray:
+    s0, s1 = current_stats(p, 0), current_stats(p, 1)
+    mid = 0.5 * (s0.mean_current + s1.mean_current)
+    return mid + np.array(spreads) * max(s0.std_current, s1.std_current)
+
+
+def assert_one_path(f, scalar_type, *arrays):
+    """f on arrays equals, bit for bit, f on their elements one at a time, each a numpy scalar."""
+    whole = f(*arrays)
+    singles = [f(*args) for args in zip(*(a.tolist() for a in arrays))]
+    assert all(type(one) is scalar_type for one in singles)
+    assert whole.dtype == scalar_type
+    assert whole.tobytes() == np.array(singles, dtype=scalar_type).tobytes()
+
+
+class TestScalarArrayPath:
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(SPREADS)
+    def test_current_readout_both_orientations(self, spreads):
+        for p in (UP, DOWN):
+            assert_one_path(lambda i: current_readout(i, p), np.int64, _currents(p, spreads))
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(SPREADS, st.integers(0, 1))
+    def test_current_density(self, spreads, sigma):
+        assert_one_path(lambda i: current_density(UP, sigma, i), np.float64, _currents(UP, spreads))
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_joint_current_density(self, data):
+        spreads = data.draw(SPREADS)
+        other = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=len(spreads), max_size=len(spreads)))
+        assert_one_path(
+            lambda a, b: joint_current_density(UP, DOWN, PROBS, a, b),
+            np.float64,
+            _currents(UP, spreads),
+            _currents(DOWN, other),
+        )

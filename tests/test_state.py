@@ -78,6 +78,15 @@ def test_extreme_components_renormalized(components, unit):
     assert born_probabilities(a).p0 == pytest.approx(born_probabilities(b).p0, abs=1e-15)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("component, field", [(0, "c0"), (1, "c0"), (2, "c1"), (3, "c1")])
+def test_non_finite_component_named(component, field, value):
+    components = [1.0, 0.0, 1.0, 0.0]
+    components[component] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make_amplitudes(*components)
+
+
 def test_zero_state_rejected():
     with pytest.raises(ZeroStateError):
         make_amplitudes(0, 0, 0, 0)
