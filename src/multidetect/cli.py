@@ -58,7 +58,7 @@ def cmd_simulate(config_path, output_dir: Path, formats, seed_override=None, thr
                 fh.write(CONFIG_COMMENT + cfg.canonical_json(resolved.echo, compact=True) + "\n")
                 fh.write(_records_header(experiment.n_detectors) + "\n")
                 summary = run_experiment(
-                    experiment, on_block=lambda block: fh.write(_block_rows(block, scale))
+                    experiment, on_block=lambda block: fh.writelines(_block_rows(block, scale))
                 )
         else:
             summary = run_experiment(experiment)

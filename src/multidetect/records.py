@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -14,6 +16,13 @@ from .inference import MAX_DETECTORS, PatternTable
 _BITS = frozenset((0, 1))
 _BIT_STRINGS = ("0", "1")
 _LATENTS = frozenset(("", "0", "1"))
+# every character that ends a line for str.splitlines
+_LINE_ENDS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+#: Characters of text the parser reads at a time, so its memory does not grow with the file.
+CHUNK_CHARS = 64 * 1024
+#: Rows the writer joins into one string at a time.
+PIECE_ROWS = 1024
 
 
 def _records_header(n_detectors: int) -> str:
@@ -35,12 +44,13 @@ def _reading_strings(values: np.ndarray) -> tuple[list[str] | None, list[str] | 
     return list(map(repr, distinct.view(np.float64).tolist())), inverse
 
 
-def _block_rows(block: TrialBlock, scale: float) -> str:
+def _block_rows(block: TrialBlock, scale: float) -> Iterator[str]:
     """CSV rows of one block, as repr of each reading and str of each bit give.
 
-    Formatting is the cost, so each column of readings formats each of its
-    distinct values once, unless most of them differ, and when at most half
-    of the rows are distinct, each distinct row after its index is joined once.
+    The rows come in pieces of at most PIECE_ROWS rows each.  Formatting is
+    the cost, so each column of readings formats each of its distinct
+    values once, unless most of them differ, and when at most half of the
+    rows are distinct, each distinct row after its index is joined once.
     """
     size = len(block.outcomes)
     if block.latent is None:
@@ -50,6 +60,7 @@ def _block_rows(block: TrialBlock, scale: float) -> str:
     columns += [_reading_strings(r) for r in (block.readings * scale).T]
     columns += [(_BIT_STRINGS, o) for o in block.outcomes.T]
     indices = range(block.start, block.start + size)
+    pieces = [slice(at, at + PIECE_ROWS) for at in range(0, size, PIECE_ROWS)]
 
     if all(strings is not None for strings, _ in columns):
         # one code per distinct row, renumbered densely whenever the next column could overflow it
@@ -65,13 +76,17 @@ def _block_rows(block: TrialBlock, scale: float) -> str:
         if 2 * len(first) <= size:
             picked = [map(strings.__getitem__, index[first].tolist()) for strings, index in columns]
             tails = [",".join(cells) + "\n" for cells in zip(*picked)]
-            return "".join([f"{i},{tails[r]}" for i, r in zip(indices, row.tolist())])
+            row = row.tolist()
+            for piece in pieces:
+                yield "".join([f"{i},{tails[r]}" for i, r in zip(indices[piece], row[piece])])
+            return
 
     fields = [
         cells if strings is None else list(map(strings.__getitem__, cells.tolist()))
         for strings, cells in columns
     ]
-    return "\n".join(map(",".join, zip(map(str, indices), *fields))) + "\n"
+    for piece in pieces:
+        yield "\n".join(map(",".join, zip(map(str, indices[piece]), *[f[piece] for f in fields]))) + "\n"
 
 
 def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
@@ -97,6 +112,24 @@ def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
     return index, outcomes
 
 
+def _line_chunks(fh) -> Iterator[list[str]]:
+    """The lines of a text file as str.splitlines gives them, one list per chunk read.
+
+    The file is read CHUNK_CHARS characters at a time, and a last line that
+    a chunk cuts is carried into the next.  A ``\\r\\n`` that a chunk cuts
+    needs the universal newlines of a file opened in text mode, which turn
+    it into one ``\\n`` before it reaches this function.
+    """
+    carry = ""
+    while chunk := fh.read(CHUNK_CHARS):
+        text = carry + chunk
+        lines = text.splitlines()
+        carry = "" if text[-1] in _LINE_ENDS else lines.pop()
+        yield lines
+    if carry:
+        yield [carry]
+
+
 def _parse_records_csv(path) -> PatternTable:
     """The outcome-pattern table of a records CSV.
 
@@ -106,12 +139,29 @@ def _parse_records_csv(path) -> PatternTable:
     the text after its first comma, so a row whose rest is in the memo of
     valid rests re-checks only its index.  The memo never holds more rests
     than it has had hits, so rows that never repeat leave at most one rest in it.
+    The file is read in chunks, but a file that is not UTF-8 is reported
+    before any faulty row, as if it had been decoded whole first.
     """
     try:
-        lines = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
+        with Path(path).open(encoding="utf-8") as fh:
+            try:
+                return _parse_lines(enumerate(chain.from_iterable(_line_chunks(fh)), start=1))
+            except ConfigError:
+                while fh.read(CHUNK_CHARS):  # the rest must decode before the row's fault is told
+                    pass
+                raise
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            # the decoder counts bytes from the start of its chunk; a whole-file decode names the file's offset
+            try:
+                Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as whole:
+                exc = whole
         raise ConfigError("records", f"cannot read {path}: {exc}") from exc
 
+
+def _parse_lines(lines) -> PatternTable:
+    """The pattern table of a records CSV's numbered lines; see _parse_records_csv."""
     for header_line, line in lines:
         if line.strip() and not line.startswith("#"):
             header = line.split(",")

@@ -7,6 +7,8 @@ writer and parser must match them byte for byte and message for message.
 
 import math
 import struct
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import line_checker_parse, repr_block_rows
-from multidetect.records import _block_rows, _parse_records_csv, _records_header
+from multidetect import records
+from multidetect.records import PIECE_ROWS, _block_rows, _line_chunks, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, run_experiment
 from multidetect.inference import PatternTable
@@ -63,6 +66,15 @@ def hand_built_blocks(draw):
     return block, draw(st.sampled_from([1.0, 1e9]))
 
 
+def written(block, scale):
+    """The rows _block_rows gives for a block, joined, once each piece is found to hold
+    at most PIECE_ROWS whole rows."""
+    pieces = list(_block_rows(block, scale))
+    for piece in pieces:
+        assert piece.endswith("\n") and 0 < piece.count("\n") <= PIECE_ROWS
+    return "".join(pieces)
+
+
 class TestWriter:
     @settings(FUZZ, max_examples=60)
     @given(
@@ -87,14 +99,14 @@ class TestWriter:
         blocks = []
         run_experiment(config, on_block=blocks.append)
         for block in blocks:
-            assert _block_rows(block, scale) == repr_block_rows(block, scale)
+            assert written(block, scale) == repr_block_rows(block, scale)
 
     @FUZZ
     @given(hand_built_blocks())
     def test_special_values_match_repr_writer(self, case):
         block, scale = case
         with np.errstate(over="ignore"):  # 1e308 nA is an infinite reading, in both
-            assert _block_rows(block, scale) == repr_block_rows(block, scale)
+            assert written(block, scale) == repr_block_rows(block, scale)
 
     def test_wide_rows_differing_in_their_first_reading(self):
         # 64 outcome columns alone span 2**64 row codes, so the first reading's share needs renumbering
@@ -104,14 +116,25 @@ class TestWriter:
         outcomes = np.ones(readings.shape, dtype=np.int8)
         outcomes[::7] = 0
         block = TrialBlock(0, None, readings, outcomes)
-        assert _block_rows(block, 1.0) == repr_block_rows(block, 1.0)
+        assert written(block, 1.0) == repr_block_rows(block, 1.0)
 
     def test_signed_zero_and_nan_payloads_kept_apart(self):
         readings = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [math.nan, -math.nan]] * 3)
         block = TrialBlock(5, None, readings, np.zeros(readings.shape, dtype=np.int8))
-        rows = _block_rows(block, 1.0)
+        rows = written(block, 1.0)
         assert rows == repr_block_rows(block, 1.0)
         assert rows.startswith("5,,0.0,-0.0,0,0\n6,,-0.0,0.0,0,0\n")
+
+    @pytest.mark.parametrize("repeating", [True, False], ids=["distinct-rows-joined-once", "every-row-joined"])
+    def test_block_written_in_pieces(self, repeating):
+        # both ways of formatting a block cut it into pieces of PIECE_ROWS rows and a remainder
+        size = 2 * BLOCK_SIZE + 3
+        rng = np.random.default_rng(7)
+        readings = rng.integers(0, 2, (size, 2)).astype(float) if repeating else rng.normal(size=(size, 2))
+        block = TrialBlock(0, None, readings, np.zeros(readings.shape, dtype=np.int8))
+        pieces = list(_block_rows(block, 1.0))
+        assert [piece.count("\n") for piece in pieces] == [PIECE_ROWS] * (size // PIECE_ROWS) + [3]
+        assert "".join(pieces) == repr_block_rows(block, 1.0)
 
 
 @st.composite
@@ -136,6 +159,9 @@ ODD_FIELDS = [
     "1_0", " 1 ", "+1", "1e3", "infinity", "-Infinity", "inf", "nan", "NaN", "-0.0", "", "0", "1",
     "2", "-1", "x", "0x10", "1.5", " 0", "0 ", "\t1", "00", "-0", "1e999", "١", "0.0", "1.0",
 ]
+# every separator str.splitlines honours, \r\n included
+LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+SEPARATORS = [*LINE_ENDS, "\r\n"]
 ODD_LATENTS = ["", "0", "1", "2", " ", "00", "-0", " 1", "x"]
 
 
@@ -179,7 +205,7 @@ def mutated_csvs(draw):
         elif kind == "gap":
             lines.insert(i, draw(st.sampled_from(["", "   ", "# a comment", "#", "\t"])))
         elif kind == "garbage":
-            lines[i] = draw(st.text(alphabet="01,.-+e_ \tnaif#x", max_size=20))
+            lines[i] = draw(st.text(alphabet="01,.-+e_ \tnaif#x" + LINE_ENDS, max_size=20))
     header = _records_header(n)
     if draw(st.integers(0, 19)) == 0:
         header = draw(st.sampled_from([header.replace("outcome_1", "outcome_0"), header + ",", "", "trial"]))
@@ -202,13 +228,90 @@ def _outcome(parse, path):
     return "ok", table
 
 
+def _read_lines(path):
+    """Every line _line_chunks gives for a file opened as the parser opens it."""
+    with path.open(encoding="utf-8") as fh:
+        return list(chain.from_iterable(_line_chunks(fh)))
+
+
+# each separator at every offset from the line start, so at and across every chunk
+# boundary for chunks of 1 to 7 characters, then runs of separators, which make empty lines
+SPLIT_TEXT = "".join("ab,c"[: k % 4] + "x" * (k // 4) + sep for sep in SEPARATORS for k in range(8))
+SPLIT_TEXT += "".join(a + b for a in SEPARATORS for b in SEPARATORS) + "\r\r\n\n\rend"
+
+
+class TestLineChunks:
+    @pytest.mark.parametrize("chunk_chars", range(1, 8))
+    def test_every_prefix_split_as_splitlines(self, tmp_path, monkeypatch, chunk_chars):
+        # each prefix ends the file at another place, inside a \r\n or after a separator included
+        monkeypatch.setattr(records, "CHUNK_CHARS", chunk_chars)
+        path = tmp_path / "text.csv"
+        for end in range(len(SPLIT_TEXT) + 1):
+            path.write_bytes(SPLIT_TEXT[:end].encode("utf-8"))
+            assert _read_lines(path) == SPLIT_TEXT[:end].splitlines()
+
+    @settings(FUZZ, max_examples=100)
+    @given(text=st.text(alphabet="ab,#" + LINE_ENDS, max_size=40), chunk_chars=st.integers(1, 7))
+    def test_any_text_split_as_splitlines(self, tmp_path, monkeypatch, text, chunk_chars):
+        monkeypatch.setattr(records, "CHUNK_CHARS", chunk_chars)
+        path = tmp_path / "text.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_lines(path) == text.splitlines()
+
+    def test_chunks_of_the_default_size(self, tmp_path):
+        # one line longer than a chunk, and lines that straddle the chunk boundaries
+        text = "x" * (records.CHUNK_CHARS + 5) + "\r\n" + "".join(f"{i},\r\n" for i in range(30_000))
+        path = tmp_path / "text.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_lines(path) == text.splitlines()
+
+
 class TestParser:
-    @settings(FUZZ, max_examples=300)
-    @given(mutated_csvs())
-    def test_matches_line_checker(self, tmp_path, text):
+    @staticmethod
+    def check_against_line_checker(tmp_path, text):
         path = tmp_path / "records.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(_parse_records_csv, path) == _outcome(_oracle_table, path)
+
+    @settings(FUZZ, max_examples=300)
+    @given(mutated_csvs())
+    def test_matches_line_checker(self, tmp_path, text):
+        self.check_against_line_checker(tmp_path, text)
+
+    @settings(FUZZ, max_examples=300)
+    @given(mutated_csvs())
+    def test_matches_line_checker_in_tiny_chunks(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(records, "CHUNK_CHARS", 3)
+        self.check_against_line_checker(tmp_path, text)
+
+    @pytest.mark.parametrize("chunk_chars", [3, records.CHUNK_CHARS])
+    @pytest.mark.parametrize("bad_bytes", [b"\xff", b"\xe2\x82"], ids=["invalid-start", "cut-at-end"])
+    def test_undecodable_byte_reported_before_faulty_row(self, tmp_path, monkeypatch, chunk_chars, bad_bytes):
+        # the faulty row sits in the first chunk, the bad byte several chunks and read buffers past it
+        monkeypatch.setattr(records, "CHUNK_CHARS", chunk_chars)
+        path = tmp_path / "records.csv"
+        rows = "".join(f"{i},,1.0,1\n" for i in range(1, 20_000))
+        path.write_bytes(f"{_records_header(1)}\n0,,x,1\n{rows}".encode("utf-8") + bad_bytes)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            _parse_records_csv(path)
+        assert str(caught.value) == f"records: cannot read {path}: {whole.value}"
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        # a 4 MB file parses within a fixed bound, far below the file's size
+        path = tmp_path / "records.csv"
+        rows = (f"{i},,{i % 97}.25,{i % 89}.5,{i % 2},1\n" for i in range(200_000))
+        path.write_text(_records_header(2) + "\n" + "".join(rows))
+        assert path.stat().st_size >= 4_000_000
+        tracemalloc.start()
+        try:
+            table = _parse_records_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_trials == 200_000
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "lines, message",
