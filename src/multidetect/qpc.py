@@ -37,6 +37,8 @@ from .state import OutcomeProbabilities, outcome_bits, threshold
 RELIABLE_DISCRIMINABILITY = 25.0
 #: Minimum attempt count for the Gaussian current density to hold (warn below).
 GAUSSIAN_REGIME_FLOOR = 100
+#: Largest attempt count the binomial sampler takes (numpy's int64 trial count).
+MAX_ATTEMPTS = 2**63 - 1
 
 
 class QpcParams:
@@ -44,7 +46,8 @@ class QpcParams:
 
     Both orientations are legal: t_given_1 may exceed or undercut t_given_0.
     Transmissions must be strictly inside (0, 1) so the shot noise is finite
-    and nonzero.  Construction warns when the attempt count falls below
+    and nonzero.  An attempt count 2eV*tau/h that rounds above MAX_ATTEMPTS
+    is refused.  Construction warns when the attempt count falls below
     GAUSSIAN_REGIME_FLOOR; the exact binomial sampler stays valid there, only
     the closed-form Gaussian density degrades.
     """
@@ -64,7 +67,10 @@ class QpcParams:
         for name, t in (("t_given_0", t_given_0), ("t_given_1", t_given_1)):
             if not 0.0 < t < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {t}")
-        n_rounded = math.floor(raw_attempts(self) + 0.5)
+        raw = raw_attempts(self)
+        n_rounded = math.floor(raw + 0.5) if math.isfinite(raw) else math.inf
+        if n_rounded > MAX_ATTEMPTS:
+            raise ValueError(f"attempt count 2eV*tau/h = {raw:.3g} rounds above {MAX_ATTEMPTS}")
         if n_rounded < GAUSSIAN_REGIME_FLOOR:
             warnings.warn(
                 f"attempt count {n_rounded} < {GAUSSIAN_REGIME_FLOOR}: "

@@ -94,6 +94,11 @@ QPC_DETECTOR = qpc_detector(0.4, 0.6, 302)
 QPC_MODEL = {"model": "qpc", "detectors": [QPC_DETECTOR, QPC_DETECTOR]}
 NO_T1 = {k: v for k, v in QPC_DETECTOR.items() if k != "t1"}
 
+
+def huge_qpc_detector(scale):
+    return {**QPC_DETECTOR, "bias_voltage_uV": scale, "observation_time_ns": scale}
+
+
 # one bad config per error branch of the config reader, as the top-level
 # fields that replace (or, as DROP, remove) those of ideal_config() or as
 # the file's text, with the start of its message; at every level of the
@@ -143,6 +148,15 @@ BAD_CONFIGS = {
     "detector-missing": (
         {"detector_model": {**QPC_MODEL, "detectors": [NO_T1, QPC_DETECTOR]}},
         "detector_model.detectors[0].t1: missing required field",
+    ),
+    # an attempt count 2eV*tau/h that overflows to inf, and one past numpy's int64 trial count
+    "detector-attempts-inf": (
+        {"detector_model": {**QPC_MODEL, "detectors": [QPC_DETECTOR, huge_qpc_detector(1e300)]}},
+        "detector_model.detectors[1]: attempt count 2eV*tau/h = inf rounds above 9223372036854775807",
+    ),
+    "detector-attempts-huge": (
+        {"detector_model": {**QPC_MODEL, "detectors": [huge_qpc_detector(1e150), QPC_DETECTOR]}},
+        "detector_model.detectors[0]: attempt count 2eV*tau/h = 4.84e+299 rounds above 9223372036854775807",
     ),
     "error-model-not-object": ({"error_model": [0.1, 0.1]}, "error_model: expected an object"),
     "error-model-empty": ({"error_model": {}}, "error_model.eps: missing required field"),
