@@ -67,8 +67,7 @@ def hand_built_blocks(draw):
 
 
 def written(block, scale):
-    """The rows _block_rows gives for a block, joined, once each piece is found to hold
-    at most PIECE_ROWS whole rows."""
+    """The pieces _block_rows gives for a block, joined; each must hold 1 to PIECE_ROWS whole rows."""
     pieces = list(_block_rows(block, scale))
     for piece in pieces:
         assert piece.endswith("\n") and 0 < piece.count("\n") <= PIECE_ROWS
@@ -301,8 +300,8 @@ class TestParser:
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
         # a 4 MB file parses within a fixed bound, far below the file's size
         path = tmp_path / "records.csv"
-        rows = (f"{i},,{i % 97}.25,{i % 89}.5,{i % 2},1\n" for i in range(200_000))
-        path.write_text(_records_header(2) + "\n" + "".join(rows))
+        rows = (f"{i},,{i % 3}.0,0.25,1.5,{i % 5}.0,{i % 2},1,0,1\n" for i in range(130_000))
+        path.write_text(_records_header(4) + "\n" + "".join(rows))
         assert path.stat().st_size >= 4_000_000
         tracemalloc.start()
         try:
@@ -310,7 +309,7 @@ class TestParser:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.n_trials == 200_000
+        assert table.n_trials == 130_000
         assert peak < 2**20
 
     @pytest.mark.parametrize(
