@@ -6,73 +6,48 @@ unanimous per trial, or each detector latching independently), through two
 physical detector models (thermal oscillator pointers and biased quantum
 point contacts).  A likelihood engine decides from trial data which law
 the data supports and how many trials such a decision needs.
-"""
 
-from .constants import NATURAL, SI, PhysicalConstants
-from .experiment import (
-    DetectorDiagnostic,
-    ExperimentConfig,
-    ExperimentSummary,
-    IdealModel,
-    OscillatorModel,
-    QpcModel,
-    TrialBlock,
-    run_experiment,
-)
-from .inference import (
-    ErrorModel,
-    PatternTable,
-    ScenarioVerdict,
-    decide,
-    loglik_binomial,
-    loglik_unanimous,
-    required_trials,
-)
-from .oscillator import OscillatorParams
-from .qpc import CurrentStats, QpcParams
-from .scenarios import (
-    Binomial,
-    Custom,
-    Unanimous,
-    binomial_pmf,
-)
-from .state import (
-    Amplitudes,
-    OutcomeProbabilities,
-    born_probabilities,
-    make_amplitudes,
-)
+The names below are re-exported lazily: ``multidetect.X`` imports X's home
+module on first use, so a command imports only the modules it runs.
+"""
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "Amplitudes",
-    "Binomial",
-    "Custom",
-    "CurrentStats",
-    "DetectorDiagnostic",
-    "ErrorModel",
-    "ExperimentConfig",
-    "ExperimentSummary",
-    "IdealModel",
-    "NATURAL",
-    "OscillatorModel",
-    "OscillatorParams",
-    "OutcomeProbabilities",
-    "PatternTable",
-    "PhysicalConstants",
-    "QpcModel",
-    "QpcParams",
-    "SI",
-    "ScenarioVerdict",
-    "TrialBlock",
-    "Unanimous",
-    "binomial_pmf",
-    "born_probabilities",
-    "decide",
-    "loglik_binomial",
-    "loglik_unanimous",
-    "make_amplitudes",
-    "required_trials",
-    "run_experiment",
-]
+# each re-exported name and its home module
+_HOMES = {
+    **dict.fromkeys(("NATURAL", "SI", "PhysicalConstants"), "constants"),
+    **dict.fromkeys(
+        (
+            "DetectorDiagnostic", "ExperimentConfig", "ExperimentSummary", "IdealModel",
+            "OscillatorModel", "QpcModel", "TrialBlock", "run_experiment",
+        ),
+        "experiment",
+    ),
+    **dict.fromkeys(
+        (
+            "ErrorModel", "PatternTable", "ScenarioVerdict", "decide",
+            "loglik_binomial", "loglik_unanimous", "required_trials",
+        ),
+        "inference",
+    ),
+    "OscillatorParams": "oscillator",
+    **dict.fromkeys(("CurrentStats", "QpcParams"), "qpc"),
+    **dict.fromkeys(("Binomial", "Custom", "Unanimous", "binomial_pmf"), "scenarios"),
+    **dict.fromkeys(("Amplitudes", "OutcomeProbabilities", "born_probabilities", "make_amplitudes"), "state"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

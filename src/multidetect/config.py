@@ -12,9 +12,8 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .constants import NATURAL, SI
 from .errors import ConfigError, InvalidPmfError, ZeroStateError
 from .experiment import (
     DetectorModel,
@@ -24,11 +23,13 @@ from .experiment import (
     QpcModel,
 )
 from .inference import DEFAULT_LOG_ODDS_THRESHOLD, MAX_DETECTORS, ErrorModel
-from .oscillator import OscillatorParams
-from .qpc import QpcParams
 from .rng import SEED_LIMIT
 from .scenarios import Binomial, Custom, ScenarioKind, Unanimous
 from .state import Amplitudes, make_amplitudes
+
+if TYPE_CHECKING:  # each detector parser imports its physical model's module when a config names it
+    from .oscillator import OscillatorParams
+    from .qpc import QpcParams
 
 DEFAULT_ALPHA = 0.01
 
@@ -140,6 +141,9 @@ def _parse_scenario(raw) -> ScenarioKind:
 
 
 def _oscillator_detector(raw: dict, path: str, unit_system: str) -> OscillatorParams:
+    from .constants import NATURAL, SI
+    from .oscillator import OscillatorParams
+
     kwargs = {}
     for f in _OSC_FIELDS:
         strict = f != "coupling_lambda"
@@ -148,6 +152,8 @@ def _oscillator_detector(raw: dict, path: str, unit_system: str) -> OscillatorPa
 
 
 def _qpc_detector(raw: dict, path: str, sampling: str) -> QpcParams:
+    from .qpc import QpcParams
+
     return QpcParams(
         bias_voltage=_number(raw["bias_voltage_uV"], f"{path}.bias_voltage_uV", 0.0, strict_min=True) * 1e-6,
         observation_time=_number(raw["observation_time_ns"], f"{path}.observation_time_ns", 0.0, strict_min=True) * 1e-9,

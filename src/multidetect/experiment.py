@@ -23,8 +23,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import oscillator as osc
-from . import qpc as qpcmod
 from .inference import MAX_DETECTORS, PatternTable
 from .rng import BLOCK_SIZE, SEED_LIMIT, block_rng
 from .scenarios import Custom, ScenarioKind
@@ -45,6 +43,8 @@ class DetectorModel:
 
     Physical models supply ``_column`` (sample and threshold one detector's
     readings) and ``_diagnostic``; records.csv holds readings * ``reading_scale``.
+    Both import the model's physics module when called, so building a model
+    imports nothing, and they call through its attributes, which a tracer may rebind.
     """
 
     __slots__ = ("detectors",)
@@ -83,10 +83,14 @@ class OscillatorModel(DetectorModel):
     model = "oscillator"
 
     def _column(self, params, bits, rng):
+        from . import oscillator as osc
+
         positions = osc.sample_pointer(params, bits, rng)
         return positions, osc.readout(positions, params)
 
     def _diagnostic(self, params) -> DetectorDiagnostic:
+        from . import oscillator as osc
+
         return DetectorDiagnostic(
             "position_ratio",
             osc.distinguishability_ratio(params),
@@ -110,10 +114,14 @@ class QpcModel(DetectorModel):
         self.sampling = sampling
 
     def _column(self, params, bits, rng):
+        from . import qpc as qpcmod
+
         currents = qpcmod.sample_current(params, bits, rng, mode=self.sampling)
         return currents, qpcmod.current_readout(currents, params)
 
     def _diagnostic(self, params) -> DetectorDiagnostic:
+        from . import qpc as qpcmod
+
         return DetectorDiagnostic(
             "current_discriminability",
             qpcmod.discriminability(params),

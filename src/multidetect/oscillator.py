@@ -60,7 +60,9 @@ class OscillatorParams:
     constants : PhysicalConstants
         Unit system; only hbar enters (the classical-regime check).
 
-    Construction warns (never fails) when beta*hbar*omega >= 1, where the
+    Construction fails when the derived X, dx or X/dx is not finite, or dx
+    is 0, as extreme finite inputs can make them.  It warns (never fails)
+    when beta*hbar*omega >= 1, where the
     classical Gaussian spread no longer dominates quantum fluctuations,
     and when gamma*tau < RELAXATION_FLOOR.
     """
@@ -78,6 +80,15 @@ class OscillatorParams:
                 raise ValueError(f"{name} must be strictly positive")
         if coupling_lambda < 0:
             raise ValueError("coupling_lambda must be non-negative")
+        try:
+            x, dx = displacement(self), thermal_std(self)
+        except ZeroDivisionError:  # mass*omega^2 or beta*mass*omega^2 underflows to 0
+            x = dx = math.inf
+        if not (math.isfinite(x) and 0.0 < dx < math.inf and math.isfinite(x / dx)):
+            raise ValueError(
+                f"mass, omega, beta and coupling_lambda give X = {x:.3g} and dx = {dx:.3g}; "
+                "X, dx and X/dx must be finite and dx positive"
+            )
         b_hw = self.beta * self.constants.hbar * self.omega
         if b_hw >= 1.0:
             warnings.warn(
@@ -98,12 +109,12 @@ class OscillatorParams:
     @property
     def thermal_variance(self) -> float:
         """Classical equilibrium position variance 1/(beta m omega^2)."""
-        return 1.0 / (self.beta * self.mass * self.omega**2)
+        return 1.0 / (self.beta * self.mass * (self.omega * self.omega))
 
 
 def displacement(params: OscillatorParams) -> float:
     """Equilibrium position X = lambda/(m omega^2) for outcome 1."""
-    return params.coupling_lambda / (params.mass * params.omega**2)
+    return params.coupling_lambda / (params.mass * (params.omega * params.omega))
 
 
 def thermal_std(params: OscillatorParams) -> float:

@@ -47,7 +47,8 @@ class QpcParams:
     Both orientations are legal: t_given_1 may exceed or undercut t_given_0.
     Transmissions must be strictly inside (0, 1) so the shot noise is finite
     and nonzero.  An attempt count 2eV*tau/h that rounds above MAX_ATTEMPTS
-    is refused.  Construction warns when the attempt count falls below
+    is refused, as are current spreads or a discriminability D that extreme
+    finite inputs make 0 or not finite.  Construction warns when the attempt count falls below
     GAUSSIAN_REGIME_FLOOR; the exact binomial sampler stays valid there, only
     the closed-form Gaussian density degrades.
     """
@@ -71,6 +72,15 @@ class QpcParams:
         n_rounded = math.floor(raw + 0.5) if math.isfinite(raw) else math.inf
         if n_rounded > MAX_ATTEMPTS:
             raise ValueError(f"attempt count 2eV*tau/h = {raw:.3g} rounds above {MAX_ATTEMPTS}")
+        spreads = [current_stats(self, sigma).std_current for sigma in (0, 1)]
+        if not all(0.0 < s < math.inf for s in spreads):
+            raise ValueError(
+                f"bias_voltage and observation_time give current spreads {spreads[0]:.3g} and "
+                f"{spreads[1]:.3g} A; both must be finite and positive"
+            )
+        d = discriminability(self)
+        if not math.isfinite(d):
+            raise ValueError(f"bias_voltage and observation_time give D = {d:.3g}; it must be finite")
         if n_rounded < GAUSSIAN_REGIME_FLOOR:
             warnings.warn(
                 f"attempt count {n_rounded} < {GAUSSIAN_REGIME_FLOOR}: "
@@ -187,7 +197,7 @@ def discriminability(params: QpcParams) -> float:
     s0 = current_stats(params, 0)
     s1 = current_stats(params, 1)
     delta = s0.mean_current - s1.mean_current
-    return delta**2 * params.observation_time / (s0.noise + s1.noise)
+    return delta * delta * params.observation_time / (s0.noise + s1.noise)
 
 
 def is_reliable(params: QpcParams) -> bool:

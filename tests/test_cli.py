@@ -1,13 +1,19 @@
+import contextlib
+import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import multidetect
 from multidetect.cli import CONFIG_COMMENT, main
@@ -99,6 +105,12 @@ def huge_qpc_detector(scale):
     return {**QPC_DETECTOR, "bias_voltage_uV": scale, "observation_time_ns": scale}
 
 
+def second_detector(model, **fields):
+    """``model``'s detector model with the first detector's fields replaced by ``fields`` in the second."""
+    detectors = model["detector_model"]["detectors"]
+    return {**model["detector_model"], "detectors": [detectors[0], {**detectors[0], **fields}]}
+
+
 # one bad config per error branch of the config reader, as the top-level
 # fields that replace (or, as DROP, remove) those of ideal_config() or as
 # the file's text, with the start of its message; at every level of the
@@ -158,6 +170,32 @@ BAD_CONFIGS = {
         {"detector_model": {**QPC_MODEL, "detectors": [huge_qpc_detector(1e150), QPC_DETECTOR]}},
         "detector_model.detectors[0]: attempt count 2eV*tau/h = 4.84e+299 rounds above 9223372036854775807",
     ),
+    # finite fields whose derived scales overflow to inf or underflow to 0
+    "detector-omega-huge": (
+        {"detector_model": second_detector(oscillator_config(), omega=1e200)},
+        "detector_model.detectors[1]: mass, omega, beta and coupling_lambda give X = 0 and dx = 0; "
+        "X, dx and X/dx must be finite and dx positive",
+    ),
+    "detector-omega-tiny": (
+        {"detector_model": second_detector(oscillator_config(), omega=1e-200)},
+        "detector_model.detectors[1]: mass, omega, beta and coupling_lambda give X = inf and dx = inf",
+    ),
+    "detector-mass-subnormal": (
+        {"detector_model": second_detector(oscillator_config(), mass=1e-320)},
+        "detector_model.detectors[1]: mass, omega, beta and coupling_lambda give X = inf and dx = inf",
+    ),
+    "detector-shot-noise-underflow": (
+        {"detector_model": {
+            **second_detector(qpc_config(), bias_voltage_uV=1e-300, observation_time_ns=1e300),
+            "sampling": "gaussian",
+        }},
+        "detector_model.detectors[1]: bias_voltage and observation_time give current spreads 0 and 0 A; "
+        "both must be finite and positive",
+    ),
+    "detector-discriminability-inf": (
+        {"detector_model": second_detector(qpc_config(), bias_voltage_uV=6.5e165, observation_time_ns=1e-148)},
+        "detector_model.detectors[1]: bias_voltage and observation_time give D = inf; it must be finite",
+    ),
     "error-model-not-object": ({"error_model": [0.1, 0.1]}, "error_model: expected an object"),
     "error-model-empty": ({"error_model": {}}, "error_model.eps: missing required field"),
     "eps-not-list": ({"error_model": {"eps": 0.1}}, "error_model.eps: expected a list"),
@@ -166,6 +204,26 @@ BAD_CONFIGS = {
     "number-type": ({"inference": {"alpha": "0.05"}}, "inference.alpha: expected a number"),
     "number-nan": ({"inference": {"prior_log_odds": math.nan}}, "inference.prior_log_odds: must be finite"),
 }
+
+
+# finite extremes of every detector field: subnormals, the largest float, +-1e300 scales, bounds
+EXTREME = (5e-324, 1e-320, 1e-300, 1e-200, 1e-9, 0.5, 1.0, 1e9, 1e200, 1e300, sys.float_info.max)
+UNIT_INTERVAL = (5e-324, 1e-300, 1e-9, 0.4, 0.6, 1 - 1e-9, 1 - 2**-53)
+
+
+@st.composite
+def extreme_models(draw):
+    """A physical detector model of two detectors, each field drawn from its finite extremes."""
+    if draw(st.booleans()):
+        model = {"model": "oscillator", "unit_system": draw(st.sampled_from(["si", "natural"]))}
+        fields = dict.fromkeys(("mass", "omega", "beta", "relaxation_rate", "measurement_time"), EXTREME)
+        fields["coupling_lambda"] = (0.0, *EXTREME)
+    else:
+        model = {"model": "qpc", "sampling": draw(st.sampled_from(["exact", "gaussian"]))}
+        fields = dict.fromkeys(("bias_voltage_uV", "observation_time_ns"), EXTREME)
+        fields.update(dict.fromkeys(("t0", "t1"), UNIT_INTERVAL))
+    model["detectors"] = [{f: draw(st.sampled_from(values)) for f, values in fields.items()} for _ in range(2)]
+    return model
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -743,6 +801,38 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("case", [case for case in BAD_CONFIGS if case.startswith("detector-")])
+    def test_bad_detector_named_by_discriminability(self, tmp_path, capsys, case):
+        config, message = BAD_CONFIGS[case]
+        code = main(["discriminability", "--config", str(write_config(tmp_path, {**ideal_config(), **config}))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"config error: {message}")
+        assert captured.out == ""
+
+    @settings(
+        max_examples=150, deadline=None, database=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(extreme_models())
+    def test_extreme_finite_detector_ends_in_exit_code(self, tmp_path, model):
+        # exit 1 names the detector; exit 2 is a model error such as X/dx < 1
+        cfg = write_config(tmp_path, {**ideal_config(n_trials=20), "detector_model": model})
+        commands = [
+            ["simulate", "--format", "json", "--out", str(tmp_path / "run")],
+            ["discriminability"],
+            ["sweep", "--field", "state.p0", "--start", "0.2", "--stop", "0.8", "--steps", "2",
+             "--out", str(tmp_path / "sweep.csv")],
+        ]
+        for command in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore")
+                code = main([command[0], "--config", str(cfg), *command[1:]])
+            assert code in (0, 1, 2), err.getvalue()
+            if code == 1:
+                assert err.getvalue().startswith("config error: detector_model.detectors["), err.getvalue()
+
     @pytest.mark.parametrize(
         "option, message",
         [
@@ -878,3 +968,85 @@ def test_cli_imports_no_test_only_package():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# runs one command in a fresh interpreter, with config.resolve wrapped as
+# perfbench/child.py wraps it, and prints the multidetect modules loaded when
+# the first resolve returned and when the command returned
+IMPORT_PROBE = """
+import json, sys
+from multidetect import cli, config
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "multidetect")
+
+resolve, at_resolve = config.resolve, []
+
+def first_resolve(*args, **kwargs):
+    out = resolve(*args, **kwargs)
+    if not at_resolve:
+        at_resolve.extend(loaded())
+    return out
+
+config.resolve = first_resolve
+code = cli.main(sys.argv[1:])
+print("\\n" + json.dumps({"code": code, "at_resolve": at_resolve, "at_end": loaded()}))
+"""
+
+
+def run_fresh(*args):
+    src = Path(multidetect.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+PHYSICS = {"multidetect.oscillator", "multidetect.qpc"}
+
+
+@pytest.mark.parametrize(
+    "command, raw, present, absent",
+    [
+        ("simulate --format csv,json", ideal_config(), {"multidetect.records"}, PHYSICS),
+        (
+            "simulate --format json", qpc_config(), {"multidetect.qpc"},
+            {"multidetect.oscillator", "multidetect.records"},
+        ),
+        ("infer", ideal_config(), {"multidetect.records"}, PHYSICS),
+        ("sweep", oscillator_config(), {"multidetect.oscillator"}, {"multidetect.qpc", "multidetect.records"}),
+    ],
+    ids=["simulate-csv-ideal", "simulate-json-qpc", "infer-ideal", "sweep-oscillator"],
+)
+def test_command_imports_only_its_modules_before_first_resolve(tmp_path, command, raw, present, absent):
+    # an import after the first resolve would count as work in perfbench's trials_per_s
+    cfg = write_config(tmp_path, raw)
+    name, *options = command.split()
+    options += {
+        "simulate": ["--out", str(tmp_path / "run")],
+        "infer": ["--records", str(tmp_path / "run" / "records.csv")],
+        "sweep": ["--field", "state.p0", "--start", "0.2", "--stop", "0.8", "--steps", "2",
+                  "--out", str(tmp_path / "sweep.csv")],
+    }[name]
+    if name == "infer":
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads(run_fresh("-c", IMPORT_PROBE, name, "--config", str(cfg), *options).splitlines()[-1])
+    assert report["code"] == 0
+    assert report["at_end"] == report["at_resolve"]
+    assert present <= set(report["at_end"])
+    assert not absent & set(report["at_end"])
+
+
+def test_bare_import_loads_no_submodule():
+    probe = "import sys, multidetect; print(sorted(m for m in sys.modules if m.startswith('multidetect')))"
+    assert run_fresh("-c", probe) == "['multidetect']\n"
+
+
+def test_lazy_reexports_are_their_home_objects():
+    for name in multidetect.__all__:
+        home = importlib.import_module(f"multidetect.{multidetect._HOMES[name]}")
+        assert getattr(multidetect, name) is getattr(home, name)
+    assert set(multidetect.__all__) <= set(dir(multidetect))
+    with pytest.raises(AttributeError, match="has no attribute 'TrialRecord'"):
+        multidetect.TrialRecord
