@@ -13,28 +13,23 @@ module on first use, so a command imports only the modules it runs.
 
 __version__ = "0.2.0"
 
-# each re-exported name and its home module
-_HOMES = {
-    **dict.fromkeys(("NATURAL", "SI", "PhysicalConstants"), "constants"),
-    **dict.fromkeys(
-        (
-            "DetectorDiagnostic", "ExperimentConfig", "ExperimentSummary", "IdealModel",
-            "OscillatorModel", "QpcModel", "TrialBlock", "run_experiment",
-        ),
-        "experiment",
+# the names re-exported from each submodule
+_EXPORTS = {
+    "constants": ("NATURAL", "SI", "PhysicalConstants"),
+    "experiment": (
+        "DetectorDiagnostic", "ExperimentConfig", "ExperimentSummary", "IdealModel",
+        "OscillatorModel", "QpcModel", "TrialBlock", "run_experiment",
     ),
-    **dict.fromkeys(
-        (
-            "ErrorModel", "PatternTable", "ScenarioVerdict", "decide",
-            "loglik_binomial", "loglik_unanimous", "required_trials",
-        ),
-        "inference",
+    "inference": (
+        "ErrorModel", "PatternTable", "ScenarioVerdict", "decide",
+        "loglik_binomial", "loglik_unanimous", "required_trials",
     ),
-    "OscillatorParams": "oscillator",
-    **dict.fromkeys(("CurrentStats", "QpcParams"), "qpc"),
-    **dict.fromkeys(("Binomial", "Custom", "Unanimous", "binomial_pmf"), "scenarios"),
-    **dict.fromkeys(("Amplitudes", "OutcomeProbabilities", "born_probabilities", "make_amplitudes"), "state"),
+    "oscillator": ("OscillatorParams",),
+    "qpc": ("CurrentStats", "QpcParams"),
+    "scenarios": ("Binomial", "Custom", "Unanimous", "binomial_pmf"),
+    "state": ("Amplitudes", "OutcomeProbabilities", "born_probabilities", "make_amplitudes"),
 }
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOMES)
 
@@ -47,7 +42,3 @@ def __getattr__(name):
     value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted({*globals(), *_HOMES})

@@ -801,15 +801,6 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("case", [case for case in BAD_CONFIGS if case.startswith("detector-")])
-    def test_bad_detector_named_by_discriminability(self, tmp_path, capsys, case):
-        config, message = BAD_CONFIGS[case]
-        code = main(["discriminability", "--config", str(write_config(tmp_path, {**ideal_config(), **config}))])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith(f"config error: {message}")
-        assert captured.out == ""
-
     @settings(
         max_examples=150, deadline=None, database=None, derandomize=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -1047,6 +1038,5 @@ def test_lazy_reexports_are_their_home_objects():
     for name in multidetect.__all__:
         home = importlib.import_module(f"multidetect.{multidetect._HOMES[name]}")
         assert getattr(multidetect, name) is getattr(home, name)
-    assert set(multidetect.__all__) <= set(dir(multidetect))
     with pytest.raises(AttributeError, match="has no attribute 'TrialRecord'"):
         multidetect.TrialRecord
