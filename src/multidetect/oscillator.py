@@ -62,9 +62,9 @@ class OscillatorParams:
 
     Construction fails when the derived X, dx or X/dx is not finite, or dx
     is 0, as extreme finite inputs can make them.  It warns (never fails)
-    when beta*hbar*omega >= 1, where the
-    classical Gaussian spread no longer dominates quantum fluctuations,
-    and when gamma*tau < RELAXATION_FLOOR.
+    when beta*hbar*omega >= 1, where the classical Gaussian spread no
+    longer dominates quantum fluctuations, and when gamma*tau <
+    RELAXATION_FLOOR.
     """
 
     __slots__ = ("mass", "omega", "beta", "coupling_lambda", "relaxation_rate", "measurement_time", "constants")

@@ -47,10 +47,11 @@ class QpcParams:
     Both orientations are legal: t_given_1 may exceed or undercut t_given_0.
     Transmissions must be strictly inside (0, 1) so the shot noise is finite
     and nonzero.  An attempt count 2eV*tau/h that rounds above MAX_ATTEMPTS
-    is refused, as are current spreads or a discriminability D that extreme
-    finite inputs make 0 or not finite.  Construction warns when the attempt count falls below
-    GAUSSIAN_REGIME_FLOOR; the exact binomial sampler stays valid there, only
-    the closed-form Gaussian density degrades.
+    is refused, as are current spreads that extreme finite inputs make 0 or
+    infinite, and a discriminability D they make infinite.  Construction
+    warns when the attempt count falls below GAUSSIAN_REGIME_FLOOR; the exact
+    binomial sampler stays valid there, only the closed-form Gaussian density
+    degrades.
     """
 
     __slots__ = ("bias_voltage", "observation_time", "t_given_0", "t_given_1")

@@ -106,7 +106,7 @@ def huge_qpc_detector(scale):
 
 
 def second_detector(model, **fields):
-    """``model``'s detector model with the first detector's fields replaced by ``fields`` in the second."""
+    """The detector model of ``model``, its second detector a copy of the first with ``fields`` changed."""
     detectors = model["detector_model"]["detectors"]
     return {**model["detector_model"], "detectors": [detectors[0], {**detectors[0], **fields}]}
 
@@ -946,19 +946,22 @@ class TestBadInput:
         assert "Traceback" not in err
 
 
+def run_fresh(*args):
+    src = Path(multidetect.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_cli_imports_no_test_only_package():
     # pyproject.toml declares numpy as the one runtime dependency
-    src = Path(multidetect.__file__).resolve().parents[1]
     probe = (
         "import sys, multidetect.cli; "
         "print(sorted(set(sys.modules) & {'scipy', 'hypothesis', 'jsonschema', 'pytest'}))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert run_fresh("-c", probe) == "[]\n"
 
 
 # runs one command in a fresh interpreter, with config.resolve wrapped as
@@ -983,15 +986,6 @@ config.resolve = first_resolve
 code = cli.main(sys.argv[1:])
 print("\\n" + json.dumps({"code": code, "at_resolve": at_resolve, "at_end": loaded()}))
 """
-
-
-def run_fresh(*args):
-    src = Path(multidetect.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
 
 
 PHYSICS = {"multidetect.oscillator", "multidetect.qpc"}
