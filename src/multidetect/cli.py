@@ -175,7 +175,10 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     import copy
 
     raw = cfg.read_raw(config_path)
-    values = np.linspace(start, stop, steps).tolist()
+    try:
+        values = np.linspace(start, stop, steps).tolist()
+    except (MemoryError, ValueError, IndexError) as exc:  # numpy cannot size or allocate the grid
+        raise ConfigError("steps", f"cannot build a grid of {steps} points: {exc}") from exc
 
     # recording the resolves' warnings resets Python's once-per-location
     # registry, so the sweep shows each distinct one itself, once, also when a point fails

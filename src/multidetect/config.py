@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import ConfigError, InvalidPmfError, ZeroStateError
 from .experiment import (
+    SEED_LIMIT,
     DetectorModel,
     ExperimentConfig,
     IdealModel,
@@ -23,7 +24,6 @@ from .experiment import (
     QpcModel,
 )
 from .inference import DEFAULT_LOG_ODDS_THRESHOLD, MAX_DETECTORS, ErrorModel
-from .rng import SEED_LIMIT
 from .scenarios import Binomial, Custom, ScenarioKind, Unanimous
 from .state import Amplitudes, make_amplitudes
 
@@ -309,7 +309,7 @@ def read_raw(path):
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, not JSON, or a key given twice
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, a key given twice, or nested too deep
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -1,8 +1,11 @@
 """Monte Carlo trial engine combining an outcome law with a detector layer.
 
 One experiment repeats the same prepared measurement over many trials,
-run in blocks of ``BLOCK_SIZE`` trials.  Each block draws from its own
-Philox stream keyed by (seed, block index), in this order:
+run in blocks of ``BLOCK_SIZE`` trials; trial ``i`` belongs to block
+``i // BLOCK_SIZE``.  Each block draws from its own Philox stream keyed by
+(seed, block index), so its draws depend on nothing but that key and output
+is byte-for-byte the same however the blocks are scheduled.  A block draws,
+in this order:
 
 1. the scenario's (B, N) array of latched bits;
 2. detector by detector, the B raw readings (pointer positions or
@@ -24,9 +27,19 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .inference import MAX_DETECTORS, PatternTable
-from .rng import BLOCK_SIZE, SEED_LIMIT, block_rng
 from .scenarios import Custom, ScenarioKind
 from .state import Amplitudes, born_probabilities
+
+#: Trials per block; part of the stream contract, so changing it changes output.
+BLOCK_SIZE = 4096
+#: Seeds must lie in [0, SEED_LIMIT): they fill one 64-bit word of the Philox key.
+SEED_LIMIT = 2**64
+
+
+def block_rng(seed: int, block_index: int) -> np.random.Generator:
+    """Independent generator for one block, keyed by (seed, block index)."""
+    key = np.array([seed, block_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class DetectorDiagnostic(NamedTuple):

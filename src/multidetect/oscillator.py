@@ -33,9 +33,8 @@ import warnings
 import numpy as np
 
 from .constants import SI, PhysicalConstants
-from .counting import gaussian_density, gaussian_tail
 from .errors import NotDistinguishableError, QuantumRegimeWarning, RelaxationWarning
-from .state import OutcomeProbabilities, outcome_bits, threshold
+from .state import OutcomeProbabilities, gaussian_density, gaussian_tail, outcome_bits, threshold
 
 #: X/dx at or above which readout is flagged reliable (misread ~ 6e-3 at 5).
 RELIABLE_RATIO = 5.0

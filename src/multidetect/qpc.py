@@ -28,10 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import counting
 from .constants import SI
 from .errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
-from .state import OutcomeProbabilities, outcome_bits, threshold
+from .state import OutcomeProbabilities, gaussian_density, gaussian_tail, outcome_bits, threshold
+from .state import count_pmf as _count_pmf  # the shared law; count_pmf below is its per-detector form
 
 #: D at or above which readout is flagged reliable (misread ~ 6e-3 at 25).
 RELIABLE_DISCRIMINABILITY = 25.0
@@ -121,7 +121,7 @@ def attempts(params: QpcParams) -> int:
 
 def count_pmf(params: QpcParams, sigma: int, n: int) -> float:
     """Probability of n transmitted electrons given the latched outcome."""
-    return counting.count_pmf(attempts(params), n, params.transmission(sigma))
+    return _count_pmf(attempts(params), n, params.transmission(sigma))
 
 
 def current_stats(params: QpcParams, sigma: int) -> CurrentStats:
@@ -145,7 +145,7 @@ def current_density(params: QpcParams, sigma: int, current):
     Accepts a scalar or an array of currents.
     """
     stats = current_stats(params, sigma)
-    return counting.gaussian_density(current, stats.mean_current, stats.std_current)
+    return gaussian_density(current, stats.mean_current, stats.std_current)
 
 
 def sample_current(
@@ -227,4 +227,4 @@ def misread_probability(params: QpcParams) -> float:
     bounds either single-outcome spread, so the estimate is never smaller
     than the true per-outcome tail of the midpoint readout.
     """
-    return counting.gaussian_tail(0.5 * math.sqrt(discriminability(params)))
+    return gaussian_tail(0.5 * math.sqrt(discriminability(params)))

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import counting
 from .errors import InvalidPmfError, OutOfRangeError
-from .state import OutcomeProbabilities
+from .state import OutcomeProbabilities, count_pmf
 
 #: |sum(pmf) - 1| above this is rejected outright.
 PMF_SUM_TOLERANCE = 1e-12
@@ -105,5 +104,5 @@ def binomial_pmf(n_detectors: int, n_zero: int, probs: OutcomeProbabilities) -> 
     """Probability that exactly n_zero of n_detectors read 0 under the binomial law."""
     if n_detectors < 1:
         raise OutOfRangeError("need at least one detector")
-    return counting.count_pmf(n_detectors, n_zero, probs.p0)
+    return count_pmf(n_detectors, n_zero, probs.p0)
 

@@ -1,8 +1,9 @@
-"""Prepared two-level state and its outcome probabilities.
+"""Prepared two-level state, its outcome probabilities and the shared laws.
 
 All downstream generators consume only the squared moduli of the two
 amplitudes; relative and global phases are carried but never affect any
-prediction made here.
+prediction made here.  The counting and Gaussian laws and the readout
+helpers below are shared by the scenarios and the detector models.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import warnings
 
 import numpy as np
 
-from .errors import NormalizationWarning, ZeroStateError
+from .errors import NormalizationWarning, OutOfRangeError, ZeroStateError
 
 #: Renormalization above this deviation from unit norm is recorded on the state.
 NORM_TOLERANCE = 1e-9
 #: Deviations above this additionally emit a NormalizationWarning.
 NORM_WARN_THRESHOLD = 1e-6
+#: Largest n evaluated with exact integer coefficients; above this, log-space.
+EXACT_LIMIT = 60
 
 
 class Amplitudes:
@@ -98,3 +101,38 @@ def threshold(x, level: float, rising: bool = True):
     """Read x as 1 above ``level`` (below it when not ``rising``), else 0; ties read 0."""
     x = np.asarray(x, dtype=float)
     return (x > level if rising else x < level).astype(int)
+
+
+def count_pmf(n: int, k: int, p: float) -> float:
+    """Probability of k successes in n independent attempts at success rate p.
+
+    Exact integer binomial coefficients up to n = EXACT_LIMIT; log-space
+    evaluation beyond that to avoid overflow.
+    """
+    if not 0 <= k <= n:
+        raise OutOfRangeError(f"count {k} outside 0..{n}")
+    if p == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if k == n else 0.0
+    if n <= EXACT_LIMIT:
+        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+    return math.exp(
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+
+
+def gaussian_tail(z: float) -> float:
+    """Standard normal upper tail P(Z > z)."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def gaussian_density(x, mean: float, std: float):
+    """Normal(mean, std^2) density at x, a scalar or an array."""
+    # z * z, not z ** 2: numpy squares a scalar with pow(), which can miss the product by a bit
+    z = (np.asarray(x, dtype=float) - mean) / std
+    return np.exp(-0.5 * (z * z)) / (std * math.sqrt(2.0 * math.pi))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -121,6 +122,8 @@ BAD_CONFIGS = {
         json.dumps(ideal_config(n_trials=10))[:-1] + ', "n_trials": 1000}',
         "config: invalid JSON in ",
     ),
+    # deeper than the JSON decoder's recursion limit
+    "nested-too-deep": ("[" * 200000 + "]" * 200000, "config: invalid JSON in "),
     "top-missing": ({"n_trials": DROP}, "n_trials: missing required field"),
     # required top-level fields are checked before any field is parsed
     "top-missing-before-bad-state": (
@@ -784,6 +787,15 @@ class TestSweep:
         # each grid value reached its run: no two rows hold the same fractions
         assert len({tuple(row.values())[1:] for row in rows}) == 3
 
+    # numpy refuses each grid before allocating it: past the address space, past intp, past int64 indexing
+    @pytest.mark.parametrize("steps", [10**15, 2**62, 2**63 - 1])
+    def test_unbuildable_grid_named(self, tmp_path, capsys, steps):
+        assert self.sweep(tmp_path, ideal_config(), "state.p0", 0.1, 0.9, steps) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: steps: cannot build a grid of {steps} points: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestBadInput:
     NOT_UTF8 = b'{"state": {"p0": 0.5}, "scenario": {"kind": "binomial\xff"}}'
@@ -1026,6 +1038,18 @@ def test_command_imports_only_its_modules_before_first_resolve(tmp_path, command
 def test_bare_import_loads_no_submodule():
     probe = "import sys, multidetect; print(sorted(m for m in sys.modules if m.startswith('multidetect')))"
     assert run_fresh("-c", probe) == "['multidetect']\n"
+
+
+def test_cli_import_set_is_the_readme_list():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    count, listed = re.search(r"`multidetect\.cli` imports (\w+): (.*?)\. The rest load on demand", readme).groups()
+    named = re.findall(r"`(\w+)`", listed)
+    probe = (
+        "import json, sys, multidetect.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('multidetect.'))))"
+    )
+    assert sorted(f"multidetect.{m}" for m in named) == json.loads(run_fresh("-c", probe))
+    assert count == ("zero one two three four five six seven eight nine ten eleven twelve".split())[len(named)]
 
 
 def test_lazy_reexports_are_their_home_objects():

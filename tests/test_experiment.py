@@ -24,7 +24,7 @@ from multidetect.experiment import (
 from multidetect.inference import MAX_DETECTORS, PatternTable
 from multidetect.oscillator import OscillatorParams, misread_probability as osc_misread
 from multidetect.qpc import QpcParams, discriminability, misread_probability as qpc_misread
-from multidetect.rng import BLOCK_SIZE, block_rng
+from multidetect.experiment import BLOCK_SIZE, block_rng
 from multidetect.scenarios import Binomial, Custom, Unanimous, binomial_pmf
 from multidetect.state import OutcomeProbabilities, make_amplitudes
 

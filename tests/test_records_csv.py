@@ -21,7 +21,7 @@ from multidetect.records import PIECE_ROWS, _block_rows, _line_chunks, _parse_re
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, run_experiment
 from multidetect.inference import PatternTable
-from multidetect.rng import BLOCK_SIZE
+from multidetect.experiment import BLOCK_SIZE
 from multidetect.state import make_amplitudes
 from test_experiment import detector_model, scenario_for
 
