@@ -5,9 +5,9 @@ be reproduced byte-for-byte from its own artifacts.  Verdicts and
 diagnostics go to stdout as JSON (schemas in docs/); status chatter goes
 to stderr only.
 
-A command imports the modules that only it uses (``records``, ``copy``)
-itself, before its first config resolve: perfbench times an operation's
-work from the return of that resolve, so a later import would count as work.
+A command imports the modules that only it uses (``records``) itself,
+before its first config resolve: perfbench times an operation's work from
+the return of that resolve, so a later import would count as work.
 """
 
 from __future__ import annotations
@@ -46,13 +46,19 @@ def _json_safe(value):
     return value
 
 
-def cmd_simulate(config_path, output_dir: Path, formats, seed_override=None, threads: int = 1, verbosity: int = 0) -> int:
+def _read_config(config_path, seed):
+    """The raw config of ``config_path``, its ``seed`` replaced by ``seed`` (--seed) when one is given."""
+    raw = cfg.read_raw(config_path)
+    if seed is not None and isinstance(raw, dict):  # any other config is resolve's to report
+        raw["seed"] = seed
+    return raw
+
+
+def cmd_simulate(config_path, output_dir: Path, formats, seed=None) -> int:
     """Run the configured experiment; write the records CSV and summary JSON of ``formats``."""
-    if threads < 1:
-        raise ConfigError("threads", "must be at least 1")
     if "csv" in formats:
         from . import records
-    resolved = cfg.load(config_path, seed_override=seed_override)
+    resolved = cfg.resolve(_read_config(config_path, seed))
     experiment = resolved.experiment
     scale = experiment.detector_model.reading_scale
     try:
@@ -87,8 +93,6 @@ def cmd_simulate(config_path, output_dir: Path, formats, seed_override=None, thr
         if isinstance(exc, OSError):  # creating, opening, writing or closing, as a full disk does
             raise ConfigError("output_dir", f"not writable: {exc}") from exc
         raise
-    if verbosity:
-        print(f"simulated {summary.n_trials} trials into {output_dir}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -112,7 +116,7 @@ def cmd_infer(records_path, config_path) -> int:
     """Score the recorded trials under both laws and print the verdict JSON."""
     from . import records
 
-    resolved = cfg.load(config_path)
+    resolved = cfg.resolve(cfg.read_raw(config_path))
     table = records._parse_records_csv(records_path)
     n = resolved.experiment.n_detectors
     if table.n_detectors != n:
@@ -133,7 +137,7 @@ def cmd_infer(records_path, config_path) -> int:
 
 def cmd_discriminability(config_path) -> int:
     """Print per-detector separation diagnostics and the required-trials table."""
-    resolved = cfg.load(config_path)
+    resolved = cfg.resolve(cfg.read_raw(config_path))
     model = resolved.experiment.detector_model
     detectors = [{"index": i, **d._asdict()} for i, d in enumerate(model.diagnostics())]
     if not detectors:
@@ -149,32 +153,31 @@ def cmd_discriminability(config_path) -> int:
     return EXIT_OK
 
 
-def _apply_field(raw, dotted: str, value: float) -> None:
+def _field_slot(raw, dotted: str):
+    """The object or list holding the numeric field at dotted path ``dotted``, its key, and whether it is an integer."""
     parent, key, node = None, None, raw
     for part in dotted.split("."):
-        if isinstance(node, list) and part.isdigit() and int(part) < len(node):
-            part = int(part)
-        elif not (isinstance(node, dict) and part in node):
+        if isinstance(node, list) and part.isdigit():  # an index in ASCII digits, leading zeros allowed
+            part = {str(i): i for i in range(len(node))}.get(part.lstrip("0") or "0", part)
+        if not (isinstance(part, int) or isinstance(node, dict) and part in node):
             raise ConfigError(dotted, "unknown config field")
         parent, key, node = node, part, node[part]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(dotted, "field is not numeric")
-    # an integer field takes an integral grid value as an integer; a float field reads either alike
-    parent[key] = int(value) if isinstance(node, int) and value.is_integer() else value
+    return parent, key, isinstance(node, int)
 
 
-def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, out_path, seed_override=None) -> int:
+def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, out_path, seed=None) -> int:
     """Run one experiment per grid point of a numeric config field; write the tidy CSV once all have run."""
     if steps < 1:
         raise ConfigError("steps", "sweep needs at least one grid point")
     for name, bound in (("start", start), ("stop", stop)):
         if not math.isfinite(bound):
             raise ConfigError(name, "must be finite")
-    if field == "seed" and seed_override is not None:
+    if field == "seed" and seed is not None:
         raise ConfigError("seed", "cannot be both the swept field and overridden by --seed")
-    import copy
 
-    raw = cfg.read_raw(config_path)
+    raw = _read_config(config_path, seed)
     try:
         values = np.linspace(start, stop, steps).tolist()
     except (MemoryError, ValueError, IndexError) as exc:  # numpy cannot size or allocate the grid
@@ -185,12 +188,14 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            base = cfg.resolve(raw, seed_override=seed_override)
+            base = cfg.resolve(raw)
+            # resolve keeps no part of raw, so each point rewrites the one field in place
+            parent, key, integral = _field_slot(raw, field)
             points = []
             for value in values:
-                point_raw = copy.deepcopy(raw)
-                _apply_field(point_raw, field, value)
-                points.append(cfg.resolve(point_raw, seed_override=seed_override))
+                # an integer field takes an integral grid value as an integer; a float field reads either alike
+                parent[key] = int(value) if integral and value.is_integer() else value
+                points.append(cfg.resolve(raw))
     finally:
         first = {}
         for w in caught:
@@ -200,7 +205,7 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     rows = [_sweep_row(value, point) for value, point in zip(values, points)]
 
     header = ["value", "m_over_M", "M0_over_M", "M1_over_M", "log_odds"]
-    header += [f"disc_{i + 1}" for i in range(len(base.experiment.detector_model.diagnostics()))]
+    header += [f"disc_{i + 1}" for i in range(len(base.experiment.detector_model.detectors))]
     sweep_echo = {
         "config_echo": base.echo,
         "field": field,
@@ -249,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--format", default="csv,json", help="comma-separated subset of {csv,json}")
     sim.add_argument("--threads", type=int, default=1, help="scheduling hint; never changes output")
-    sim.add_argument("-v", "--verbose", action="count", default=0)
 
     inf = sub.add_parser("infer", help="score recorded trials under both laws")
     inf.add_argument("--records", required=True, type=Path)
@@ -276,14 +280,14 @@ def main(argv=None) -> int:
             formats = frozenset(f.strip() for f in args.format.split(",") if f.strip())
             if not formats or not formats <= {"csv", "json"}:
                 raise ConfigError("format", f"must be a subset of {{csv,json}}, got {args.format!r}")
-            return cmd_simulate(args.config, args.out, formats, args.seed, args.threads, args.verbose)
+            if args.threads < 1:
+                raise ConfigError("threads", "must be at least 1")
+            return cmd_simulate(args.config, args.out, formats, args.seed)
         if args.command == "infer":
             return cmd_infer(args.records, args.config)
         if args.command == "discriminability":
             return cmd_discriminability(args.config)
-        return cmd_sweep(
-            args.config, args.field, args.start, args.stop, args.steps, args.out, seed_override=args.seed,
-        )
+        return cmd_sweep(args.config, args.field, args.start, args.stop, args.steps, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

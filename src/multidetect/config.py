@@ -210,8 +210,8 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
     return build(detectors, value), echo
 
 
-def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
-    """Validate a raw config dict and build the runnable objects plus echo."""
+def resolve(raw: dict) -> ResolvedConfig:
+    """Validate a raw config dict and build the runnable objects plus echo; ``raw`` is only read, never kept."""
     _object(raw, "", _TOP_REQUIRED, _TOP_OPTIONAL)
     state = _parse_state(raw["state"])
     scenario = _parse_scenario(raw["scenario"])
@@ -223,8 +223,7 @@ def resolve(raw: dict, seed_override: int | None = None) -> ResolvedConfig:
         minimum=2,
         maximum=MAX_DETECTORS,
     )
-    seed = raw.get("seed", 0) if seed_override is None else seed_override
-    seed = _integer(seed, "seed", minimum=0, maximum=SEED_LIMIT - 1)
+    seed = _integer(raw.get("seed", 0), "seed", minimum=0, maximum=SEED_LIMIT - 1)
 
     try:
         experiment = ExperimentConfig(
@@ -311,11 +310,6 @@ def read_raw(path):
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, a key given twice, or nested too deep
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
-
-
-def load(path, seed_override: int | None = None) -> ResolvedConfig:
-    """Read and resolve a JSON config file."""
-    return resolve(read_raw(path), seed_override=seed_override)
 
 
 def canonical_json(obj, compact: bool = False) -> str:

@@ -889,6 +889,11 @@ class TestBadInput:
         [
             ("scenario.kind", "field is not numeric"),
             ("detector_model.detectors.9.t0", "unknown config field"),
+            # list indices are ASCII digits: "²" and "١" are digits int() refuses or reads as 1
+            pytest.param("detector_model.detectors.\u00b2.t0", "unknown config field", id="index-superscript"),
+            pytest.param("detector_model.detectors.\u0661.t0", "unknown config field", id="index-arabic-indic"),
+            # more digits than int() converts from a string
+            pytest.param("detector_model.detectors." + "1" * 5000 + ".t0", "unknown config field", id="index-huge"),
         ],
     )
     def test_sweep_field_rejected(self, tmp_path, capsys, field, message):
@@ -901,6 +906,21 @@ class TestBadInput:
         assert code == 1
         assert f"config error: {field}: {message}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_seed_on_non_object_config_named(self, tmp_path, capsys, command):
+        # --seed edits only a config object; resolve reports any other config
+        cfg = write_config(tmp_path, [ideal_config()])
+        args = {
+            "simulate": ["--out", str(tmp_path / "run")],
+            "sweep": ["--field", "state.p0", "--start", "0.1", "--stop", "0.9", "--steps", "3",
+                      "--out", str(tmp_path / "s.csv")],
+        }[command]
+        code = main([command, "--config", str(cfg), "--seed", "5", *args])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: config: expected an object\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "s.csv").exists()
 
     def test_regime_warnings_name_their_detector(self, tmp_path):
         raw = qpc_config(n_trials=20)

@@ -1,11 +1,18 @@
+import copy
 import math
+import pickle
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidetect.config import canonical_json, resolve
 from multidetect.constants import NATURAL
 from multidetect.errors import ConfigError
 from multidetect.experiment import OscillatorModel, QpcModel
+from test_cli import custom_law_config, ideal_config, low_attempt_qpc_config, oscillator_config, qpc_config
+from test_output_contract import CASES
 
 
 def base_config(**overrides):
@@ -130,29 +137,64 @@ def test_inference_defaults_and_bounds():
         resolve(base_config(inference={"alpha": 0.0}))
 
 
-def test_seed_override():
-    resolved = resolve(base_config(), seed_override=77)
-    assert resolved.experiment.seed == 77
-    assert resolved.echo["seed"] == 77
-
-
 @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 5, 1.5, True])
 def test_seed_outside_key_range_named(seed):
     with pytest.raises(ConfigError, match="seed") as exc:
         resolve(base_config(seed=seed))
-    assert exc.value.field == "seed"
-    with pytest.raises(ConfigError, match="seed") as exc:
-        resolve(base_config(), seed_override=seed)
     assert exc.value.field == "seed"
 
 
 def test_seed_key_range_edges_accepted():
     for seed in (0, 2**64 - 1):
         assert resolve(base_config(seed=seed)).experiment.seed == seed
-        assert resolve(base_config(), seed_override=seed).echo["seed"] == seed
 
 
 def test_canonical_json_is_key_order_independent():
     a = canonical_json({"b": 1, "a": [1, 2]}, compact=True)
     b = canonical_json({"a": [1, 2], "b": 1}, compact=True)
     assert a == b
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid raw config: one the CLI and output-contract tests build, with a drawn seed and optional sections."""
+    builders = [*CASES.values(), ideal_config(), qpc_config(), oscillator_config(), custom_law_config(),
+                low_attempt_qpc_config()]
+    raw = copy.deepcopy(draw(st.sampled_from(builders)))
+    raw["seed"] = draw(st.integers(0, 2**64 - 1))
+    if raw["scenario"]["kind"] != "custom" and draw(st.booleans()):  # a custom pmf fits one p0 only
+        raw["state"] = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(any))
+    if draw(st.booleans()):
+        n = raw.get("n_detectors", len(raw["detector_model"].get("detectors", ())) or 2)
+        raw["error_model"] = {"eps": draw(st.lists(st.floats(0.0, 0.4), min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        raw["inference"] = {
+            "log_odds_threshold": draw(st.floats(0.1, 10.0)),
+            "prior_log_odds": draw(st.floats(-5.0, 5.0)),
+            "alpha": draw(st.floats(1e-3, 1.0)),
+        }
+    return raw
+
+
+def overwrite_leaves(node):
+    """Replace every number and string in the nested dicts and lists of ``node`` by None."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            overwrite_leaves(value)
+        else:
+            node[key] = None
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(valid_configs())
+def test_resolve_neither_changes_nor_keeps_raw(raw):
+    # the sweep edits one field of its raw config in place between resolves
+    before = copy.deepcopy(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # regime and normalization warnings
+        resolved = resolve(raw)
+    assert raw == before
+    echo, experiment = copy.deepcopy(resolved.echo), pickle.dumps(resolved.experiment)
+    overwrite_leaves(raw)
+    assert resolved.echo == echo
+    assert pickle.dumps(resolved.experiment) == experiment

@@ -1,4 +1,4 @@
-"""The README's examples run as written: the library block and the example config."""
+"""The README's examples run as written: the library block, the example config and the command-line usage."""
 
 import contextlib
 import io
@@ -6,6 +6,9 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
+from multidetect.cli import main
 from multidetect.config import resolve
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -29,3 +32,16 @@ def test_configuration_block_resolves():
     resolved = resolve(raw)
     assert resolved.experiment.n_trials == raw["n_trials"]
     assert resolved.echo["detector_model"] == {"model": "ideal"}
+
+
+def long_options(text: str) -> set[str]:
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) - {"--help"}
+
+
+def test_command_line_block_lists_each_commands_options():
+    for line in first_block("## Command line", "sh").splitlines():
+        command = line.split()[1]
+        help_text = io.StringIO()
+        with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert long_options(line) == long_options(help_text.getvalue()), command
