@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, ModelError, NoDiscriminationError
-from .experiment import run_experiment
+from .experiment import ExperimentSummary, run_experiment
 from .inference import DECISION_INCONCLUSIVE, PatternTable, decide, required_trials
 from .state import born_probabilities
 
@@ -54,22 +54,23 @@ def _read_config(config_path, seed):
     return raw
 
 
-def cmd_simulate(config_path, output_dir: Path, formats, seed=None) -> int:
-    """Run the configured experiment; write the records CSV and summary JSON of ``formats``."""
+def cmd_simulate(config_path, output_dir: Path, formats, seed=None, threads=None) -> int:
+    """Run the configured experiment; write the records CSV and summary JSON of ``formats``.
+
+    The records CSV is written by at most ``threads`` workers (default: the
+    usable cores); a json-only run stays in this process.
+    """
     if "csv" in formats:
         from . import records
     resolved = cfg.resolve(_read_config(config_path, seed))
     experiment = resolved.experiment
-    scale = experiment.detector_model.reading_scale
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
         if "csv" in formats:
             with open(output_dir / "records.csv", "w", newline="") as fh:
                 fh.write(CONFIG_COMMENT + cfg.canonical_json(resolved.echo, compact=True) + "\n")
                 fh.write(records._records_header(experiment.n_detectors) + "\n")
-                summary = run_experiment(
-                    experiment, on_block=lambda block: fh.writelines(records._block_rows(block, scale))
-                )
+                summary = ExperimentSummary(records._write_records(fh, experiment, output_dir, threads))
         else:
             summary = run_experiment(experiment)
         if "json" in formats:
@@ -154,12 +155,20 @@ def cmd_discriminability(config_path) -> int:
 
 
 def _field_slot(raw, dotted: str):
-    """The object or list holding the numeric field at dotted path ``dotted``, its key, and whether it is an integer."""
+    """The object or list holding the numeric field at dotted path ``dotted``, its key, and whether it is an integer.
+
+    A field that the config leaves at its default, and any object above it,
+    is added to ``raw`` as an integer 0 (the grid value replaces it, as an
+    integer when integral), so resolve names a field that does not exist.
+    """
+    parts = dotted.split(".")
     parent, key, node = None, None, raw
-    for part in dotted.split("."):
+    for depth, part in enumerate(parts, start=1):
         if isinstance(node, list) and part.isdigit():  # an index in ASCII digits, leading zeros allowed
             part = {str(i): i for i in range(len(node))}.get(part.lstrip("0") or "0", part)
-        if not (isinstance(part, int) or isinstance(node, dict) and part in node):
+        elif isinstance(node, dict) and part not in node:
+            node[part] = 0 if depth == len(parts) else {}
+        if not (isinstance(part, int) or isinstance(node, dict)):
             raise ConfigError(dotted, "unknown config field")
         parent, key, node = node, part, node[part]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
@@ -253,7 +262,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, type=Path)
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--format", default="csv,json", help="comma-separated subset of {csv,json}")
-    sim.add_argument("--threads", type=int, default=1, help="scheduling hint; never changes output")
+    sim.add_argument(
+        "--threads", type=int, default=None,
+        help="most workers that write records.csv (default: the usable cores); never changes output",
+    )
 
     inf = sub.add_parser("infer", help="score recorded trials under both laws")
     inf.add_argument("--records", required=True, type=Path)
@@ -280,9 +292,9 @@ def main(argv=None) -> int:
             formats = frozenset(f.strip() for f in args.format.split(",") if f.strip())
             if not formats or not formats <= {"csv", "json"}:
                 raise ConfigError("format", f"must be a subset of {{csv,json}}, got {args.format!r}")
-            if args.threads < 1:
+            if args.threads is not None and args.threads < 1:
                 raise ConfigError("threads", "must be at least 1")
-            return cmd_simulate(args.config, args.out, formats, args.seed)
+            return cmd_simulate(args.config, args.out, formats, args.seed, args.threads)
         if args.command == "infer":
             return cmd_infer(args.records, args.config)
         if args.command == "discriminability":

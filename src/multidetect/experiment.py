@@ -213,23 +213,38 @@ class TrialBlock(NamedTuple):
     outcomes: np.ndarray
 
 
-def run_experiment(
-    config: ExperimentConfig, on_block: Callable[[TrialBlock], None] | None = None
-) -> ExperimentSummary:
-    """Run all trials block by block and tally their outcome-pattern table.
+def block_count(n_trials: int) -> int:
+    """Blocks of at most BLOCK_SIZE trials that ``n_trials`` trials make."""
+    return -(-n_trials // BLOCK_SIZE)
+
+
+def run_blocks(
+    config: ExperimentConfig, blocks: range, on_block: Callable[[TrialBlock], None] | None = None
+) -> PatternTable:
+    """Run the blocks with indices ``blocks`` and tally their outcome-pattern table.
 
     ``on_block`` is called with each TrialBlock in trial order, for callers
     that need the trials themselves (to write them out), a block at a time.
-    Output is a pure function of the config.
     """
     probs = born_probabilities(config.state)
     tables = []
-    for block_index, start in enumerate(range(0, config.n_trials, BLOCK_SIZE)):
+    for block_index in blocks:
         rng = block_rng(config.seed, block_index)
+        start = block_index * BLOCK_SIZE
         size = min(BLOCK_SIZE, config.n_trials - start)
         bits, latent = config.scenario.draw(probs, config.n_detectors, rng, size)
         block = TrialBlock(start, latent, *config.detector_model.detect(bits, rng))
         tables.append(PatternTable.from_outcomes(block.outcomes))
         if on_block is not None:
             on_block(block)
-    return ExperimentSummary(PatternTable.merge(tables))
+    return PatternTable.merge(tables)
+
+
+def run_experiment(
+    config: ExperimentConfig, on_block: Callable[[TrialBlock], None] | None = None
+) -> ExperimentSummary:
+    """Run all trials block by block and summarize their outcome-pattern table.
+
+    ``on_block`` is as for run_blocks.  Output is a pure function of the config.
+    """
+    return ExperimentSummary(run_blocks(config, range(block_count(config.n_trials)), on_block))

@@ -17,9 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multidetect
+from multidetect import records
 from multidetect.cli import CONFIG_COMMENT, main
 from multidetect.constants import SI
 from multidetect.errors import GaussianRegimeWarning, NormalizationWarning
+from multidetect.experiment import BLOCK_SIZE
 from multidetect.records import _records_header
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -691,6 +693,39 @@ class TestSweep:
         assert code == 1
         assert "state.phase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, default, start, stop",
+        [("seed", 0, 1, 3), ("n_detectors", 2, 2, 4), ("inference.alpha", 0.01, 0.01, 0.05)],
+    )
+    def test_field_left_at_default_swept(self, tmp_path, field, default, start, stop):
+        # a config that leaves the field out sweeps as one that writes its default
+        written = {k: v for k, v in ideal_config(n_trials=300).items() if k not in ("seed", "n_detectors")}
+        top, _, inner = field.partition(".")
+        written[top] = {inner: default} if inner else default
+        swept = []
+        for name, raw in (("written", written), ("left-out", {k: v for k, v in written.items() if k != top})):
+            out = tmp_path / f"{name}.csv"
+            code = main([
+                "sweep", "--config", str(write_config(tmp_path, raw, name=f"{name}.json")), "--field", field,
+                "--start", str(start), "--stop", str(stop), "--steps", "3", "--out", str(out),
+            ])
+            assert code == 0
+            swept.append(out.read_bytes())
+        assert swept[0] == swept[1]
+
+    def test_field_no_config_has_named_by_resolve(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main([
+            "sweep", "--config", str(write_config(tmp_path, ideal_config())), "--field", "inference.beta",
+            "--start", "0", "--stop", "1", "--steps", "3", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: inference.beta: unknown field; "
+            "expected one of ['alpha', 'log_odds_threshold', 'prior_log_odds']\n"
+        )
+        assert not out.exists()
+
     def test_empty_grid(self, tmp_path):
         cfg = write_config(tmp_path, ideal_config())
         code = main([
@@ -976,6 +1011,83 @@ class TestBadInput:
         assert code == 1
         assert f"config error: {field}: not writable: [Errno 28]" in err
         assert "Traceback" not in err
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made on three usable cores, one entry each."""
+    made, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    monkeypatch.setattr(os, "fork", lambda: made.append(None) or fork())
+    return made
+
+
+class TestWorkers:
+    """simulate and infer cut the records CSV into parts for forked workers, and reap every one."""
+
+    N_TRIALS = 3 * BLOCK_SIZE + 1  # four blocks, three parts
+
+    def run(self, tmp_path):
+        code, out = simulate(tmp_path, ideal_config(n_trials=self.N_TRIALS))
+        assert code == 0
+        return out / "records.csv"
+
+    def infer(self, tmp_path, path):
+        return main(["infer", "--records", str(path), "--config", str(tmp_path / "config.json")])
+
+    def test_none_left_after_simulate_and_infer(self, tmp_path, forks):
+        path = self.run(tmp_path)
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert self.infer(tmp_path, path) == 0
+        assert len(forks) == 4
+        assert_no_child_left()
+
+    def test_none_left_after_a_row_fault_in_a_worker(self, tmp_path, capsys, forks):
+        path = self.run(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[-2] += ",0"  # in the last range
+        path.write_text("\n".join(lines) + "\n")
+        assert self.infer(tmp_path, path) == 1
+        assert len(forks) == 4
+        assert capsys.readouterr().err == f"config error: records: line {len(lines) - 1}: expected 6 fields, got 7\n"
+        assert_no_child_left()
+
+    def test_none_left_after_a_writer_raises(self, tmp_path, monkeypatch, forks):
+        block_rows = records._block_rows
+
+        def failing(block, scale):
+            if block.start >= 2 * BLOCK_SIZE:  # the last part, in a child
+                raise RuntimeError("worker failed")
+            return block_rows(block, scale)
+
+        monkeypatch.setattr(records, "_block_rows", failing)
+        with pytest.raises(RuntimeError, match="^worker failed$"):
+            self.run(tmp_path)
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert not (tmp_path / "run" / "records.csv").exists()
+
+    def test_none_left_after_a_parser_raises(self, tmp_path, monkeypatch, forks):
+        path = self.run(tmp_path)
+        check_row = records._check_row
+
+        def failing(parts, n):
+            index, outcomes = check_row(parts, n)
+            if index >= self.N_TRIALS // 2:  # past the first range, in a child
+                raise RuntimeError("worker failed")
+            return index, outcomes
+
+        monkeypatch.setattr(records, "_check_row", failing)
+        with pytest.raises(RuntimeError, match="^worker failed$"):
+            self.infer(tmp_path, path)
+        assert len(forks) == 4
+        assert_no_child_left()
 
 
 def run_fresh(*args):

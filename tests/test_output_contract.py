@@ -21,12 +21,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multidetect
 from multidetect.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
 
 N_TRIALS = 5000
@@ -136,10 +140,10 @@ def _stdout(*args) -> bytes:
     return out.getvalue().encode()
 
 
-def _outputs(raw: dict, tmp: Path) -> dict[str, bytes]:
+def _outputs(raw: dict, tmp: Path, *simulate_options) -> dict[str, bytes]:
     config, run, sweep = tmp / "config.json", tmp / "run", tmp / "sweep.csv"
     config.write_text(json.dumps(raw))
-    _stdout("simulate", "--config", config, "--out", run)
+    _stdout("simulate", "--config", config, "--out", run, *simulate_options)
     outputs = {name: (run / name).read_bytes() for name in ("records.csv", "summary.json")}
     outputs["infer"] = _stdout("infer", "--records", run / "records.csv", "--config", config)
     if raw["detector_model"]["model"] != "ideal":
@@ -151,15 +155,48 @@ def _outputs(raw: dict, tmp: Path) -> dict[str, bytes]:
     return outputs
 
 
-def _digests(raw: dict, tmp: Path) -> dict[str, str]:
-    return {name: hashlib.sha256(data).hexdigest() for name, data in _outputs(raw, tmp).items()}
+def _digests(raw: dict, tmp: Path, *simulate_options) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in _outputs(raw, tmp, *simulate_options).items()}
+
+
+def _expected(case: str) -> dict[str, str]:
+    if NUMPY not in DIGESTS:
+        pytest.fail(f"no output digests for numpy {NUMPY}; print them with `{REGENERATE}` and add them to DIGESTS")
+    return DIGESTS[NUMPY][case]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_digests(case, tmp_path):
-    if NUMPY not in DIGESTS:
-        pytest.fail(f"no output digests for numpy {NUMPY}; print them with `{REGENERATE}` and add them to DIGESTS")
-    assert _digests(CASES[case], tmp_path) == DIGESTS[NUMPY][case]
+    assert _digests(CASES[case], tmp_path) == _expected(case)
+
+
+# on one core simulate and infer run in this process alone; on three, simulate
+# writes M = 5000 (two blocks) in two parts and infer parses up to three ranges
+@pytest.mark.parametrize("cores, options", [(1, ("--threads", "1")), (3, ())], ids=["one-worker", "three-cores"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_digests_at_any_worker_count(case, cores, options, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert _digests(CASES[case], tmp_path, *options) == _expected(case)
+
+
+def test_command_line_run_matches_digests(tmp_path):
+    # simulate, then infer, each in a fresh interpreter as a user runs them
+    case = "qpc-exact-binomial"
+    config, run = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps(CASES[case]))
+    env = {**os.environ, "PYTHONPATH": str(Path(multidetect.__file__).resolve().parents[1])}
+    cli = [sys.executable, "-m", "multidetect.cli"]
+    sim = subprocess.run([*cli, "simulate", "--config", config, "--out", run], capture_output=True, env=env)
+    assert (sim.returncode, sim.stderr) == (EXIT_OK, b"")
+    infer = subprocess.run([*cli, "infer", "--records", run / "records.csv", "--config", config],
+                           capture_output=True, env=env)
+    assert (infer.returncode, infer.stderr) == (EXIT_OK, b"")
+    outputs = {name: (run / name).read_bytes() for name in ("records.csv", "summary.json")}
+    outputs["infer"] = infer.stdout
+    expected = _expected(case)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
+        name: expected[name] for name in outputs
+    }
 
 
 if __name__ == "__main__":

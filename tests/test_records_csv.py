@@ -5,7 +5,9 @@
 writer and parser must match them byte for byte and message for message.
 """
 
+import json
 import math
+import os
 import struct
 import tracemalloc
 from itertools import chain
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import line_checker_parse, repr_block_rows
 from multidetect import records
+from multidetect.cli import main
 from multidetect.records import PIECE_ROWS, _block_rows, _line_chunks, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, run_experiment
@@ -24,6 +27,7 @@ from multidetect.inference import PatternTable
 from multidetect.experiment import BLOCK_SIZE
 from multidetect.state import make_amplitudes
 from test_experiment import detector_model, scenario_for
+from test_output_contract import CASES
 
 FUZZ = settings(
     max_examples=200,
@@ -135,6 +139,24 @@ class TestWriter:
         assert [piece.count("\n") for piece in pieces] == [PIECE_ROWS] * (size // PIECE_ROWS) + [3]
         assert "".join(pieces) == repr_block_rows(block, 1.0)
 
+    @settings(FUZZ, max_examples=20)
+    @given(
+        case=st.sampled_from(sorted(CASES)),
+        n_trials=st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_records_identical_at_any_thread_count(self, tmp_path, monkeypatch, case, n_trials, seed):
+        # every law and detector model, cut into one to three parts at block boundaries
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**CASES[case], "n_trials": n_trials, "seed": seed}))
+        written = set()
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            assert main(["simulate", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+            written.add((out / "records.csv").read_bytes())
+        assert len(written) == 1
+
 
 @st.composite
 def valid_rows(draw, n):
@@ -214,6 +236,42 @@ def mutated_csvs(draw):
     return newline.join(preamble + [header] + lines) + end
 
 
+@st.composite
+def split_csvs(draw):
+    """A records CSV as bytes, and the offsets that cut it into 1 to 3 ranges of whole lines after its header.
+
+    At each cut a fault may sit on the last row before it or the first row
+    after it: a wrong field count, a bad index, an index that does not
+    increase across the cut, or a comment or blank line; a later range may
+    hold a byte that is not UTF-8.
+    """
+    n = draw(st.integers(1, 3))
+    lines = [",".join(row) for row in draw(valid_rows(n))]
+    at = sorted(draw(st.lists(st.integers(0, len(lines)), max_size=2)))
+    ranges = [lines[a:b] for a, b in zip([0, *at], [*at, len(lines)])]
+    for before, after in zip(ranges, ranges[1:]):
+        kind = draw(st.sampled_from(["none", "fields", "index", "order", "comment", "blank"]))
+        rows, i = draw(st.sampled_from([(after, 0), (before, -1)]))
+        if kind == "order" and before and after:
+            last = int(before[-1].split(",")[0])
+            after[0] = f"{last - draw(st.integers(0, 1))},{after[0].partition(',')[2]}"
+        elif kind in ("comment", "blank"):
+            rows.insert(0 if i == 0 else len(rows), "# c" if kind == "comment" else draw(st.sampled_from(["", " "])))
+        elif kind in ("fields", "index") and rows:
+            rows[i] = rows[i] + ",0" if kind == "fields" else "x" + rows[i]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    parts = [f"# multidetect-config: {{}}{newline}{_records_header(n)}{newline}".encode()]
+    parts += ["".join(line + newline for line in rows).encode() for rows in ranges]
+    if len(parts) > 2 and draw(st.booleans()):
+        j = draw(st.integers(2, len(parts) - 1))
+        k = draw(st.integers(0, len(parts[j])))
+        parts[j] = parts[j][:k] + b"\xff" + parts[j][k:]
+    if draw(st.booleans()):
+        parts[-1] = parts[-1].removesuffix(newline.encode())
+    offsets = [sum(map(len, parts[:j])) for j in range(1, len(parts))]
+    return b"".join(parts), offsets[1:]
+
+
 def _oracle_table(path):
     """The pattern table of the line checker's outcome array."""
     return PatternTable.from_outcomes(line_checker_parse(path)[1])
@@ -228,9 +286,9 @@ def _outcome(parse, path):
 
 
 def _read_lines(path):
-    """Every line _line_chunks gives for a file opened as the parser opens it."""
-    with path.open(encoding="utf-8") as fh:
-        return list(chain.from_iterable(_line_chunks(fh)))
+    """Every line _line_chunks gives for a file read as the parser reads it, CHUNK_CHARS bytes at a time."""
+    with path.open("rb") as fh:
+        return list(chain.from_iterable(_line_chunks(records._text_chunks(fh, 0, path.stat().st_size))))
 
 
 # each separator at every offset from the line start, so at and across every chunk
@@ -296,6 +354,40 @@ class TestParser:
         with pytest.raises(ConfigError) as caught:
             _parse_records_csv(path)
         assert str(caught.value) == f"records: cannot read {path}: {whole.value}"
+
+    @settings(FUZZ, max_examples=200)
+    @given(split_csvs())
+    def test_split_parse_matches_serial_parse_and_line_checker(self, tmp_path, monkeypatch, case):
+        data, offsets = case
+        path = tmp_path / "records.csv"
+        path.write_bytes(data)
+        serial = _outcome(_parse_records_csv, path)
+        with monkeypatch.context() as patch:  # one example's cuts
+            patch.setattr(records, "_row_cuts", lambda fh, size: [0, *offsets, size])
+            split = _outcome(_parse_records_csv, path)
+        assert split == serial == _outcome(_oracle_table, path)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @settings(FUZZ, max_examples=100)
+    @given(mutated_csvs())
+    def test_matches_line_checker_on_any_core_count(self, tmp_path, monkeypatch, cores, text):
+        # tiny chunks, so that the file's own cuts fall between any rows
+        monkeypatch.setattr(records, "CHUNK_CHARS", 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        self.check_against_line_checker(tmp_path, text)
+
+    def test_fork_failure_parses_every_range_here(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        path.write_text(_records_header(1) + "\n" + "".join(f"{i},,{i}.5,1\n" for i in range(30_000)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        with path.open("rb") as fh:
+            assert len(records._row_cuts(fh, path.stat().st_size)) == 4
+
+        def no_fork():
+            raise OSError("no process to be had")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _parse_records_csv(path) == PatternTable.from_outcomes(np.ones((30_000, 1), dtype=np.int8))
 
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
         # a 4 MB file parses within a fixed bound, far below the file's size
