@@ -1058,6 +1058,16 @@ class TestWorkers:
         assert capsys.readouterr().err == f"config error: records: line {len(lines) - 1}: expected 6 fields, got 7\n"
         assert_no_child_left()
 
+    def test_fork_failure_writes_every_part_here(self, tmp_path, monkeypatch, forks):
+        expected = self.run(tmp_path).read_bytes()
+
+        def no_fork():
+            raise OSError("no process to be had")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.run(tmp_path).read_bytes() == expected
+        assert_no_child_left()
+
     def test_none_left_after_a_writer_raises(self, tmp_path, monkeypatch, forks):
         block_rows = records._block_rows
 

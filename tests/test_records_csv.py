@@ -139,14 +139,12 @@ class TestWriter:
         assert [piece.count("\n") for piece in pieces] == [PIECE_ROWS] * (size // PIECE_ROWS) + [3]
         assert "".join(pieces) == repr_block_rows(block, 1.0)
 
-    @settings(FUZZ, max_examples=20)
-    @given(
-        case=st.sampled_from(sorted(CASES)),
-        n_trials=st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1]),
-        seed=st.integers(0, 2**64 - 1),
-    )
+    @pytest.mark.parametrize("n_trials", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1])
+    @pytest.mark.parametrize("case", sorted(CASES))  # every law and detector model
+    @settings(FUZZ, max_examples=2)
+    @given(seed=st.integers(0, 2**64 - 1))
     def test_records_identical_at_any_thread_count(self, tmp_path, monkeypatch, case, n_trials, seed):
-        # every law and detector model, cut into one to three parts at block boundaries
+        # one to three parts, cut at block boundaries
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**CASES[case], "n_trials": n_trials, "seed": seed}))
