@@ -242,13 +242,13 @@ def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _text_chunks(fh, start: int, end: int) -> Iterator[str]:
-    """The text of bytes ``start`` to ``end`` of the binary file ``fh``, decoded as UTF-8 CHUNK_CHARS bytes at a time.
+    """The text of bytes ``start`` to ``end`` of the binary file ``fh``, which is at ``start``, decoded as UTF-8.
 
-    Line ends are translated as in a file opened in text mode, so a
-    ``\\r\\n`` that a chunk cuts comes out as one ``\\n``.
+    The bytes are read CHUNK_CHARS at a time, and line ends are translated
+    as in a file opened in text mode, so a ``\\r\\n`` that a chunk cuts
+    comes out as one ``\\n``.
     """
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    fh.seek(start)
     while start < end and (data := fh.read(min(CHUNK_CHARS, end - start))):
         start += len(data)
         yield decoder.decode(data)
@@ -272,32 +272,35 @@ def _line_chunks(chunks: Iterable[str]) -> Iterator[list[str]]:
 
 
 def _numbered_lines(fh, start: int, end: int) -> Iterator[tuple[int, str]]:
-    """The lines of bytes ``start`` to ``end`` of the binary file ``fh``, numbered from 1."""
+    """The lines of bytes ``start`` to ``end`` of the binary file ``fh``, which is at ``start``, numbered from 1."""
     return enumerate(chain.from_iterable(_line_chunks(_text_chunks(fh, start, end))), start=1)
 
 
-def _row_cuts(fh, size: int) -> list[int]:
-    """Offsets that cut the binary file ``fh`` of ``size`` bytes into ranges of whole lines, one per worker.
+def _row_cuts(fh) -> list:
+    """Offsets that cut the binary file ``fh`` into ranges of whole lines, one per worker; ``fh`` is left at 0.
 
     The first range starts at 0 and holds the header; the others start
     after a ``\\n`` and hold at least CHUNK_CHARS bytes of rows each.  When
     the header's line does not end in ``\\n`` within CHUNK_CHARS bytes of
-    the line before it, the whole file is one range.
+    the line before it, the whole file is one range, and a file that
+    cannot seek, as a pipe, is one range read to its end.
     """
+    if not fh.seekable():
+        return [0, math.inf]
+    size = os.fstat(fh.fileno()).st_size
+    cuts = [0]
     while (line := fh.readline(CHUNK_CHARS)).endswith(b"\n"):
         if any(text.strip() and not text.startswith("#") for text in line.decode("utf-8", "replace").splitlines()):
+            rows = fh.tell()
+            parts = _workers((size - rows) // CHUNK_CHARS)
+            for part in range(1, parts):
+                fh.seek(max(rows + (size - rows) * part // parts, cuts[-1]) - 1)
+                while (line := fh.readline(CHUNK_CHARS)) and not line.endswith(b"\n"):
+                    pass
+                if cuts[-1] < fh.tell() < size:
+                    cuts.append(fh.tell())
             break
-    else:
-        return [0, size]
-    rows = fh.tell()
-    parts = _workers((size - rows) // CHUNK_CHARS)
-    cuts = [0]
-    for part in range(1, parts):
-        fh.seek(max(rows + (size - rows) * part // parts, cuts[-1]) - 1)
-        while (line := fh.readline(CHUNK_CHARS)) and not line.endswith(b"\n"):
-            pass
-        if cuts[-1] < fh.tell() < size:
-            cuts.append(fh.tell())
+    fh.seek(0)
     return cuts + [size]
 
 
@@ -315,13 +318,13 @@ def _parse_records_csv(path) -> PatternTable:
     """
     try:
         with Path(path).open("rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            cuts = _row_cuts(fh, size)
+            cuts = _row_cuts(fh)
             lines = _numbered_lines(fh, 0, cuts[1])
             try:
                 n, header_line = _header(lines)
             except ConfigError:
-                for _ in _text_chunks(fh, 0, size):  # the file must decode before the header's fault is told
+                # the whole file must decode before the header's fault is told
+                for _ in chain(lines, _text_chunks(fh, cuts[1], cuts[-1])):
                     pass
                 raise
 
@@ -329,6 +332,7 @@ def _parse_records_csv(path) -> PatternTable:
                 if part == 0:  # this process has read the header off the first range
                     return _tally_rows(lines, n, header_line)
                 with Path(path).open("rb") as own:  # a forked child shares fh's file offset
+                    own.seek(cuts[part])
                     return _tally_rows(_numbered_lines(own, cuts[part], cuts[part + 1]), n)
 
             ranges = _fan_out(tally, len(cuts) - 1)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -1057,6 +1058,22 @@ class TestWorkers:
         assert len(forks) == 4
         assert capsys.readouterr().err == f"config error: records: line {len(lines) - 1}: expected 6 fields, got 7\n"
         assert_no_child_left()
+
+    def test_records_from_a_pipe_parsed_in_one_range(self, tmp_path, capsys, forks):
+        path = self.run(tmp_path)
+        assert self.infer(tmp_path, path) == 0
+        expected = capsys.readouterr().out
+        pipe = tmp_path / "records.fifo"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            assert self.infer(tmp_path, pipe) == 0
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == expected
+        assert len(forks) == 4  # two for simulate, two for the file, none for the pipe
 
     def test_fork_failure_writes_every_part_here(self, tmp_path, monkeypatch, forks):
         expected = self.run(tmp_path).read_bytes()
