@@ -263,8 +263,8 @@ def split_csvs(draw):
     parts += ["".join(line + newline for line in rows).encode() for rows in ranges]
     if len(parts) > 2 and draw(st.integers(0, 3)) == 0:
         j = draw(st.integers(2, len(parts) - 1))
-        k = draw(st.integers(0, len(parts[j])))
-        parts[j] = parts[j][:k] + b"\xff" + parts[j][k:]
+        at_byte = draw(st.integers(0, len(parts[j])))
+        parts[j] = parts[j][:at_byte] + b"\xff" + parts[j][at_byte:]
     if draw(st.booleans()):
         parts[-1] = parts[-1].removesuffix(newline.encode())
     offsets = [sum(map(len, parts[:j])) for j in range(1, len(parts))]
