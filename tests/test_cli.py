@@ -1085,11 +1085,13 @@ class TestWorkers:
         assert self.run(tmp_path).read_bytes() == expected
         assert_no_child_left()
 
-    def test_none_left_after_a_writer_raises(self, tmp_path, monkeypatch, forks):
+    # part 0 runs in this process, the last part in a child
+    @pytest.mark.parametrize("failing_block", [0, 3], ids=["this-process", "child"])
+    def test_none_left_after_a_writer_raises(self, tmp_path, monkeypatch, forks, failing_block):
         block_rows = records._block_rows
 
         def failing(block, scale):
-            if block.start >= 2 * BLOCK_SIZE:  # the last part, in a child
+            if block.start == failing_block * BLOCK_SIZE:
                 raise RuntimeError("worker failed")
             return block_rows(block, scale)
 
