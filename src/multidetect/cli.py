@@ -54,11 +54,11 @@ def _read_config(config_path, seed):
     return raw
 
 
-def cmd_simulate(config_path, output_dir: Path, formats, seed=None, threads=None) -> int:
+def cmd_simulate(config_path, output_dir: Path, formats, seed=None) -> int:
     """Run the configured experiment; write the records CSV and summary JSON of ``formats``.
 
-    The records CSV is written by at most ``threads`` workers (default: the
-    usable cores); a json-only run stays in this process.
+    The records CSV is written by one worker per usable core at most; a
+    json-only run stays in this process.
     """
     if "csv" in formats:
         from . import records
@@ -70,7 +70,7 @@ def cmd_simulate(config_path, output_dir: Path, formats, seed=None, threads=None
             with open(output_dir / "records.csv", "w", newline="") as fh:
                 fh.write(CONFIG_COMMENT + cfg.canonical_json(resolved.echo, compact=True) + "\n")
                 fh.write(records._records_header(experiment.n_detectors) + "\n")
-                summary = ExperimentSummary(records._write_records(fh, experiment, output_dir, threads))
+                summary = ExperimentSummary(records._write_records(fh, experiment, output_dir))
         else:
             summary = run_experiment(experiment)
         if "json" in formats:
@@ -263,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--format", default="csv,json", help="comma-separated subset of {csv,json}")
     sim.add_argument(
-        "--threads", type=int, default=None,
-        help="most workers that write records.csv (default: the usable cores); never changes output",
+        "--threads", type=int, default=1,
+        help="ignored: records.csv is written on the usable cores, which taskset limits; never changes output",
     )
 
     inf = sub.add_parser("infer", help="score recorded trials under both laws")
@@ -292,9 +292,9 @@ def main(argv=None) -> int:
             formats = frozenset(f.strip() for f in args.format.split(",") if f.strip())
             if not formats or not formats <= {"csv", "json"}:
                 raise ConfigError("format", f"must be a subset of {{csv,json}}, got {args.format!r}")
-            if args.threads is not None and args.threads < 1:
+            if args.threads < 1:
                 raise ConfigError("threads", "must be at least 1")
-            return cmd_simulate(args.config, args.out, formats, args.seed, args.threads)
+            return cmd_simulate(args.config, args.out, formats, args.seed)
         if args.command == "infer":
             return cmd_infer(args.records, args.config)
         if args.command == "discriminability":

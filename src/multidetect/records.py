@@ -17,6 +17,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import warnings
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -50,13 +51,23 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(parts: int, cap: int | None = None) -> int:
-    """Workers for at most ``parts`` parts of work: no more than the usable cores, nor ``cap`` when given.
-
-    Where there is no ``os.fork`` there is one.
-    """
+def _workers(parts: int) -> int:
+    """Workers for at most ``parts`` parts of work: no more than the usable cores; one where there is no ``os.fork``."""
     cores = _usable_cores() if hasattr(os, "fork") else 1
-    return max(1, min(parts, cores, cap or parts))
+    return max(1, min(parts, cores))
+
+
+def _fork() -> int:
+    """``os.fork()``, without the warning Python 3.12+ gives when this process has other threads.
+
+    The other threads are numpy's BLAS pool, idle while this thread forks;
+    a child runs only this module's work and ends in ``os._exit``.  Where
+    warnings are errors, as under pytest, the warning would make the fork
+    raise in this process after the child has started.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process .*is multi-threaded", DeprecationWarning)
+        return os.fork()
 
 
 def _fan_out(work: Callable[[int], object], parts: int) -> list:
@@ -67,14 +78,16 @@ def _fan_out(work: Callable[[int], object], parts: int) -> list:
     A child sends back what ``work`` returns, or the exception it raises,
     pickled through a pipe, and ends in ``os._exit``.  This process runs
     part 0 and every part it could not fork, then raises the first child
-    exception in part order.  It reaps every child before it returns or raises.
+    exception in part order, or RuntimeError for a child that ended without
+    sending its outcome.  It reaps every child before it returns or raises.
     """
-    pids, pipes = [], {}  # pipes: part -> read end of its child's pipe, until read
+    # part -> its child's pid, until reaped; part -> the read end of its child's pipe, until read
+    pids, pipes = {}, {}
     try:
         for part in range(1, parts):
             read, write = os.pipe()
             try:
-                pid = os.fork()
+                pid = _fork()
             except OSError:  # no process to be had: the part runs here
                 os.close(read)
                 os.close(write)
@@ -82,22 +95,26 @@ def _fan_out(work: Callable[[int], object], parts: int) -> list:
             if pid == 0:
                 _child(work, part, write, [read, *pipes.values()])
             os.close(write)
-            pids.append(pid)
+            pids[part] = pid
             pipes[part] = read
         results = [work(part) if part not in pipes else None for part in range(parts)]
         for part in list(pipes):
             with open(pipes.pop(part), "rb") as pipe:
                 data = pipe.read()
-            if not data:
-                raise ChildProcessError(f"the worker of part {part} of {parts} ended without a result")
-            ok, results[part] = pickle.loads(data)
+            try:
+                ok, results[part] = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):  # none or part of a result: the child died, as killed
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(part), 0)[1])
+                ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                # not an OSError, which the commands report as a fault of their files
+                raise RuntimeError(f"the worker of part {part} of {parts} ended without a result: {ended}") from None
             if not ok:
                 raise results[part]
         return results
     finally:
         for read in pipes.values():  # a child still writing gets a broken pipe and ends
             os.close(read)
-        for pid in pids:
+        for pid in pids.values():
             os.waitpid(pid, 0)
 
 
@@ -113,7 +130,7 @@ def _child(work, part: int, write: int, inherited: list[int]) -> None:
         try:
             data = pickle.dumps(outcome)
         except Exception:  # an exception or result that does not pickle
-            data = pickle.dumps((False, ChildProcessError(f"part {part}: {outcome[1]!r} does not pickle")))
+            data = pickle.dumps((False, RuntimeError(f"part {part}: {outcome[1]!r} does not pickle")))
         with open(write, "wb") as pipe:
             pipe.write(data)
     finally:
@@ -184,17 +201,17 @@ def _block_rows(block: TrialBlock, scale: float) -> Iterator[str]:
         yield "\n".join(map(",".join, zip(map(str, indices[piece]), *[f[piece] for f in fields]))) + "\n"
 
 
-def _write_records(fh, config: ExperimentConfig, spill_dir, threads: int | None = None) -> PatternTable:
+def _write_records(fh, config: ExperimentConfig, spill_dir) -> PatternTable:
     """Write the row of every trial of ``config`` to the text file ``fh``, in trial order; their pattern table.
 
-    The blocks are cut into contiguous parts, at most ``threads`` of them
-    (default: the usable cores).  Part 0 is written to ``fh`` directly and
-    every other part into a temporary file in ``spill_dir``, opened before
-    the fork so that no part can be left behind; this process appends those
-    files to ``fh`` in order once every part is done.
+    The blocks are cut into contiguous parts, one per usable core at most.
+    Part 0 is written to ``fh`` directly and every other part into a
+    temporary file in ``spill_dir``, opened before the fork so that no part
+    can be left behind; this process appends those files to ``fh`` in order
+    once every part is done.
     """
     blocks = block_count(config.n_trials)
-    parts = _workers(blocks, threads)
+    parts = _workers(blocks)
     cuts = [-(-blocks * part // parts) for part in range(parts + 1)]
     scale = config.detector_model.reading_scale
     with contextlib.ExitStack() as stack:

@@ -1102,6 +1102,50 @@ class TestWorkers:
         assert_no_child_left()
         assert not (tmp_path / "run" / "records.csv").exists()
 
+    # a child that ends without sending its outcome, as one the OOM killer ends
+    @pytest.mark.parametrize("command", ["simulate", "infer"])
+    @pytest.mark.parametrize(
+        "end, ended", [(lambda: os._exit(3), "exit status 3"), (lambda: os.kill(os.getpid(), 9), "killed by signal 9")],
+        ids=["exit", "kill"],
+    )
+    def test_worker_ending_without_result_named(self, tmp_path, monkeypatch, capsys, forks, command, end, ended):
+        path = self.run(tmp_path)
+        parent = os.getpid()
+        block_rows, check_row = records._block_rows, records._check_row
+
+        def dying(function):
+            return lambda *args: end() if os.getpid() != parent else function(*args)
+
+        monkeypatch.setattr(records, "_block_rows", dying(block_rows))
+        monkeypatch.setattr(records, "_check_row", dying(check_row))
+        # not an OSError, which simulate reports as an unwritable --out and infer as an unreadable file
+        with pytest.raises(RuntimeError, match=f"^the worker of part 1 of 3 ended without a result: {ended}$"):
+            self.run(tmp_path) if command == "simulate" else self.infer(tmp_path, path)
+        assert capsys.readouterr().err == ""
+        assert len(forks) == 4
+        assert_no_child_left()
+        assert (tmp_path / "run" / "records.csv").exists() == (command == "infer")
+
+    def test_fork_warning_of_a_threaded_process_not_raised(self, tmp_path, monkeypatch, capsys, forks):
+        # Python 3.12+ warns on a fork while other threads run, as numpy's BLAS pool does;
+        # with warnings as errors it would fail every fork
+        expected = self.run(tmp_path).read_bytes()
+        assert self.infer(tmp_path, tmp_path / "run" / "records.csv") == 0
+        verdict = capsys.readouterr().out
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        assert self.run(tmp_path).read_bytes() == expected
+        assert self.infer(tmp_path, tmp_path / "run" / "records.csv") == 0
+        assert capsys.readouterr().out == verdict
+        assert len(forks) == 8
+        assert_no_child_left()
+
     def test_none_left_after_a_parser_raises(self, tmp_path, monkeypatch, forks):
         path = self.run(tmp_path)
         check_row = records._check_row

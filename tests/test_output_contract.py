@@ -172,11 +172,11 @@ def test_outputs_match_digests(case, tmp_path):
 
 # on one core simulate and infer run in this process alone; on three, simulate
 # writes M = 5000 (two blocks) in two parts and infer parses up to three ranges
-@pytest.mark.parametrize("cores, options", [(1, ("--threads", "1")), (3, ())], ids=["one-worker", "three-cores"])
+@pytest.mark.parametrize("cores", [1, 3], ids=["one-worker", "three-cores"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_digests_at_any_worker_count(case, cores, options, tmp_path, monkeypatch):
+def test_outputs_match_digests_at_any_worker_count(case, cores, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    assert _digests(CASES[case], tmp_path, *options) == _expected(case)
+    assert _digests(CASES[case], tmp_path) == _expected(case)
 
 
 def test_command_line_run_matches_digests(tmp_path):

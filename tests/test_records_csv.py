@@ -144,14 +144,14 @@ class TestWriter:
     @settings(FUZZ, max_examples=2)
     @given(seed=st.integers(0, 2**64 - 1))
     def test_records_identical_at_any_thread_count(self, tmp_path, monkeypatch, case, n_trials, seed):
-        # one to three parts, cut at block boundaries
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        # one to three usable cores, so one to three parts cut at block boundaries
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**CASES[case], "n_trials": n_trials, "seed": seed}))
         written = set()
-        for threads in ("1", "2", "3"):
-            out = tmp_path / threads
-            assert main(["simulate", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            out = tmp_path / str(cores)
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
             written.add((out / "records.csv").read_bytes())
         assert len(written) == 1
 
