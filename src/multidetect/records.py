@@ -62,7 +62,7 @@ def _fork() -> int:
 
     The other threads are numpy's BLAS pool, idle while this thread forks;
     a child runs only this module's work and ends in ``os._exit``.  Where
-    warnings are errors, as under pytest, the warning would make the fork
+    warnings are errors, as under pytest, the warning can make the fork
     raise in this process after the child has started.
     """
     with warnings.catch_warnings():
