@@ -240,11 +240,6 @@ def run_blocks(
     return PatternTable.merge(tables)
 
 
-def run_experiment(
-    config: ExperimentConfig, on_block: Callable[[TrialBlock], None] | None = None
-) -> ExperimentSummary:
-    """Run all trials block by block and summarize their outcome-pattern table.
-
-    ``on_block`` is as for run_blocks.  Output is a pure function of the config.
-    """
-    return ExperimentSummary(run_blocks(config, range(block_count(config.n_trials)), on_block))
+def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
+    """Run all trials block by block and summarize their outcome-pattern table; a pure function of the config."""
+    return ExperimentSummary(run_blocks(config, range(block_count(config.n_trials))))

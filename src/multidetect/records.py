@@ -15,6 +15,7 @@ import io
 import math
 import os
 import pickle
+import re
 import shutil
 import tempfile
 import warnings
@@ -33,6 +34,8 @@ _BIT_STRINGS = ("0", "1")
 _LATENTS = frozenset(("", "0", "1"))
 # every character that ends a line for str.splitlines
 _LINE_ENDS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# what surrogateescape decodes a byte that is not UTF-8 to; valid UTF-8 decodes to none of these
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 #: Bytes of the file the parser reads at a time, so its memory does not grow with the file;
 #: a part of the parse has at least this many bytes of rows.
@@ -258,14 +261,22 @@ def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
     return index, outcomes
 
 
+def _byte_fault(line: str) -> str | None:
+    """The fault of a line that holds a byte that is not UTF-8, naming the first such byte; None for none."""
+    if not line.isascii() and (bad := _UNDECODED.search(line)):
+        return f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8"
+    return None
+
+
 def _text_chunks(fh, start: int, end: int) -> Iterator[str]:
     """The text of bytes ``start`` to ``end`` of the binary file ``fh``, which is at ``start``, decoded as UTF-8.
 
     The bytes are read CHUNK_CHARS at a time, and line ends are translated
     as in a file opened in text mode, so a ``\\r\\n`` that a chunk cuts
-    comes out as one ``\\n``.
+    comes out as one ``\\n``, and a byte that is not UTF-8 as one of
+    U+DC80..U+DCFF (surrogateescape), which _byte_fault names.
     """
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
     while start < end and (data := fh.read(min(CHUNK_CHARS, end - start))):
         start += len(data)
         yield decoder.decode(data)
@@ -275,17 +286,21 @@ def _text_chunks(fh, start: int, end: int) -> Iterator[str]:
 def _line_chunks(chunks: Iterable[str]) -> Iterator[list[str]]:
     """The lines of a text given in chunks, as str.splitlines gives them, one list per chunk.
 
-    A last line that a chunk cuts is carried into the next.  A ``\\r\\n``
-    that a chunk cuts must come as one ``\\n``, as _text_chunks gives it.
+    The chunks of a line are joined once a chunk ends it, so a long line
+    costs time linear in its length.  A ``\\r\\n`` that a chunk cuts must
+    come as one ``\\n``, as _text_chunks gives it.
     """
-    carry = ""
+    carry = []  # the text since the last line end, in pieces
     for chunk in chunks:
-        if text := carry + chunk:
-            lines = text.splitlines()
-            carry = "" if text[-1] in _LINE_ENDS else lines.pop()
+        lines = chunk.splitlines()
+        if len(lines) > 1 or chunk[-1:] in _LINE_ENDS:  # the chunk ends a line
+            lines[0] = "".join([*carry, lines[0]])
+            carry = [] if chunk[-1] in _LINE_ENDS else [lines.pop()]
             yield lines
+        else:
+            carry += lines
     if carry:
-        yield [carry]
+        yield ["".join(carry)]
 
 
 def _numbered_lines(fh, start: int, end: int) -> Iterator[tuple[int, str]]:
@@ -327,23 +342,16 @@ def _parse_records_csv(path) -> PatternTable:
     The header is checked first, then every row; trial indices must increase
     strictly, so duplicated rows or two concatenated runs cannot count their
     evidence twice.  The rows are cut into byte ranges at line ends, and
-    each range is tallied by one worker (_fan_out, _tally_rows).  A file
-    that is not UTF-8 is reported before any other fault, as if it had been
-    decoded whole first; otherwise the first faulty line is named by its
-    line number in the whole file, as a parse from the first line to the
-    last would meet it.
+    each range is tallied by one worker (_fan_out, _tally_rows) up to its
+    first fault; a byte that is not UTF-8 is a fault of its line.  The
+    first faulty line is named by its number in the whole file, as a parse
+    from the first line to the last would meet it.
     """
     try:
         with Path(path).open("rb") as fh:
             cuts = _row_cuts(fh)
             lines = _numbered_lines(fh, 0, cuts[1])
-            try:
-                n, header_line = _header(lines)
-            except ConfigError:
-                # the whole file must decode before the header's fault is told
-                for _ in chain(lines, _text_chunks(fh, cuts[1], cuts[-1])):
-                    pass
-                raise
+            n, header_line = _header(lines)
 
             def tally(part: int):
                 if part == 0:  # this process has read the header off the first range
@@ -353,13 +361,7 @@ def _parse_records_csv(path) -> PatternTable:
                     return _tally_rows(_numbered_lines(own, cuts[part], cuts[part + 1]), n)
 
             ranges = _fan_out(tally, len(cuts) - 1)
-    except (OSError, UnicodeDecodeError) as exc:
-        if isinstance(exc, UnicodeDecodeError):
-            # the decoder counts bytes from the start of its chunk; a whole-file decode names the file's offset
-            try:
-                Path(path).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as whole:
-                exc = whole
+    except OSError as exc:
         raise ConfigError("records", f"cannot read {path}: {exc}") from exc
     return _joined(ranges)
 
@@ -367,6 +369,8 @@ def _parse_records_csv(path) -> PatternTable:
 def _header(lines) -> tuple[int, int]:
     """The detector count and line number of the header in numbered lines: the first that is neither blank nor a comment."""
     for header_line, line in lines:
+        if fault := _byte_fault(line):
+            raise ConfigError("records", f"line {header_line}: {fault}")
         if line.strip() and not line.startswith("#"):
             header = line.split(",")
             break
@@ -390,8 +394,8 @@ def _tally_rows(lines, n: int, lineno: int = 0):
     Returns (pattern table or None when there is no row, first fault as
     (line, message) or None, first row as (line, index) or None, last index,
     number of the range's last line).  Line numbers are the range's own;
-    ``lineno`` is the number of the line before ``lines``.  After a fault
-    the rest of the range is still decoded, as UTF-8 faults come first.
+    ``lineno`` is the number of the line before ``lines``.  The range is
+    read no further than its first fault.
 
     A row's latent, readings and outcomes lie in its rest, the text after
     its first comma, so a row whose rest is in the memo of valid rests
@@ -413,7 +417,10 @@ def _tally_rows(lines, n: int, lineno: int = 0):
                 hits += 1
             except ValueError:  # a comment, or a bad index that the full check reports
                 pattern = None
-        if pattern is None:  # int() accepts no blank or commented head, so a hit is neither
+        if pattern is None:  # int() accepts no blank, commented or undecoded head, so a hit is none of them
+            if byte_fault := _byte_fault(line):
+                fault = lineno, byte_fault
+                break
             if not line.strip() or line.startswith("#"):
                 continue
             try:
@@ -433,8 +440,6 @@ def _tally_rows(lines, n: int, lineno: int = 0):
             break
         previous = index
         counts[pattern] += 1
-    for _ in lines:
-        pass
     table = PatternTable.from_outcomes(np.array(list(patterns), dtype=np.int8), counts) if counts else None
     return table, fault, first, previous, lineno
 

@@ -179,37 +179,35 @@ def line_checker_parse(path) -> tuple[int, np.ndarray]:
     """Detector count and (M, N) int8 outcomes of a records CSV, checking every line in full.
 
     Raises ConfigError("records", ...) naming the first faulty line and its
-    first fault, checked in this order: field count, trial index, readings,
-    outcomes, latent, finite readings, 0/1 outcomes, increasing index.
+    first fault, checked in this order: a byte that is not UTF-8 (on any
+    line, blank or comment too), then the header, then for a row field
+    count, trial index, readings, outcomes, latent, finite readings, 0/1
+    outcomes, increasing index.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        # surrogateescape reads a byte that is not UTF-8 as the lone surrogate U+DC00 + byte
+        lines = Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines()
+    except OSError as exc:
         raise ConfigError("records", f"cannot read {path}: {exc}") from exc
 
     header = None
-    header_line = 0
-    rows = []
+    n = 0
+    outcomes = []
+    previous = -math.inf
     for lineno, line in enumerate(lines, start=1):
+        undecoded = [ord(c) - 0xDC00 for c in line if 0xDC80 <= ord(c) <= 0xDCFF]
+        if undecoded:
+            raise ConfigError("records", f"line {lineno}: byte {undecoded[0]:#04x} is not UTF-8")
         if not line.strip() or line.startswith("#"):
             continue
         if header is None:
             header = line.split(",")
-            header_line = lineno
+            n = sum(1 for col in header if col.startswith("outcome_"))
+            expected = ["trial", "latent"]
+            expected += [f"reading_{i + 1}" for i in range(n)] + [f"outcome_{i + 1}" for i in range(n)]
+            if n < 1 or header != expected:
+                raise ConfigError("records", f"line {lineno}: malformed header {header!r}")
             continue
-        rows.append((lineno, line))
-    if header is None:
-        raise ConfigError("records", "no header row found")
-
-    n = sum(1 for col in header if col.startswith("outcome_"))
-    expected = ["trial", "latent"]
-    expected += [f"reading_{i + 1}" for i in range(n)] + [f"outcome_{i + 1}" for i in range(n)]
-    if n < 1 or header != expected:
-        raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
-
-    outcomes = []
-    previous = -math.inf
-    for lineno, line in rows:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ConfigError(
@@ -235,6 +233,8 @@ def line_checker_parse(path) -> tuple[int, np.ndarray]:
             )
         previous = index
         outcomes.append(row)
+    if header is None:
+        raise ConfigError("records", "no header row found")
     if not outcomes:
         raise ConfigError("records", "no trial rows found")
     return n, np.array(outcomes, dtype=np.int8)

@@ -19,6 +19,8 @@ from multidetect.experiment import (
     IdealModel,
     OscillatorModel,
     QpcModel,
+    block_count,
+    run_blocks,
     run_experiment,
 )
 from multidetect.inference import MAX_DETECTORS, PatternTable
@@ -40,11 +42,11 @@ def ideal_config(scenario, p0=0.5, n_detectors=2, n_trials=100, seed=0):
     )
 
 
-def run_blocks(config):
+def summary_and_blocks(config):
     """The summary and every TrialBlock of one run, in trial order."""
     blocks = []
-    summary = run_experiment(config, on_block=blocks.append)
-    return summary, blocks
+    table = run_blocks(config, range(block_count(config.n_trials)), blocks.append)
+    return ExperimentSummary(table), blocks
 
 
 def stacked(blocks, field):
@@ -87,7 +89,7 @@ class TestStreams:
             n_trials=BLOCK_SIZE + 1,
             seed=29,
         )
-        _, blocks = run_blocks(config)
+        _, blocks = summary_and_blocks(config)
         readings = [tuple(r) for r in stacked(blocks, "readings").tolist()]
         assert readings[0] != readings[BLOCK_SIZE]
         assert len(set(readings)) == len(readings)
@@ -95,7 +97,7 @@ class TestStreams:
 
 class TestRunExperiment:
     def test_unanimous_certain_state(self):
-        summary, blocks = run_blocks(ideal_config(Unanimous(), p0=1.0, n_trials=100))
+        summary, blocks = summary_and_blocks(ideal_config(Unanimous(), p0=1.0, n_trials=100))
         assert summary.m0_unanimous_zero == 100
         assert summary.disagreements == 0
         assert stacked(blocks, "outcomes").tolist() == [[0, 0]] * 100
@@ -112,7 +114,7 @@ class TestRunExperiment:
         assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / config.n_trials)
 
     def test_binomial_latent_absent(self):
-        _, blocks = run_blocks(ideal_config(Binomial(), n_trials=10))
+        _, blocks = summary_and_blocks(ideal_config(Binomial(), n_trials=10))
         assert blocks and all(b.latent is None for b in blocks)
 
     def test_conservation(self):
@@ -129,15 +131,15 @@ class TestRunExperiment:
 
     def test_determinism_bit_identical(self):
         config = ideal_config(Binomial(), p0=0.36, n_trials=500, seed=7)
-        summary_a, blocks_a = run_blocks(config)
-        summary_b, blocks_b = run_blocks(config)
+        summary_a, blocks_a = summary_and_blocks(config)
+        summary_b, blocks_b = summary_and_blocks(config)
         for field in ("readings", "outcomes"):
             assert stacked(blocks_a, field).tobytes() == stacked(blocks_b, field).tobytes()
         assert summary_a == summary_b
 
     def test_streaming_matches_in_memory(self):
         config = ideal_config(Binomial(), p0=0.36, n_trials=200, seed=3)
-        streamed, blocks = run_blocks(config)
+        streamed, blocks = summary_and_blocks(config)
         assert run_experiment(config) == streamed
         zeros = (stacked(blocks, "outcomes") == 0).sum(axis=1)
         assert tuple(np.bincount(zeros, minlength=3).tolist()) == streamed.histogram_n0
@@ -151,7 +153,7 @@ class TestRunExperiment:
             n_trials=200,
             seed=11,
         )
-        summary, blocks = run_blocks(config)
+        summary, blocks = summary_and_blocks(config)
         threshold = 10.0  # X/2 = 20/2
         readings, outcomes = stacked(blocks, "readings"), stacked(blocks, "outcomes")
         assert outcomes.tolist() == (readings > threshold).astype(int).tolist()
@@ -275,7 +277,7 @@ class TestBlockEngine:
     @given(experiments())
     def test_summary_and_records_agree(self, config):
         m, n = config.n_trials, config.n_detectors
-        summary, blocks = run_blocks(config)
+        summary, blocks = summary_and_blocks(config)
         assert sum(summary.histogram_n0) == m
         assert summary.m0_unanimous_zero + summary.m1_unanimous_one + summary.disagreements == m
         assert [b.start for b in blocks] == list(range(0, m, BLOCK_SIZE))

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+import time
 import tracemalloc
 from itertools import chain
 
@@ -22,7 +23,7 @@ from multidetect import records
 from multidetect.cli import main
 from multidetect.records import PIECE_ROWS, _block_rows, _line_chunks, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
-from multidetect.experiment import ExperimentConfig, TrialBlock, run_experiment
+from multidetect.experiment import ExperimentConfig, TrialBlock, block_count, run_blocks
 from multidetect.inference import PatternTable
 from multidetect.experiment import BLOCK_SIZE
 from multidetect.state import make_amplitudes
@@ -100,7 +101,7 @@ class TestWriter:
         )
         scale = config.detector_model.reading_scale
         blocks = []
-        run_experiment(config, on_block=blocks.append)
+        run_blocks(config, range(block_count(n_trials)), blocks.append)
         for block in blocks:
             assert written(block, scale) == repr_block_rows(block, scale)
 
@@ -229,7 +230,8 @@ def mutated_csvs(draw):
     if draw(st.integers(0, 19)) == 0:
         header = draw(st.sampled_from([header.replace("outcome_1", "outcome_0"), header + ",", "", "trial"]))
     preamble = draw(st.sampled_from([[], ["# multidetect-config: {}"], ["", "# x", "  "]]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    # a file whose lines end in \r alone has no \n to cut it at, so it is one range
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     end = draw(st.sampled_from([newline, ""]))
     return newline.join(preamble + [header] + lines) + end
 
@@ -240,8 +242,8 @@ def split_csvs(draw):
 
     At each cut a fault may sit on the last row before it or the first row
     after it: a wrong field count, a bad index, an index that does not
-    increase across the cut, or a comment or blank line; a later range may
-    hold a byte that is not UTF-8.
+    increase across the cut, or a comment or blank line; any part, the
+    config comment and header included, may hold a byte that is not UTF-8.
     """
     n = draw(st.integers(1, 3))
     lines = [",".join(row) for row in draw(valid_rows(n))]
@@ -261,8 +263,8 @@ def split_csvs(draw):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     parts = [f"# multidetect-config: {{}}{newline}{_records_header(n)}{newline}".encode()]
     parts += ["".join(line + newline for line in rows).encode() for rows in ranges]
-    if len(parts) > 2 and draw(st.integers(0, 3)) == 0:
-        j = draw(st.integers(2, len(parts) - 1))
+    if draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, len(parts) - 1))
         at_byte = draw(st.integers(0, len(parts[j])))
         parts[j] = parts[j][:at_byte] + b"\xff" + parts[j][at_byte:]
     if draw(st.booleans()):
@@ -342,17 +344,30 @@ class TestParser:
 
     @pytest.mark.parametrize("chunk_chars", [3, records.CHUNK_CHARS])
     @pytest.mark.parametrize("bad_bytes", [b"\xff", b"\xe2\x82"], ids=["invalid-start", "cut-at-end"])
-    def test_undecodable_byte_reported_before_faulty_row(self, tmp_path, monkeypatch, chunk_chars, bad_bytes):
-        # the faulty row sits in the first chunk, the bad byte several chunks and read buffers past it
+    def test_undecodable_byte_a_fault_of_its_line(self, tmp_path, monkeypatch, chunk_chars, bad_bytes):
+        # the bad byte ends the file, several chunks and read buffers past the first row
         monkeypatch.setattr(records, "CHUNK_CHARS", chunk_chars)
         path = tmp_path / "records.csv"
         rows = "".join(f"{i},,1.0,1\n" for i in range(1, 20_000))
-        path.write_bytes(f"{_records_header(1)}\n0,,x,1\n{rows}".encode("utf-8") + bad_bytes)
-        with pytest.raises(UnicodeDecodeError) as whole:
-            path.read_text(encoding="utf-8")
-        with pytest.raises(ConfigError) as caught:
+        for first_row, message in [
+            ("0,,x,1", "line 2: could not convert string to float: 'x'"),  # a faulty row before it is named
+            ("0,,1.0,1", f"line 20002: byte {bad_bytes[0]:#04x} is not UTF-8"),  # else it is, at its line
+        ]:
+            path.write_bytes(f"{_records_header(1)}\n{first_row}\n{rows}".encode("utf-8") + bad_bytes)
+            for parse in (_parse_records_csv, line_checker_parse):
+                with pytest.raises(ConfigError) as caught:
+                    parse(path)
+                assert str(caught.value) == f"records: {message}"
+
+    def test_long_line_read_in_linear_time(self, tmp_path, monkeypatch):
+        # 16384 chunks of one line: joining the line anew for each chunk would take seconds
+        monkeypatch.setattr(records, "CHUNK_CHARS", 64)
+        path = tmp_path / "records.csv"
+        path.write_text(f"{_records_header(1)}\n0,{'1' * 2**20}\n")
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match="^records: line 2: expected 4 fields, got 2$"):
             _parse_records_csv(path)
-        assert str(caught.value) == f"records: cannot read {path}: {whole.value}"
+        assert time.perf_counter() - started < 2
 
     @settings(FUZZ, max_examples=200)
     @given(split_csvs())
