@@ -15,7 +15,6 @@ import io
 import math
 import os
 import pickle
-import re
 import shutil
 import tempfile
 import warnings
@@ -34,8 +33,6 @@ _BIT_STRINGS = ("0", "1")
 _LATENTS = frozenset(("", "0", "1"))
 # every character that ends a line for str.splitlines
 _LINE_ENDS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-# what surrogateescape decodes a byte that is not UTF-8 to; valid UTF-8 decodes to none of these
-_UNDECODED = re.compile("[\udc80-\udcff]")
 
 #: Bytes of the file the parser reads at a time, so its memory does not grow with the file;
 #: a part of the parse has at least this many bytes of rows.
@@ -263,8 +260,10 @@ def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
 
 def _byte_fault(line: str) -> str | None:
     """The fault of a line that holds a byte that is not UTF-8, naming the first such byte; None for none."""
-    if not line.isascii() and (bad := _UNDECODED.search(line)):
-        return f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8"
+    if not line.isascii():
+        for char in line:
+            if "\udc80" <= char <= "\udcff":  # surrogateescape's escape of a byte; valid UTF-8 yields none
+                return f"byte 0x{ord(char) - 0xDC00:02x} is not UTF-8"
     return None
 
 
