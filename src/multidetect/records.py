@@ -392,9 +392,9 @@ def _tally_rows(lines, n: int, lineno: int = 0):
 
     Returns (pattern table or None when there is no row, first fault as
     (line, message) or None, first row as (line, index) or None, last index,
-    number of the range's last line).  Line numbers are the range's own;
+    number of the last line read).  Line numbers are the range's own;
     ``lineno`` is the number of the line before ``lines``.  The range is
-    read no further than its first fault.
+    read up to its first fault, else to its end.
 
     A row's latent, readings and outcomes lie in its rest, the text after
     its first comma, so a row whose rest is in the memo of valid rests
