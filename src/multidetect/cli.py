@@ -13,8 +13,11 @@ the return of that resolve, so a later import would count as work.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -36,6 +39,9 @@ CONFIG_COMMENT = "# multidetect-config: "
 SWEEP_COMMENT = "# multidetect-sweep: "
 
 REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
+
+# the interpreter's last collections at exit skip frozen objects: the OS frees numpy's and the run's heap instead
+atexit.register(gc.freeze)
 
 
 def _json_safe(value):
@@ -132,7 +138,7 @@ def cmd_infer(records_path, config_path) -> int:
         "M_used": table.n_trials,
         "M_required_alpha": _required_trials(resolved, resolved.alpha),
     }
-    print(cfg.canonical_json(payload), end="")
+    print(cfg.canonical_json(payload), end="", flush=True)
     return EXIT_INCONCLUSIVE if verdict.decision == DECISION_INCONCLUSIVE else EXIT_OK
 
 
@@ -150,7 +156,7 @@ def cmd_discriminability(config_path) -> int:
         "detectors": detectors,
         "required_trials": table,
     }
-    print(cfg.canonical_json(payload), end="")
+    print(cfg.canonical_json(payload), end="", flush=True)
     return EXIT_OK
 
 
@@ -306,6 +312,25 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"model error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except BrokenPipeError as exc:  # stdout's reader closed it; warnings drop their own OSErrors
+        _stdout_to_devnull()
+        print(f"config error: stdout: not writable: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the interpreter's flush at exit cannot fail again.
+
+    The idiom of the signal module's "Note on SIGPIPE".  A stdout without a
+    descriptor, as under pytest's capture, is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):  # io.UnsupportedOperation is both of the last two
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -61,9 +61,12 @@ def _fork() -> int:
     """``os.fork()``, without the warning Python 3.12+ gives when this process has other threads.
 
     The other threads are numpy's BLAS pool, idle while this thread forks;
-    a child runs only this module's work and ends in ``os._exit``.  Where
-    warnings are errors, as under pytest, the warning can make the fork
-    raise in this process after the child has started.
+    a child runs only this module's work and ends in ``os._exit``.  The
+    filter keeps that ``DeprecationWarning`` out of shown and recorded
+    warnings: pytest's summary, ``-W always``, a caller's
+    ``catch_warnings(record=True)``.  It does not keep the fork from
+    raising: under ``simplefilter("error")`` a bare fork did not raise on
+    Python 3.12.1 and 3.13.0, which drop the warning then.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"This process .*is multi-threaded", DeprecationWarning)
