@@ -326,7 +326,7 @@ def _stdout_to_devnull() -> None:
     """
     try:
         fd = sys.stdout.fileno()
-    except (AttributeError, ValueError, OSError):  # io.UnsupportedOperation is both of the last two
+    except (ValueError, OSError):  # io.UnsupportedOperation is both
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)

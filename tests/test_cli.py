@@ -1152,8 +1152,9 @@ class TestWorkers:
         assert (tmp_path / "run" / "records.csv").exists() == (command == "infer")
 
     def test_fork_warning_of_a_threaded_process_not_raised(self, tmp_path, monkeypatch, capsys, forks):
-        # Python 3.12+ warns on a fork while other threads run, as numpy's BLAS pool does;
-        # with warnings as errors it would fail every fork
+        # Python 3.12+ warns on a fork while other threads run, as numpy's BLAS pool does; the workers'
+        # forks keep that warning out of shown and recorded warnings.  A real fork drops it where warnings
+        # are errors, but this stand-in raises it there, so a fork without the filter fails the run
         expected = self.run(tmp_path).read_bytes()
         assert self.infer(tmp_path, tmp_path / "run" / "records.csv") == 0
         verdict = capsys.readouterr().out
@@ -1288,3 +1289,84 @@ def test_lazy_reexports_are_their_home_objects():
         assert getattr(multidetect, name) is getattr(home, name)
     with pytest.raises(AttributeError, match="has no attribute 'TrialRecord'"):
         multidetect.TrialRecord
+
+
+@pytest.mark.parametrize("module, frozen", [("multidetect.cli", True), ("multidetect", False)])
+def test_cli_import_freezes_the_collector_at_exit(module, frozen):
+    # atexit runs its handlers last in, first out, so the probe's runs after any hook of the import
+    probe = f"import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); import {module}"
+    assert run_fresh("-c", probe) == f"{frozen}\n"
+
+
+def output_files(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "sweep", "discriminability"])
+def test_process_exit_keeps_outputs(tmp_path, capsys, command):
+    # a CLI process exits with the collector frozen: it writes and prints what an in-process run does
+    cfg = write_config(tmp_path, low_attempt_qpc_config())
+    records_csv = tmp_path / "given" / "records.csv"
+
+    def args(out):
+        return {
+            "simulate": ["simulate", "--config", str(cfg), "--out", str(out / "run")],
+            "infer": ["infer", "--records", str(records_csv), "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--field", "state.p0", "--start", "0.1", "--stop", "0.9",
+                      "--steps", "3", "--out", str(out / "sweep.csv")],
+            "discriminability": ["discriminability", "--config", str(cfg)],
+        }[command]
+
+    with pytest.warns(GaussianRegimeWarning):
+        if command == "infer":
+            assert main(["simulate", "--config", str(cfg), "--out", str(records_csv.parent)]) == 0
+        code = main(args(tmp_path / "here"))
+    printed = capsys.readouterr().out
+    src = Path(multidetect.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "multidetect.cli", *args(tmp_path / "fresh")],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == code
+    assert result.stdout == printed.encode()
+    written = output_files(tmp_path / "here")
+    assert bool(written) == (command in {"simulate", "sweep"})
+    assert output_files(tmp_path / "fresh") == written
+    warned = [line for line in result.stderr.decode().splitlines() if "GaussianRegimeWarning" in line]
+    assert "detector_model.detectors[0]: attempt count 12 < 100" in warned[0]
+    assert "detector_model.detectors[1]: attempt count 24 < 100" in warned[1]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["infer", "discriminability"])
+def test_closed_stdout_named(tmp_path, command, unbuffered):
+    # a reader that closes the pipe before the verdict is written, as `| head -c 0` does
+    cfg = write_config(tmp_path, qpc_config())
+    args = ["--config", str(cfg)]
+    if command == "infer":
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        args += ["--records", str(tmp_path / "run" / "records.csv")]
+    src = Path(multidetect.__file__).resolve().parents[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "multidetect.cli", command, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered},
+    )
+    process.stdout.close()
+    try:
+        err = process.stderr.read().decode()
+    finally:
+        process.stderr.close()
+        process.wait(timeout=60)
+    assert process.returncode == 1
+    assert err == "config error: stdout: not writable: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_without_descriptor_named(tmp_path, capsys):
+    # a stdout with no file descriptor, as a test's capture gives, is left as it is
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(Closed()):
+        assert main(["discriminability", "--config", str(write_config(tmp_path, qpc_config()))]) == 1
+    assert capsys.readouterr().err == "config error: stdout: not writable: [Errno 32] Broken pipe\n"
