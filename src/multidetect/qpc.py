@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import SI
 from .errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
-from .state import OutcomeProbabilities, gaussian_density, gaussian_tail, outcome_bits, threshold
+from .state import gaussian_tail, outcome_bits, threshold
 from .state import count_pmf as _count_pmf  # the shared law; count_pmf below is its per-detector form
 
 #: D at or above which readout is flagged reliable (misread ~ 6e-3 at 25).
@@ -138,16 +138,6 @@ def current_stats(params: QpcParams, sigma: int) -> CurrentStats:
     )
 
 
-def current_density(params: QpcParams, sigma: int, current):
-    """Gaussian density of the time-averaged current given the outcome.
-
-    Valid in the many-attempt regime; the peak value is sqrt(tau/(2 pi S)).
-    Accepts a scalar or an array of currents.
-    """
-    stats = current_stats(params, sigma)
-    return gaussian_density(current, stats.mean_current, stats.std_current)
-
-
 def sample_current(
     params: QpcParams,
     sigma,
@@ -174,23 +164,6 @@ def sample_current(
         std = np.where(sigma == 0, s0.std_current, s1.std_current)
         return rng.normal(mean, std, size=size)
     raise ValueError(f"unknown sampling mode {mode!r}")
-
-
-def joint_current_density(
-    paramsA: QpcParams,
-    paramsB: QpcParams,
-    probs: OutcomeProbabilities,
-    iA,
-    iB,
-):
-    """Two-detector current density: p0 * PiA(iA|0) PiB(iB|0) + p1 * (same at 1).
-
-    Has peaks at (I_A|0, I_B|0) and (I_A|1, I_B|1); the mass near the two
-    mixed points is negligible whenever both detectors are discriminating.
-    """
-    return probs.p0 * current_density(paramsA, 0, iA) * current_density(paramsB, 0, iB) + (
-        probs.p1 * current_density(paramsA, 1, iA) * current_density(paramsB, 1, iB)
-    )
 
 
 def discriminability(params: QpcParams) -> float:

@@ -9,18 +9,17 @@ the number of parts.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
-import io
 import math
 import os
 import pickle
 import shutil
+import sys
 import tempfile
 import warnings
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,29 +30,18 @@ from .inference import MAX_DETECTORS, PatternTable
 _BITS = frozenset((0, 1))
 _BIT_STRINGS = ("0", "1")
 _LATENTS = frozenset(("", "0", "1"))
-# every character that ends a line for str.splitlines
-_LINE_ENDS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 #: Bytes of the file the parser reads at a time, so its memory does not grow with the file;
 #: a part of the parse has at least this many bytes of rows.
 CHUNK_CHARS = 64 * 1024
 #: Rows the writer joins into one string at a time.
 PIECE_ROWS = 1024
-#: Bytes the writer copies from a part's temporary file at a time.
-COPY_BYTES = 64 * 1024
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _workers(parts: int) -> int:
-    """Workers for at most ``parts`` parts of work: no more than the usable cores; one where there is no ``os.fork``."""
-    cores = _usable_cores() if hasattr(os, "fork") else 1
+    """Workers for at most ``parts`` parts of work: no more than the usable cores; one on a platform other than Linux."""
+    # multiprocessing's documentation calls fork unsafe on macOS, whose system libraries may start threads
+    cores = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     return max(1, min(parts, cores))
 
 
@@ -234,7 +222,7 @@ def _write_records(fh, config: ExperimentConfig, spill_dir) -> PatternTable:
         fh.flush()
         for spill in outs[1:]:
             spill.seek(0)
-            shutil.copyfileobj(spill.buffer, fh.buffer, COPY_BYTES)
+            shutil.copyfileobj(spill.buffer, fh.buffer)
     return PatternTable.merge(tables)
 
 
@@ -270,44 +258,34 @@ def _byte_fault(line: str) -> str | None:
     return None
 
 
-def _text_chunks(fh, start: int, end: int) -> Iterator[str]:
-    """The text of bytes ``start`` to ``end`` of the binary file ``fh``, which is at ``start``, decoded as UTF-8.
-
-    The bytes are read CHUNK_CHARS at a time, and line ends are translated
-    as in a file opened in text mode, so a ``\\r\\n`` that a chunk cuts
-    comes out as one ``\\n``, and a byte that is not UTF-8 as one of
-    U+DC80..U+DCFF (surrogateescape), which _byte_fault names.
-    """
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
-    while start < end and (data := fh.read(min(CHUNK_CHARS, end - start))):
-        start += len(data)
-        yield decoder.decode(data)
-    yield decoder.decode(b"", final=True)
-
-
-def _line_chunks(chunks: Iterable[str]) -> Iterator[list[str]]:
-    """The lines of a text given in chunks, as str.splitlines gives them, one list per chunk.
-
-    The chunks of a line are joined once a chunk ends it, so a long line
-    costs time linear in its length.  A ``\\r\\n`` that a chunk cuts must
-    come as one ``\\n``, as _text_chunks gives it.
-    """
-    carry = []  # the text since the last line end, in pieces
-    for chunk in chunks:
-        lines = chunk.splitlines()
-        if len(lines) > 1 or chunk[-1:] in _LINE_ENDS:  # the chunk ends a line
-            lines[0] = "".join([*carry, lines[0]])
-            carry = [] if chunk[-1] in _LINE_ENDS else [lines.pop()]
-            yield lines
-        else:
-            carry += lines
-    if carry:
-        yield ["".join(carry)]
-
-
 def _numbered_lines(fh, start: int, end: int) -> Iterator[tuple[int, str]]:
     """The lines of bytes ``start`` to ``end`` of the binary file ``fh``, which is at ``start``, numbered from 1."""
-    return enumerate(chain.from_iterable(_line_chunks(_text_chunks(fh, start, end))), start=1)
+    return enumerate(chain.from_iterable(_line_runs(fh, start, end)), start=1)
+
+
+def _line_runs(fh, start: int, end: int) -> Iterator[list[str]]:
+    """The lines of bytes ``start`` to ``end`` of the binary file ``fh``, as str.splitlines gives them, in runs.
+
+    The bytes are read CHUNK_CHARS at a time and cut after a chunk's last
+    ``\\n``, or its last ``\\r`` but its last byte, so no ``\\r\\n`` is cut.
+    No UTF-8 sequence holds byte 0x0A or 0x0D, so each run of bytes up to
+    a cut decodes (a byte that is not UTF-8 as one of U+DC80..U+DCFF, which
+    _byte_fault names) and splits as it would in the whole text.  A run is
+    joined once, so time is linear in its length, and memory is bounded by
+    the longest run: a file whose lines end only in ``\\f``, or another
+    line end than ``\\n`` and ``\\r``, is one run.
+    """
+    carry = []  # the bytes since the last cut, in pieces
+    while start < end and (data := fh.read(min(CHUNK_CHARS, end - start))):
+        start += len(data)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            lines = b"".join([*carry, data[:cut]]).decode("utf-8", "surrogateescape").splitlines()
+            carry = [data[cut:]]  # before the yield, so a long line is not held as bytes and as text at once
+            yield lines
+        else:
+            carry.append(data)
+    yield b"".join(carry).decode("utf-8", "surrogateescape").splitlines()
 
 
 def _row_cuts(fh) -> list:

@@ -1100,6 +1100,19 @@ class TestWorkers:
         assert capsys.readouterr().err == "config error: records: line 3: byte 0xff is not UTF-8\n"
         assert not forks
 
+    def test_no_fork_off_linux(self, tmp_path, monkeypatch, capsys, forks):
+        # multiprocessing's documentation calls fork unsafe on macOS: there every part runs in this process
+        expected = output_files(self.run(tmp_path).parent)
+        assert self.infer(tmp_path, tmp_path / "run" / "records.csv") == 0
+        verdict = capsys.readouterr().out
+        assert len(forks) == 4
+        forks.clear()
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert output_files(self.run(tmp_path).parent) == expected
+        assert self.infer(tmp_path, tmp_path / "run" / "records.csv") == 0
+        assert capsys.readouterr().out == verdict
+        assert not forks
+
     def test_fork_failure_writes_every_part_here(self, tmp_path, monkeypatch, forks):
         expected = self.run(tmp_path).read_bytes()
 

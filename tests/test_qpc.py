@@ -6,24 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import assert_one_path, gauss_legendre_1d, gauss_legendre_2d
+from oracles import assert_one_path, gauss_legendre_1d
 from multidetect.constants import SI
 from multidetect.errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
 from multidetect.qpc import (
     QpcParams,
     attempts,
     count_pmf,
-    current_density,
     current_readout,
     current_stats,
     discriminability,
     is_reliable,
-    joint_current_density,
     misread_probability,
     raw_attempts,
     sample_current,
 )
-from multidetect.state import OutcomeProbabilities
+from multidetect.state import OutcomeProbabilities, gaussian_density
 
 
 def make_qpc(t0: float, t1: float, n_attempts: float, bias_uV: float = 50.0) -> QpcParams:
@@ -136,30 +134,33 @@ class TestCurrentStats:
 
 
 class TestCurrentDensity:
+    """The Gaussian law of the time-averaged current, which ``sampling: "gaussian"`` draws from."""
+
     def test_peak_value(self):
         p = make_qpc(0.3, 0.7, 10**4)
         for sigma in (0, 1):
-            st = current_stats(p, sigma)
-            peak = current_density(p, sigma, st.mean_current)
-            expected = math.sqrt(p.observation_time / (2 * math.pi * st.noise))
+            s = current_stats(p, sigma)
+            peak = gaussian_density(s.mean_current, s.mean_current, s.std_current)
+            expected = math.sqrt(p.observation_time / (2 * math.pi * s.noise))
             assert peak == pytest.approx(expected, rel=1e-12)
 
     def test_normalized(self):
         p = make_qpc(0.3, 0.7, 10**4)
-        st = current_stats(p, 0)
-        lo = st.mean_current - 12 * st.std_current
-        hi = st.mean_current + 12 * st.std_current
-        total = gauss_legendre_1d(lambda i: current_density(p, 0, i), lo, hi, n=300)
+        s = current_stats(p, 0)
+        lo = s.mean_current - 12 * s.std_current
+        hi = s.mean_current + 12 * s.std_current
+        total = gauss_legendre_1d(lambda i: gaussian_density(i, s.mean_current, s.std_current), lo, hi, n=300)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_total_variation_against_binomial(self):
         # exact enumeration oracle: map counts to currents, compare cell masses
         p = make_qpc(0.3, 0.7, 10**4)
+        s = current_stats(p, 0)
         n_att = attempts(p)
         e, tau = SI.electron_charge, p.observation_time
         ns = np.arange(n_att + 1)
         exact = stats.binom.pmf(ns, n_att, 0.3)
-        approx = current_density(p, 0, e * ns / tau) * (e / tau)
+        approx = gaussian_density(e * ns / tau, s.mean_current, s.std_current) * (e / tau)
         tv = 0.5 * float(np.sum(np.abs(exact - approx)))
         assert tv < 0.02
 
@@ -226,69 +227,6 @@ class TestSampling:
 
 
 PROBS = OutcomeProbabilities(0.36)
-
-
-def _current_box(p: QpcParams, pad: float = 12.0):
-    s0, s1 = current_stats(p, 0), current_stats(p, 1)
-    lo = min(s0.mean_current, s1.mean_current) - pad * max(s0.std_current, s1.std_current)
-    hi = max(s0.mean_current, s1.mean_current) + pad * max(s0.std_current, s1.std_current)
-    return lo, hi
-
-
-class TestJointDensity:
-    def setup_method(self):
-        self.pa = make_qpc(0.4, 0.6, 302.0)
-        self.pb = make_qpc(0.6, 0.4, 302.0)  # mirrored orientation
-
-    def test_single_outcome_reduces_to_product(self):
-        p = OutcomeProbabilities(1.0)
-        ia = current_stats(self.pa, 0).mean_current
-        ib = current_stats(self.pb, 0).mean_current * 1.01
-        got = joint_current_density(self.pa, self.pb, p, ia, ib)
-        expected = current_density(self.pa, 0, ia) * current_density(self.pb, 0, ib)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_normalized(self):
-        box_a = _current_box(self.pa)
-        box_b = _current_box(self.pb)
-        total = gauss_legendre_2d(
-            lambda ia, ib: joint_current_density(self.pa, self.pb, PROBS, ia, ib),
-            box_a, box_b, n=240,
-        )
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_marginalizes_to_single_detector_mixture(self):
-        box_b = _current_box(self.pb)
-        sa0, sa1 = current_stats(self.pa, 0), current_stats(self.pa, 1)
-        for ia in np.linspace(sa0.mean_current, sa1.mean_current, 7):
-            marginal = gauss_legendre_1d(
-                lambda ib: joint_current_density(self.pa, self.pb, PROBS, ia, ib),
-                *box_b, n=240,
-            )
-            expected = PROBS.p0 * current_density(self.pa, 0, ia) + PROBS.p1 * current_density(
-                self.pa, 1, ia
-            )
-            assert marginal == pytest.approx(expected, rel=1e-8, abs=1e-8)
-
-    def test_cross_points_suppressed(self):
-        # d: separation standardized by the combined noise of the two outcomes
-        ia0 = current_stats(self.pa, 0).mean_current
-        ia1 = current_stats(self.pa, 1).mean_current
-        ib0 = current_stats(self.pb, 0).mean_current
-        ib1 = current_stats(self.pb, 1).mean_current
-        d_min = math.sqrt(min(discriminability(self.pa), discriminability(self.pb)))
-        bound = math.exp(-0.5 * d_min**2)
-        peaks = [
-            joint_current_density(self.pa, self.pb, PROBS, ia0, ib0),
-            joint_current_density(self.pa, self.pb, PROBS, ia1, ib1),
-        ]
-        crosses = [
-            joint_current_density(self.pa, self.pb, PROBS, ia0, ib1),
-            joint_current_density(self.pa, self.pb, PROBS, ia1, ib0),
-        ]
-        for cross in crosses:
-            for peak in peaks:
-                assert cross <= peak * bound
 
 
 class TestDiscriminability:
@@ -396,35 +334,9 @@ def _currents(p: QpcParams, spreads) -> np.ndarray:
     return mid + np.array(spreads) * max(s0.std_current, s1.std_current)
 
 
-def assert_one_path(f, scalar_type, *arrays):
-    """f on arrays equals, bit for bit, f on their elements one at a time, each a numpy scalar."""
-    whole = f(*arrays)
-    singles = [f(*args) for args in zip(*(a.tolist() for a in arrays))]
-    assert all(type(one) is scalar_type for one in singles)
-    assert whole.dtype == scalar_type
-    assert whole.tobytes() == np.array(singles, dtype=scalar_type).tobytes()
-
-
 class TestScalarArrayPath:
     @settings(max_examples=50, deadline=None, database=None, derandomize=True)
     @given(SPREADS)
     def test_current_readout_both_orientations(self, spreads):
         for p in (UP, DOWN):
             assert_one_path(lambda i: current_readout(i, p), np.int64, _currents(p, spreads))
-
-    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
-    @given(SPREADS, st.integers(0, 1))
-    def test_current_density(self, spreads, sigma):
-        assert_one_path(lambda i: current_density(UP, sigma, i), np.float64, _currents(UP, spreads))
-
-    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
-    @given(st.data())
-    def test_joint_current_density(self, data):
-        spreads = data.draw(SPREADS)
-        other = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=len(spreads), max_size=len(spreads)))
-        assert_one_path(
-            lambda a, b: joint_current_density(UP, DOWN, PROBS, a, b),
-            np.float64,
-            _currents(UP, spreads),
-            _currents(DOWN, other),
-        )

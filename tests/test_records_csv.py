@@ -11,7 +11,6 @@ import os
 import struct
 import time
 import tracemalloc
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from oracles import line_checker_parse, repr_block_rows
 from multidetect import records
 from multidetect.cli import main
-from multidetect.records import PIECE_ROWS, _block_rows, _line_chunks, _parse_records_csv, _records_header
+from multidetect.records import PIECE_ROWS, _block_rows, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, block_count, run_blocks
 from multidetect.inference import PatternTable
@@ -287,9 +286,9 @@ def _outcome(parse, path):
 
 
 def _read_lines(path):
-    """Every line _line_chunks gives for a file read as the parser reads it, CHUNK_CHARS bytes at a time."""
+    """Every line _numbered_lines gives for a file read as the parser reads it, CHUNK_CHARS bytes at a time."""
     with path.open("rb") as fh:
-        return list(chain.from_iterable(_line_chunks(records._text_chunks(fh, 0, path.stat().st_size))))
+        return [line for _, line in records._numbered_lines(fh, 0, path.stat().st_size)]
 
 
 # each separator at every offset from the line start, so at and across every chunk
@@ -403,11 +402,12 @@ class TestParser:
         monkeypatch.setattr(os, "fork", no_fork)
         assert _parse_records_csv(path) == PatternTable.from_outcomes(np.ones((30_000, 1), dtype=np.int8))
 
-    def test_memory_does_not_grow_with_the_file(self, tmp_path):
-        # a 4 MB file parses within a fixed bound, far below the file's size
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_memory_does_not_grow_with_the_file(self, tmp_path, newline):
+        # a 4 MB file parses within a fixed bound, far below the file's size, whichever line end it uses
         path = tmp_path / "records.csv"
-        rows = (f"{i},,{i % 3}.0,0.25,1.5,{i % 5}.0,{i % 2},1,0,1\n" for i in range(130_000))
-        path.write_text(_records_header(4) + "\n" + "".join(rows))
+        rows = (f"{i},,{i % 3}.0,0.25,1.5,{i % 5}.0,{i % 2},1,0,1{newline}" for i in range(130_000))
+        path.write_bytes((_records_header(4) + newline + "".join(rows)).encode())
         assert path.stat().st_size >= 4_000_000
         tracemalloc.start()
         try:
