@@ -229,6 +229,67 @@ class TestSampling:
 PROBS = OutcomeProbabilities(0.36)
 
 
+class TestJointDensity:
+    """Currents of two detectors that latch one shared outcome, drawn as ``sampling: "gaussian"`` draws them."""
+
+    def setup_method(self):
+        self.pa = make_qpc(0.4, 0.6, 302.0)
+        self.pb = make_qpc(0.6, 0.4, 302.0)  # mirrored orientation
+
+    def _draws(self, probs: OutcomeProbabilities, seed: int, n: int = 2 * 10**5):
+        rng = np.random.default_rng(seed)
+        sigma = (rng.random(n) >= probs.p0).astype(int)
+        ia = sample_current(self.pa, sigma, rng, mode="gaussian")
+        ib = sample_current(self.pb, sigma, rng, mode="gaussian")
+        return ia, ib
+
+    def test_single_outcome_reduces_to_product(self):
+        # one certain outcome: the currents are independent, each with its outcome-0 law
+        ia, ib = self._draws(OutcomeProbabilities(1.0), 40)
+        for p, draws in ((self.pa, ia), (self.pb, ib)):
+            s = current_stats(p, 0)
+            assert stats.kstest(draws, stats.norm(s.mean_current, s.std_current).cdf).pvalue > 0.001
+        # quartile cells of the two currents: counts match the product of the marginals
+        cells = [np.searchsorted(np.quantile(x, [0.25, 0.5, 0.75]), x) for x in (ia, ib)]
+        table = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(table, tuple(cells), 1)
+        assert stats.chi2_contingency(table).pvalue > 0.001
+
+    def test_marginalizes_to_single_detector_mixture(self):
+        ia, _ = self._draws(PROBS, 41)
+        sa0, sa1 = current_stats(self.pa, 0), current_stats(self.pa, 1)
+
+        def mixture_cdf(i):
+            return PROBS.p0 * stats.norm.cdf(i, sa0.mean_current, sa0.std_current) + PROBS.p1 * stats.norm.cdf(
+                i, sa1.mean_current, sa1.std_current
+            )
+
+        assert stats.kstest(ia, mixture_cdf).pvalue > 0.001
+
+    def test_cross_points_suppressed(self):
+        # d: separation standardized by the combined noise of the two outcomes
+        ia, ib = self._draws(PROBS, 42)
+        ia0 = current_stats(self.pa, 0).mean_current
+        ia1 = current_stats(self.pa, 1).mean_current
+        ib0 = current_stats(self.pb, 0).mean_current
+        ib1 = current_stats(self.pb, 1).mean_current
+        wa = max(current_stats(self.pa, s).std_current for s in (0, 1))
+        wb = max(current_stats(self.pb, s).std_current for s in (0, 1))
+
+        def near(a: float, b: float) -> int:
+            """Draws within one spread of the point (a, b) in both currents."""
+            return int(np.sum((np.abs(ia - a) < wa) & (np.abs(ib - b) < wb)))
+
+        d_min = math.sqrt(min(discriminability(self.pa), discriminability(self.pb)))
+        bound = math.exp(-0.5 * d_min**2)
+        peaks = [near(ia0, ib0), near(ia1, ib1)]
+        crosses = [near(ia0, ib1), near(ia1, ib0)]
+        assert min(peaks) > 0
+        for cross in crosses:
+            for peak in peaks:
+                assert cross <= peak * bound
+
+
 class TestDiscriminability:
     def test_no_contrast_zero(self):
         p = make_qpc(0.5, 0.5, 1000.0)
@@ -340,3 +401,11 @@ class TestScalarArrayPath:
     def test_current_readout_both_orientations(self, spreads):
         for p in (UP, DOWN):
             assert_one_path(lambda i: current_readout(i, p), np.int64, _currents(p, spreads))
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(SPREADS, st.integers(0, 1))
+    def test_current_density(self, spreads, sigma):
+        s = current_stats(UP, sigma)
+        assert_one_path(
+            lambda i: gaussian_density(i, s.mean_current, s.std_current), np.float64, _currents(UP, spreads)
+        )
