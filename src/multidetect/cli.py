@@ -168,6 +168,8 @@ def _field_slot(raw, dotted: str):
     integer when integral), so resolve names a field that does not exist.
     """
     parts = dotted.split(".")
+    if not all(parts):
+        raise ConfigError("field", f"{dotted!r} is not a dotted path of config field names")
     parent, key, node = None, None, raw
     for depth, part in enumerate(parts, start=1):
         if isinstance(node, list) and part.isdigit():  # an index in ASCII digits, leading zeros allowed
@@ -201,8 +203,7 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     # recording the resolves' warnings resets Python's once-per-location
     # registry, so the sweep shows each distinct one itself, once, also when a point fails
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings(record=True, action="always") as caught:
             base = cfg.resolve(raw)
             # resolve keeps no part of raw, so each point rewrites the one field in place
             parent, key, integral = _field_slot(raw, field)
@@ -232,8 +233,7 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
 
     out_path = Path(out_path)
     try:
-        if out_path.parent != Path(""):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text + "".join(rows), newline="")
     except OSError as exc:  # creating, writing or closing, as a full disk does
         raise ConfigError("out", f"not writable: {exc}") from exc

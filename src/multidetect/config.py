@@ -102,8 +102,7 @@ def _named_warnings(path: str, build, *args):
     Recording clears Python's once-per-location registry, so every warning is
     shown.  The prefixed copies point at the caller of ``resolve``.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True, action="always") as caught:
         built = build(*args)
     for warning in caught:
         warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=4)

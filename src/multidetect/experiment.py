@@ -186,10 +186,8 @@ class ExperimentSummary:
 
     def __init__(self, patterns: PatternTable):
         n, total = patterns.n_detectors, patterns.n_trials
-        # detectors reading 1 per pattern, one detector at a time to keep memory at O(K)
-        ones = sum((patterns.codes >> np.uint64(a)) & np.uint64(1) for a in range(n))
         hist = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(hist, n - ones.astype(np.intp), patterns.counts)
+        np.add.at(hist, n - np.bitwise_count(patterns.codes).astype(np.intp), patterns.counts)
         m0, m1 = int(hist[n]), int(hist[0])
         self.patterns, self.n_trials, self.n_detectors = patterns, total, n
         self.m0_unanimous_zero, self.m1_unanimous_one, self.disagreements = m0, m1, total - m0 - m1

@@ -220,17 +220,14 @@ def decide(
     return ScenarioVerdict(ll_u, ll_b, log_odds, decision, confidence)
 
 
-def required_trials(
-    probs: OutcomeProbabilities, alpha: float, err: ErrorModel | None = None
-) -> int:
+def required_trials(probs: OutcomeProbabilities, alpha: float, err: ErrorModel) -> int:
     """Smallest M at which all-agreeing data rules out the binomial law at level alpha.
 
     Solves (1 - q)^M <= alpha for the per-trial probability q that not all
     N detectors agree under the binomial law with misreads absorbed,
     q = 1 - prod p~_a - prod (1 - p~_a)  (q = 2 p~0 p~1 for two equal
     detectors).  Scales as 1/(2 p0 p1) for N = 2: states closer to a basis
-    state need proportionally more trials.  ``err`` defaults to two ideal
-    detectors.
+    state need proportionally more trials.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -238,8 +235,6 @@ def required_trials(
         raise NoDiscriminationError(
             "p0*p1 = 0: both laws predict identical (unanimous) data"
         )
-    if err is None:
-        err = ErrorModel.ideal(2)
     # add detectors one at a time: the newcomer breaks unanimity with
     # probability all0 * (1 - p) + all1 * p; a sum of non-negative terms
     # keeps q accurate when it is tiny

@@ -105,11 +105,6 @@ class OscillatorParams:
                 stacklevel=2,  # the caller of OscillatorParams(...)
             )
 
-    @property
-    def thermal_variance(self) -> float:
-        """Classical equilibrium position variance 1/(beta m omega^2)."""
-        return 1.0 / (self.beta * self.mass * (self.omega * self.omega))
-
 
 def displacement(params: OscillatorParams) -> float:
     """Equilibrium position X = lambda/(m omega^2) for outcome 1."""
@@ -118,7 +113,7 @@ def displacement(params: OscillatorParams) -> float:
 
 def thermal_std(params: OscillatorParams) -> float:
     """Thermal position spread dx = sqrt(1/(beta m omega^2))."""
-    return math.sqrt(params.thermal_variance)
+    return math.sqrt(1.0 / (params.beta * params.mass * (params.omega * params.omega)))
 
 
 def distinguishability_ratio(params: OscillatorParams) -> float:

@@ -942,6 +942,17 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("field", ["", ".", "state.", ".seed", "state..p0"])
+    def test_sweep_field_with_empty_name_rejected(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, ideal_config())
+        code = main([
+            "sweep", "--config", str(cfg), "--field", field,
+            "--start", "0", "--stop", "1", "--steps", "3", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: field: {field!r} is not a dotted path of config field names\n"
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_seed_on_non_object_config_named(self, tmp_path, capsys, command):
         # --seed edits only a config object; resolve reports any other config

@@ -266,7 +266,7 @@ class TestDecide:
 
     def test_small_sample_near_basis_state_is_inconclusive(self):
         probs = OutcomeProbabilities(0.99)
-        m = required_trials(probs, 0.001) - 1
+        m = required_trials(probs, 0.001, NO_ERR) - 1
         data = [(0, 0)] * m
         verdict = decide(table(data), probs, NO_ERR)
         assert verdict.decision == DECISION_INCONCLUSIVE
@@ -299,10 +299,10 @@ class TestDecide:
 
 class TestRequiredTrials:
     def test_symmetric_state_reference(self):
-        assert required_trials(P_HALF, math.exp(-1)) == 2
+        assert required_trials(P_HALF, math.exp(-1), NO_ERR) == 2
 
     def test_alpha_one_floor(self):
-        assert required_trials(P_HALF, 1.0) == 1
+        assert required_trials(P_HALF, 1.0, NO_ERR) == 1
 
     def test_near_basis_state_value(self):
         probs = OutcomeProbabilities(0.99)
@@ -312,7 +312,7 @@ class TestRequiredTrials:
         while survival > 0.001:
             survival *= 1 - q
             m += 1
-        assert required_trials(probs, 0.001) == m
+        assert required_trials(probs, 0.001, NO_ERR) == m
         assert m == math.ceil(math.log(0.001) / math.log(1 - q))
 
     def test_asymptotic_scaling(self):
@@ -321,34 +321,34 @@ class TestRequiredTrials:
             p0 = (1 + math.sqrt(1 - 4 * target)) / 2  # p0*p1 = target
             probs = OutcomeProbabilities(p0)
             for alpha in (0.01, 0.001):
-                m = required_trials(probs, alpha)
+                m = required_trials(probs, alpha, NO_ERR)
                 ratio = m * 2 * probs.p0 * probs.p1 / math.log(1 / alpha)
                 assert ratio == pytest.approx(1.0, abs=0.05)
 
     def test_monotone_in_overlap_and_alpha(self):
         values = [
-            required_trials(OutcomeProbabilities(p0), 0.01) for p0 in (0.5, 0.7, 0.9, 0.99)
+            required_trials(OutcomeProbabilities(p0), 0.01, NO_ERR) for p0 in (0.5, 0.7, 0.9, 0.99)
         ]
         assert values == sorted(values)
-        alphas = [required_trials(P_HALF, a) for a in (0.2, 0.1, 0.01, 0.001)]
+        alphas = [required_trials(P_HALF, a, NO_ERR) for a in (0.2, 0.1, 0.01, 0.001)]
         assert alphas == sorted(alphas)
 
     def test_misreads_increase_requirement_toward_half(self):
         # misreads push the effective split toward 1/2, which *lowers* M for
         # skewed states: the adjusted disagreement rate grows
         probs = OutcomeProbabilities(0.99)
-        base = required_trials(probs, 0.01)
+        base = required_trials(probs, 0.01, NO_ERR)
         noisy = required_trials(probs, 0.01, ErrorModel([0.1, 0.1]))
         assert noisy < base
 
     def test_no_discrimination(self):
         with pytest.raises(NoDiscriminationError):
-            required_trials(OutcomeProbabilities(1.0), 0.01)
+            required_trials(OutcomeProbabilities(1.0), 0.01, NO_ERR)
 
     def test_uncountable_trials_are_no_discrimination(self):
         # q ~ 1e-323: ln(alpha) / ln(1 - q) overflows a float
         with pytest.raises(NoDiscriminationError, match="too small"):
-            required_trials(OutcomeProbabilities(5e-324), 0.01)
+            required_trials(OutcomeProbabilities(5e-324), 0.01, NO_ERR)
 
     @pytest.mark.parametrize("eps", [(0.0, 0.0, 0.0), (0.01, 0.05, 0.2)])
     def test_three_detectors_match_pattern_enumeration(self, eps):
@@ -382,9 +382,9 @@ class TestRequiredTrials:
 
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
-            required_trials(P_HALF, 0.0)
+            required_trials(P_HALF, 0.0, NO_ERR)
         with pytest.raises(ValueError):
-            required_trials(P_HALF, 1.5)
+            required_trials(P_HALF, 1.5, NO_ERR)
 
 
 def exact_log(x: Decimal) -> float:
@@ -445,7 +445,7 @@ class TestCalibration:
         reps = 300
         for p0 in (0.5, 0.9):
             probs = OutcomeProbabilities(p0)
-            m = required_trials(probs, 0.01)
+            m = required_trials(probs, 0.01, NO_ERR)
             wrong_unanimous = wrong_binomial = 0
             for _ in range(reps):
                 data_u = Unanimous().draw(probs, 2, rng, m)[0].tolist()

@@ -259,7 +259,7 @@ def split_csvs(draw):
             rows.insert(0 if i == 0 else len(rows), "# c" if kind == "comment" else draw(st.sampled_from(["", " "])))
         elif kind in ("fields", "index") and rows:
             rows[i] = rows[i] + ",0" if kind == "fields" else "x" + rows[i]
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     parts = [f"# multidetect-config: {{}}{newline}{_records_header(n)}{newline}".encode()]
     parts += ["".join(line + newline for line in rows).encode() for rows in ranges]
     if draw(st.integers(0, 3)) == 0:
