@@ -32,7 +32,7 @@ _BIT_STRINGS = ("0", "1")
 _LATENTS = frozenset(("", "0", "1"))
 
 #: Bytes of the file the parser reads at a time, so its memory does not grow with the file;
-#: a part of the parse has at least this many bytes of rows.
+#: the parse has at most one part per this many bytes of file.
 CHUNK_CHARS = 64 * 1024
 #: Rows the writer joins into one string at a time.
 PIECE_ROWS = 1024
@@ -263,23 +263,26 @@ def _numbered_lines(fh, start: int, end: int) -> Iterator[tuple[int, str]]:
     return enumerate(chain.from_iterable(_line_runs(fh, start, end)), start=1)
 
 
+def _line_end(data: bytes) -> int:
+    """The offset after the last ``\\n`` of ``data``, or its last ``\\r`` but a final one, which may start ``\\r\\n``; else 0."""
+    return max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+
+
 def _line_runs(fh, start: int, end: int) -> Iterator[list[str]]:
     """The lines of bytes ``start`` to ``end`` of the binary file ``fh``, as str.splitlines gives them, in runs.
 
-    The bytes are read CHUNK_CHARS at a time and cut after a chunk's last
-    ``\\n``, or its last ``\\r`` but its last byte, so no ``\\r\\n`` is cut.
-    No UTF-8 sequence holds byte 0x0A or 0x0D, so each run of bytes up to
-    a cut decodes (a byte that is not UTF-8 as one of U+DC80..U+DCFF, which
-    _byte_fault names) and splits as it would in the whole text.  A run is
-    joined once, so time is linear in its length, and memory is bounded by
-    the longest run: a file whose lines end only in ``\\f``, or another
-    line end than ``\\n`` and ``\\r``, is one run.
+    The bytes are read CHUNK_CHARS at a time and cut where _line_end cuts
+    a chunk.  No UTF-8 sequence holds byte 0x0A or 0x0D, so each run of
+    bytes up to a cut decodes (a byte that is not UTF-8 as one of
+    U+DC80..U+DCFF, which _byte_fault names) and splits as it would in the
+    whole text.  A run is joined once, so time is linear in its length,
+    and memory is bounded by the longest run: a file whose lines end only
+    in ``\\f``, or another line end than ``\\n`` and ``\\r``, is one run.
     """
     carry = []  # the bytes since the last cut, in pieces
     while start < end and (data := fh.read(min(CHUNK_CHARS, end - start))):
         start += len(data)
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
-        if cut:
+        if cut := _line_end(data):
             lines = b"".join([*carry, data[:cut]]).decode("utf-8", "surrogateescape").splitlines()
             carry = [data[cut:]]  # before the yield, so a long line is not held as bytes and as text at once
             yield lines
@@ -291,27 +294,25 @@ def _line_runs(fh, start: int, end: int) -> Iterator[list[str]]:
 def _row_cuts(fh) -> list:
     """Offsets that cut the binary file ``fh`` into ranges of whole lines, one per worker; ``fh`` is left at 0.
 
-    The first range starts at 0 and holds the header; the others start
-    after a ``\\n`` and hold at least CHUNK_CHARS bytes of rows each.  When
-    the header's line does not end in ``\\n`` within CHUNK_CHARS bytes of
-    the line before it, the whole file is one range, and a file that
+    The header is read as the parse reads it, and raises its fault; the
+    first range starts at 0 and holds it.  Range k >= 1 starts where
+    _line_end cuts the CHUNK_CHARS bytes before its share of the file, but
+    not before the end of the header's chunk or the range before it; a
+    share with no line end there joins the range before.  A file that
     cannot seek, as a pipe, is one range read to its end.
     """
     if not fh.seekable():
         return [0, math.inf]
     size = os.fstat(fh.fileno()).st_size
-    cuts = [0]
-    while (line := fh.readline(CHUNK_CHARS)).endswith(b"\n"):
-        if any(text.strip() and not text.startswith("#") for text in line.decode("utf-8", "replace").splitlines()):
-            rows = fh.tell()
-            parts = _workers((size - rows) // CHUNK_CHARS)
-            for part in range(1, parts):
-                fh.seek(max(rows + (size - rows) * part // parts, cuts[-1]) - 1)
-                while (line := fh.readline(CHUNK_CHARS)) and not line.endswith(b"\n"):
-                    pass
-                if cuts[-1] < fh.tell() < size:
-                    cuts.append(fh.tell())
-            break
+    _header(_numbered_lines(fh, 0, size))
+    cuts, floor = [0], fh.tell()  # fh is past the header's line
+    parts = _workers(size // CHUNK_CHARS)
+    for part in range(1, parts):
+        share = size * part // parts
+        start = max(floor, cuts[-1], share - CHUNK_CHARS)
+        fh.seek(start)
+        if start < share and (cut := _line_end(fh.read(share - start))):
+            cuts.append(start + cut)
     fh.seek(0)
     return cuts + [size]
 

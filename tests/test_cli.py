@@ -1068,6 +1068,21 @@ class TestWorkers:
         assert capsys.readouterr().err == f"config error: records: line {len(lines) - 1}: expected 6 fields, got 7\n"
         assert_no_child_left()
 
+    def test_same_verdict_and_workers_whatever_the_line_end(self, tmp_path, capsys, forks):
+        # the ranges are cut after a \n or a lone \r alike, so no line end leaves the file to one worker
+        data = self.run(tmp_path).read_bytes()
+        verdicts, workers = [], []
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / "copy.csv"
+            path.write_bytes(data.replace(b"\n", newline))
+            forks.clear()
+            assert self.infer(tmp_path, path) == 0
+            verdicts.append(capsys.readouterr().out)
+            workers.append(len(forks))
+        assert verdicts == verdicts[:1] * 3
+        assert workers == [2, 2, 2]
+        assert_no_child_left()
+
     def test_records_from_a_pipe_parsed_in_one_range(self, tmp_path, capsys, forks):
         path = self.run(tmp_path)
         assert self.infer(tmp_path, path) == 0

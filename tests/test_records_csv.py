@@ -229,7 +229,7 @@ def mutated_csvs(draw):
     if draw(st.integers(0, 19)) == 0:
         header = draw(st.sampled_from([header.replace("outcome_1", "outcome_0"), header + ",", "", "trial"]))
     preamble = draw(st.sampled_from([[], ["# multidetect-config: {}"], ["", "# x", "  "]]))
-    # a file whose lines end in \r alone has no \n to cut it at, so it is one range
+    # the parser cuts a file after a \n or a lone \r, so each line end gives ranges on several cores
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     end = draw(st.sampled_from([newline, ""]))
     return newline.join(preamble + [header] + lines) + end
@@ -388,6 +388,21 @@ class TestParser:
         monkeypatch.setattr(records, "CHUNK_CHARS", 3)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         self.check_against_line_checker(tmp_path, text)
+
+    # a config comment longer than a chunk, and comment lines past the first share of the file
+    @pytest.mark.parametrize("preamble, n_rows", [(f"# {'x' * 197}\n", 60), ("# c\n" * 75, 40)], ids=["long", "many"])
+    def test_long_preamble_cut_after_the_header(self, tmp_path, monkeypatch, preamble, n_rows):
+        # the header's line ends past the first chunk; the rows after it, and only they, are cut into ranges
+        monkeypatch.setattr(records, "CHUNK_CHARS", 64)
+        path = tmp_path / "records.csv"
+        rows = "".join(f"{i},,{i % 7}.5,{i % 2}\n" for i in range(n_rows))
+        path.write_text(f"{preamble}{_records_header(1)}\n{rows}")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _parse_records_csv(path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        with path.open("rb") as fh:
+            assert len(records._row_cuts(fh)) > 2
+        assert _parse_records_csv(path) == serial == _oracle_table(path)
 
     def test_fork_failure_parses_every_range_here(self, tmp_path, monkeypatch):
         path = tmp_path / "records.csv"
