@@ -76,7 +76,10 @@ def _object(raw, path: str, required=(), optional=()) -> dict:
 def _number(value, path: str, minimum=None, maximum=None, strict_min=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond float range, as the JSON 1e400 reads inf
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(path, "must be finite")
     if minimum is not None and (v < minimum or (strict_min and v == minimum)):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .constants import SI, PhysicalConstants
 from .errors import NotDistinguishableError, QuantumRegimeWarning, RelaxationWarning
-from .state import OutcomeProbabilities, gaussian_density, gaussian_tail, outcome_bits, threshold
+from .state import OutcomeProbabilities, gaussian_density, gaussian_draw, gaussian_tail, outcome_bits, threshold
 
 #: X/dx at or above which readout is flagged reliable (misread ~ 6e-3 at 5).
 RELIABLE_RATIO = 5.0
@@ -132,14 +132,9 @@ def sample_pointer(
     rng: np.random.Generator,
     size=None,
 ):
-    """Sample relaxed pointer position(s) given the latched outcome(s).
-
-    Classical-regime thermal state: Normal(sigma*X, dx^2).  ``sigma`` is 0,
-    1 or an array of them; the draws have the shape of ``size`` when given,
-    else the shape of ``sigma`` (a float for a scalar).
-    """
-    sigma = outcome_bits(sigma)
-    return rng.normal(sigma * displacement(params), thermal_std(params), size=size)
+    """Relaxed pointer position(s) Normal(sigma*X, dx^2) for outcome(s) ``sigma``, shaped as state.gaussian_draw's."""
+    dx = thermal_std(params)
+    return gaussian_draw(outcome_bits(sigma), (0.0, displacement(params)), (dx, dx), rng, size)
 
 
 def _conditional(params: OscillatorParams, sigma: int, x):

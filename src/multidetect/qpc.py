@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import SI
 from .errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
-from .state import gaussian_tail, outcome_bits, threshold
+from .state import gaussian_draw, gaussian_tail, outcome_bits, threshold
 from .state import count_pmf as _count_pmf  # the shared law; count_pmf below is its per-detector form
 
 #: D at or above which readout is flagged reliable (misread ~ 6e-3 at 25).
@@ -150,8 +150,8 @@ def sample_current(
     ``sigma`` is 0, 1 or an array of them; the draws have the shape of
     ``size`` when given, else the shape of ``sigma`` (a float for a scalar).
     mode "exact" draws the transmitted count from the binomial law and
-    converts to current e*n/tau; mode "gaussian" draws directly from the
-    closed-form density.
+    converts to current e*n/tau; mode "gaussian" draws from the closed-form
+    density through ``state.gaussian_draw``.
     """
     sigma = outcome_bits(sigma)
     if mode == "exact":
@@ -160,9 +160,7 @@ def sample_current(
         return SI.electron_charge * n / params.observation_time
     if mode == "gaussian":
         s0, s1 = current_stats(params, 0), current_stats(params, 1)
-        mean = np.where(sigma == 0, s0.mean_current, s1.mean_current)
-        std = np.where(sigma == 0, s0.std_current, s1.std_current)
-        return rng.normal(mean, std, size=size)
+        return gaussian_draw(sigma, (s0.mean_current, s1.mean_current), (s0.std_current, s1.std_current), rng, size)
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 

@@ -136,3 +136,14 @@ def gaussian_density(x, mean: float, std: float):
     # z * z, not z ** 2: numpy squares a scalar with pow(), which can miss the product by a bit
     z = (np.asarray(x, dtype=float) - mean) / std
     return np.exp(-0.5 * (z * z)) / (std * math.sqrt(2.0 * math.pi))
+
+
+def gaussian_draw(sigma, means, spreads, rng: np.random.Generator, size=None):
+    """means[s] + spreads[s] * z for outcome(s) s = ``sigma``, one standard normal z each, in order.
+
+    These are Generator.normal's bits.  Shaped as ``size``, to which ``sigma`` must broadcast
+    (else ValueError), or else as ``sigma``: a float for a scalar.
+    """
+    zero = np.asarray(sigma) == 0 if size is None else np.broadcast_to(sigma, size) == 0
+    draws = np.where(zero, *means) + np.where(zero, *spreads) * rng.standard_normal(zero.shape)
+    return float(draws) if size is None and not zero.ndim else np.asarray(draws)

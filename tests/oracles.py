@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import stats
 
+from multidetect.constants import SI
 from multidetect.errors import ConfigError
+from multidetect.state import born_probabilities
 
 
 def gauss_legendre_1d(f, a: float, b: float, n: int = 200) -> float:
@@ -159,6 +162,22 @@ def assert_one_path(f, scalar_type, *arrays) -> None:
     assert whole.tobytes() == np.array(singles, dtype=scalar_type).tobytes()
 
 
+@st.composite
+def bits_sizes_and_keys(draw):
+    """(sigma, size, key): 0/1 outcome(s), None or a size they broadcast to, and a Philox key.
+
+    ``sigma`` is a Python int, a 0-d array or an int8 array.  Two generators
+    of one key let a sampler and Generator.normal draw the same stream.
+    """
+    shape = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    values = draw(st.lists(st.integers(0, 1), min_size=math.prod(shape), max_size=math.prod(shape)))
+    sigma = np.array(values, dtype=np.int8).reshape(shape)
+    if shape == () and draw(st.booleans()):
+        sigma = int(sigma)
+    size = draw(st.sampled_from([None, shape, (4, *shape)] + ([7] if math.prod(shape) == 1 else [])))
+    return sigma, size, draw(st.integers(0, 2**128 - 1))
+
+
 def repr_block_rows(block, scale: float) -> str:
     """Records CSV rows of one TrialBlock, formatting every value with repr or str."""
     size = len(block.outcomes)
@@ -238,3 +257,64 @@ def line_checker_parse(path) -> tuple[int, np.ndarray]:
     if not outcomes:
         raise ConfigError("records", "no trial rows found")
     return n, np.array(outcomes, dtype=np.int8)
+
+
+def reference_blocks(config) -> list[tuple]:
+    """(latent, readings, outcomes) of each block of an ExperimentConfig, drawn as README "Reproducibility" lists.
+
+    A trial-by-trial loop written from that list alone.  It shares no code
+    with the engine's scenarios, samplers or readouts; it takes from the
+    package only the Born probability and each detector's scales (X and dx;
+    the attempt count and both currents' means and spreads).
+    """
+    from multidetect import oscillator, qpc
+
+    p0, n, model = born_probabilities(config.state).p0, config.n_detectors, config.detector_model
+    blocks = []
+    for block in range(-(-config.n_trials // 4096)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, block], dtype=np.uint64)))
+        b = min(4096, config.n_trials - 4096 * block)
+        latent = None
+        if config.scenario.kind == "unanimous":
+            latent = [0 if u < p0 else 1 for u in rng.random(b).tolist()]
+            bits = [[bit] * n for bit in latent]
+        elif config.scenario.kind == "binomial":
+            bits = [[0 if u < p0 else 1 for u in row] for row in rng.random((b, n)).tolist()]
+        else:
+            total = sum(config.scenario.pmf)
+            cdf = list(accumulate(p / total for p in config.scenario.pmf))
+            zeros = [min(sum(c <= u for c in cdf), n) for u in rng.random(b).tolist()]
+            bits = []
+            for k, keys in zip(zeros, rng.random((b, n)).tolist()):
+                smallest = sorted(range(n), key=keys.__getitem__)[:k]
+                bits.append([0 if a in smallest else 1 for a in range(n)])
+        columns = [[row[a] for row in bits] for a in range(n)]
+        readings, outcomes = [], []
+        for a, column in enumerate(columns):
+            if model.model == "ideal":
+                readings.append([float(bit) for bit in column])
+                outcomes.append(column)
+                continue
+            params = model.detectors[a]
+            if model.model == "oscillator":
+                x, dx = oscillator.displacement(params), oscillator.thermal_std(params)
+                means, spreads, level, rising = (0.0, x), (dx, dx), 0.5 * x, True
+            else:
+                s0, s1 = qpc.current_stats(params, 0), qpc.current_stats(params, 1)
+                means, spreads = (s0.mean_current, s1.mean_current), (s0.std_current, s1.std_current)
+                level, rising = 0.5 * (means[0] + means[1]), params.t_given_1 > params.t_given_0
+            if model.model == "qpc" and model.sampling == "exact":
+                t = [params.t_given_0 if bit == 0 else params.t_given_1 for bit in column]
+                counts = rng.binomial(qpc.attempts(params), t).tolist()
+                values = [SI.electron_charge * count / params.observation_time for count in counts]
+            else:
+                z = rng.standard_normal(b).tolist()
+                values = [means[bit] + spreads[bit] * zt for bit, zt in zip(column, z)]
+            readings.append(values)
+            outcomes.append([int(v > level if rising else v < level) for v in values])
+        blocks.append((
+            None if latent is None else np.array(latent, dtype=np.int8),
+            np.array(readings, dtype=float).T.copy(),
+            np.array(outcomes, dtype=np.int8).T.copy(),
+        ))
+    return blocks

@@ -209,6 +209,12 @@ BAD_CONFIGS = {
     "inference-not-object": ({"inference": [0.05]}, "inference: expected an object"),
     "number-type": ({"inference": {"alpha": "0.05"}}, "inference.alpha: expected a number"),
     "number-nan": ({"inference": {"prior_log_odds": math.nan}}, "inference.prior_log_odds: must be finite"),
+    # JSON integers beyond float range, which float() cannot convert, read as the float 1e400 does
+    "number-integer-beyond-float": ({"state": {"p0": 10**400}}, "state.p0: must be finite"),
+    "detector-integer-beyond-float": (
+        {"detector_model": second_detector(qpc_config(), t0=-(10**400))},
+        "detector_model.detectors[1].t0: must be finite",
+    ),
 }
 
 
@@ -230,6 +236,77 @@ def extreme_models(draw):
         fields.update(dict.fromkeys(("t0", "t1"), UNIT_INTERVAL))
     model["detectors"] = [{f: draw(st.sampled_from(values)) for f, values in fields.items()} for _ in range(2)]
     return model
+
+
+SIM_QPC4_DETECTORS = [
+    {"bias_voltage_uV": 50.0, "observation_time_ns": tau, "t0": t0, "t1": t1}
+    for t0, t1 in ((0.4, 0.6), (0.6, 0.4))
+    for tau in (12.5, 25.0)
+]
+SWEEP_OSC_DETECTOR = {
+    "mass": 1.0, "omega": 1.0, "beta": 0.25, "coupling_lambda": 6.0, "relaxation_rate": 1.0, "measurement_time": 10.0,
+}
+# the benchmark's three configs (perfbench/workloads.py), a custom-law config and a QPC gaussian config
+FUZZ_BASES = (
+    {
+        "state": {"p0": 0.5}, "scenario": {"kind": "binomial"},
+        "detector_model": {"model": "qpc", "sampling": "exact", "detectors": SIM_QPC4_DETECTORS},
+        "n_trials": 40, "seed": 1,
+    },
+    {
+        "state": {"p0": 0.3}, "scenario": {"kind": "binomial"}, "detector_model": {"model": "ideal"},
+        "n_detectors": 8, "error_model": {"eps": [round(0.01 + 0.005 * i, 3) for i in range(8)]},
+        "n_trials": 40, "seed": 2,
+    },
+    {
+        "state": {"p0": 0.5}, "scenario": {"kind": "unanimous"},
+        "detector_model": {
+            "model": "oscillator", "unit_system": "natural", "detectors": [SWEEP_OSC_DETECTOR, SWEEP_OSC_DETECTOR],
+        },
+        "n_trials": 40, "seed": 3,
+    },
+    {**custom_law_config(), "n_trials": 40, "inference": {"alpha": 0.05, "prior_log_odds": 0.0}},
+    {
+        "state": [0.6, 0.0, 0.0, 0.8], "scenario": {"kind": "unanimous"},
+        "detector_model": {"model": "qpc", "sampling": "gaussian", "detectors": SIM_QPC4_DETECTORS},
+        "n_trials": 40, "seed": 4,
+    },
+)
+# every JSON type, signed zeros, the float range's edges and integers past int64 and past float range
+FUZZ_VALUES = (
+    None, True, False, "", "0.5", [], [0.5, 0.5], {}, {"p0": 0.5},
+    0, 1, -1, 0.0, -0.0, 0.5, 5e-324, 1e308, -1e308, 2**63, 2**64, 10**400, -(10**400), math.nan,
+)
+# n_trials has no upper bound, and 2**63 trials would run for ever
+FUZZ_TRIAL_COUNTS = tuple(v for v in FUZZ_VALUES if type(v) is not int or v < 10**3)
+
+
+def json_copy(value):
+    return json.loads(json.dumps(value))
+
+
+def config_slots(node):
+    """(container, key) of every value under a JSON object or list, depth first."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from config_slots(value)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A FUZZ_BASES config with one key dropped, or with 1-3 leaves replaced by FUZZ_VALUES."""
+    raw = json_copy(draw(st.sampled_from(FUZZ_BASES)))
+    if draw(st.booleans()):
+        parent, key = draw(st.sampled_from([(p, k) for p, k in config_slots(raw) if isinstance(p, dict)]))
+        del parent[key]
+        return raw
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = [(p, k) for p, k in config_slots(raw) if not isinstance(p[k], (dict, list)) or not p[k]]
+        parent, key = draw(st.sampled_from(leaves))
+        values = FUZZ_TRIAL_COUNTS if parent is raw and key == "n_trials" else FUZZ_VALUES
+        parent[key] = json_copy(draw(st.sampled_from(values)))
+    return raw
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -871,6 +948,31 @@ class TestBadInput:
             assert code in (0, 1, 2), err.getvalue()
             if code == 1:
                 assert err.getvalue().startswith("config error: detector_model.detectors["), err.getvalue()
+
+    @settings(
+        max_examples=300, deadline=None, database=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(fuzzed_configs())
+    def test_fuzzed_config_ends_in_exit_code(self, tmp_path, raw):
+        # every config ends in an exit code, and exit 1 names the field it faults
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        commands = [
+            ["discriminability"],
+            ["simulate", "--format", "json", "--out", str(tmp_path / "run")],
+            ["sweep", "--field", "state.p0", "--start", "0.2", "--stop", "0.8", "--steps", "2",
+             "--out", str(tmp_path / "sweep.csv")],
+        ]
+        for command in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore")
+                code = main([command[0], "--config", str(cfg), *command[1:]])
+            assert code in (0, 1, 2, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 1:
+                assert re.match(r"config error: [A-Za-z_]\w*(\.\w+|\[\d+\])*: ", err.getvalue()), err.getvalue()
 
     @pytest.mark.parametrize(
         "option, message",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chisq_gof_pvalue
+from oracles import chisq_gof_pvalue, reference_blocks
 import multidetect
 from multidetect.config import resolve
 from multidetect.constants import NATURAL
@@ -260,6 +260,37 @@ def experiments(draw):
     )
 
 
+# distinct detectors, so that columns drawn in another order read differently
+OSC_POINTERS = [oscillator_pair(ratio).detectors[0] for ratio in (3.0, 5.0, 10.0)]
+QPC_CONTACTS = [*qpc_pair(150.0).detectors, *qpc_pair(302.0).detectors, *qpc_pair(604.0).detectors]
+
+
+@st.composite
+def reference_configs(draw, model, law):
+    """A config of ``model`` and ``law`` with one trial, or with trials that end at a block edge or one off it."""
+    n = draw(st.integers(2, 8 if model == "ideal" else 4))
+    p0 = draw(st.floats(0.0, 1.0))
+    if model == "ideal":
+        detectors = IdealModel()
+    elif model == "oscillator":
+        detectors = OscillatorModel([draw(st.sampled_from(OSC_POINTERS)) for _ in range(n)])
+    else:
+        sampling = model.split("-")[1]
+        detectors = QpcModel([draw(st.sampled_from(QPC_CONTACTS)) for _ in range(n)], sampling=sampling)
+    return ExperimentConfig(
+        state=make_amplitudes(math.sqrt(p0), 0, math.sqrt(1 - p0), 0),
+        scenario=scenario_for(law, p0, n, draw(st.floats(0.0, 1.0))),
+        detector_model=detectors,
+        n_trials=draw(st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1])),
+        n_detectors=n,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def array_bytes(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
 @st.composite
 def pattern_tables(draw):
     """A table of N = 2..64 detectors with 1..1000 trials per code; one code has bit N - 1 set."""
@@ -296,6 +327,19 @@ class TestBlockEngine:
         assert summary.histogram_n0 == tuple(hist)
         assert summary.patterns == PatternTable.from_outcomes(stacked(blocks, "outcomes"))
         assert run_experiment(config) == summary
+
+    @pytest.mark.parametrize("law", ["unanimous", "binomial", "custom"])
+    @pytest.mark.parametrize("model", ["ideal", "oscillator", "qpc-exact", "qpc-gaussian"])
+    @settings(max_examples=8, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_blocks_match_the_stream_reference(self, model, law, data):
+        config = data.draw(reference_configs(model, law))
+        _, blocks = summary_and_blocks(config)
+        expected = reference_blocks(config)
+        assert len(blocks) == len(expected)
+        for block, reference in zip(blocks, expected):
+            got = block.latent, block.readings, block.outcomes
+            assert list(map(array_bytes, got)) == list(map(array_bytes, reference))
 
 
 class TestSummarize:

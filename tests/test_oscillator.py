@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import assert_one_path, gauss_legendre_2d, quadrant_masses
+from oracles import assert_one_path, bits_sizes_and_keys, gauss_legendre_2d, quadrant_masses
 from multidetect.constants import NATURAL, SI, PhysicalConstants
 from multidetect.errors import NotDistinguishableError, QuantumRegimeWarning, RelaxationWarning
 from multidetect.oscillator import (
@@ -152,7 +152,7 @@ class TestSampling:
     def test_scalar_form(self):
         rng = np.random.default_rng(25)
         reading = sample_pointer(WELL_SEPARATED, 1, rng)
-        assert isinstance(reading, float)
+        assert type(reading) is float
         assert math.isfinite(reading)
 
     def test_sigma_array_selects_outcome_per_draw(self):
@@ -170,6 +170,23 @@ class TestSampling:
             sample_pointer(WELL_SEPARATED, 2, rng)
         with pytest.raises(ValueError):
             sample_pointer(WELL_SEPARATED, np.array([0, 1, 2]), rng)
+
+    @pytest.mark.parametrize("shape, size", [((2, 3), (3,)), ((3,), (2,)), ((3,), 4)])
+    def test_size_that_sigma_does_not_broadcast_to(self, shape, size):
+        # as Generator.normal: sigma broadcasts to size, never size to sigma
+        with pytest.raises(ValueError):
+            sample_pointer(WELL_SEPARATED, np.zeros(shape, dtype=np.int8), np.random.default_rng(0), size=size)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(bits_sizes_and_keys())
+    def test_draws_are_generator_normal_bits(self, case):
+        # the draw rule mean + spread * z is numpy's normal, and fails here first if a numpy release changes it
+        sigma, size, key = case
+        rng, twin = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        got = sample_pointer(WELL_SEPARATED, sigma, rng, size=size)
+        want = twin.normal(np.asarray(sigma) * displacement(WELL_SEPARATED), thermal_std(WELL_SEPARATED), size=size)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 PROBS = OutcomeProbabilities(0.36)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import assert_one_path, gauss_legendre_1d
+from oracles import assert_one_path, bits_sizes_and_keys, gauss_legendre_1d
 from multidetect.constants import SI
 from multidetect.errors import GaussianRegimeWarning, NoContrastError, TooFewAttemptsError
 from multidetect.qpc import (
@@ -202,6 +202,30 @@ class TestSampling:
         p = make_qpc(0.3, 0.7, 1000.0)
         with pytest.raises(ValueError):
             sample_current(p, np.array([0, 2]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", ["exact", "gaussian"])
+    @pytest.mark.parametrize("shape, size", [((2, 3), (3,)), ((3,), (2,)), ((3,), 4)])
+    def test_size_that_sigma_does_not_broadcast_to(self, mode, shape, size):
+        # as numpy's samplers: sigma broadcasts to size, never size to sigma
+        p = make_qpc(0.3, 0.7, 1000.0)
+        with pytest.raises(ValueError):
+            sample_current(p, np.zeros(shape, dtype=np.int8), np.random.default_rng(0), mode=mode, size=size)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(bits_sizes_and_keys())
+    def test_gaussian_draws_are_generator_normal_bits(self, case):
+        # the draw rule mean + spread * z is numpy's normal, and fails here first if a numpy release changes it
+        sigma, size, key = case
+        p = make_qpc(0.3, 0.7, 10**4)
+        s0, s1 = current_stats(p, 0), current_stats(p, 1)
+        rng, twin = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        got = sample_current(p, sigma, rng, mode="gaussian", size=size)
+        zero = np.asarray(sigma) == 0
+        want = twin.normal(
+            np.where(zero, s0.mean_current, s1.mean_current), np.where(zero, s0.std_current, s1.std_current), size=size
+        )
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_gaussian_mode_variance(self):
         p = make_qpc(0.3, 0.7, 10**4)
