@@ -7,7 +7,8 @@ to stderr only.
 
 A command imports the modules that only it uses (``records``) itself,
 before its first config resolve: perfbench times an operation's work from
-the return of that resolve, so a later import would count as work.
+the return of that resolve, so a later import would count as work.  Only
+``numpy.random`` comes later, on its first use in ``experiment.block_rng``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ EXIT_CONFIG = 1
 EXIT_MODEL = 2
 EXIT_INCONCLUSIVE = 3
 
-CONFIG_COMMENT = "# multidetect-config: "
 SWEEP_COMMENT = "# multidetect-sweep: "
 
 REQUIRED_TRIALS_ALPHAS = (0.05, 0.01, 0.001)
@@ -73,10 +73,7 @@ def cmd_simulate(config_path, output_dir: Path, formats, seed=None) -> int:
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
         if "csv" in formats:
-            with open(output_dir / "records.csv", "w", newline="") as fh:
-                fh.write(CONFIG_COMMENT + cfg.canonical_json(resolved.echo, compact=True) + "\n")
-                fh.write(records._records_header(experiment.n_detectors) + "\n")
-                summary = ExperimentSummary(records._write_records(fh, experiment, output_dir))
+            summary = ExperimentSummary(records._write_records(output_dir / "records.csv", resolved))
         else:
             summary = run_experiment(experiment)
         if "json" in formats:
@@ -124,10 +121,7 @@ def cmd_infer(records_path, config_path) -> int:
     from . import records
 
     resolved = cfg.resolve(cfg.read_raw(config_path))
-    table = records._parse_records_csv(records_path)
-    n = resolved.experiment.n_detectors
-    if table.n_detectors != n:
-        raise ConfigError("records", f"records have {table.n_detectors} detectors but config says {n}")
+    table = records._parse_records_csv(records_path, resolved.experiment.n_detectors)
     verdict = _verdict(table, resolved)
     payload = {
         "loglik_H1": _json_safe(verdict.loglik_unanimous),

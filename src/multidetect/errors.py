@@ -10,7 +10,10 @@ class ConfigError(MultidetectError):
 
     def __init__(self, field: str, message: str):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(field, message)  # both args, so that it pickles, as across a forked worker's pipe
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.args[1]}"
 
 
 class ModelError(MultidetectError):

@@ -18,10 +18,16 @@ binomial and custom trials feed each detector its own bit, which is exactly
 the distinction between the one-latent mixture law and the
 independent-detector law at the physical level.  Each block's outcomes
 are tallied into a ``PatternTable``; the tables are merged once at the end.
+``_fan_out`` runs the parts of a piece of work (runs of blocks, a file's
+rows) over the usable cores: the first here, each other in a forked child.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import warnings
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -214,6 +220,96 @@ class TrialBlock(NamedTuple):
 def block_count(n_trials: int) -> int:
     """Blocks of at most BLOCK_SIZE trials that ``n_trials`` trials make."""
     return -(-n_trials // BLOCK_SIZE)
+
+
+def _workers(parts: int) -> int:
+    """Workers for at most ``parts`` parts of work: no more than the usable cores; one on a platform other than Linux."""
+    # multiprocessing's documentation calls fork unsafe on macOS, whose system libraries may start threads
+    cores = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    return max(1, min(parts, cores))
+
+
+def _fork() -> int:
+    """``os.fork()``, without the warning Python 3.12+ gives when this process has other threads.
+
+    The other threads are numpy's BLAS pool, idle while this thread forks;
+    a child runs only its part's work and ends in ``os._exit``.  The
+    filter keeps that ``DeprecationWarning`` out of shown and recorded
+    warnings: pytest's summary, ``-W always``, a caller's
+    ``catch_warnings(record=True)``.  It does not keep the fork from
+    raising: under ``simplefilter("error")`` a bare fork did not raise on
+    Python 3.12.1 and 3.13.0, which drop the warning then.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process .*is multi-threaded", DeprecationWarning)
+        return os.fork()
+
+
+def _fan_out(work: Callable[[int], object], parts: int) -> list:
+    """``[work(0), ..., work(parts - 1)]``, each part after the first run in a forked child.
+
+    fork, not multiprocessing: a child starts at once from this process's
+    state, and importing multiprocessing would cost more than a small part.
+    A child sends back what ``work`` returns, or the exception it raises,
+    pickled through a pipe, and ends in ``os._exit``.  This process runs
+    part 0 and every part it could not fork, then raises the first child
+    exception in part order, or RuntimeError for a child that ended without
+    sending its outcome.  It reaps every child before it returns or raises.
+    """
+    # part -> its child's pid, until reaped; part -> the read end of its child's pipe, until read
+    pids, pipes = {}, {}
+    try:
+        for part in range(1, parts):
+            read, write = os.pipe()
+            try:
+                pid = _fork()
+            except OSError:  # no process to be had: the part runs here
+                os.close(read)
+                os.close(write)
+                continue
+            if pid == 0:
+                _child(work, part, write, [read, *pipes.values()])
+            os.close(write)
+            pids[part] = pid
+            pipes[part] = read
+        results = [work(part) if part not in pipes else None for part in range(parts)]
+        for part in list(pipes):
+            with open(pipes.pop(part), "rb") as pipe:
+                data = pipe.read()
+            try:
+                ok, results[part] = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):  # none or part of a result: the child died, as killed
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(part), 0)[1])
+                ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                # not an OSError, which the commands report as a fault of their files
+                raise RuntimeError(f"the worker of part {part} of {parts} ended without a result: {ended}") from None
+            if not ok:
+                raise results[part]
+        return results
+    finally:
+        for read in pipes.values():  # a child still writing gets a broken pipe and ends
+            os.close(read)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+
+
+def _child(work, part: int, write: int, inherited: list[int]) -> None:
+    """In a forked child: run ``work(part)``, send its outcome through ``write``, and end the process."""
+    try:
+        for fd in inherited:  # a sibling's pipe held open here would never reach its end
+            os.close(fd)
+        try:
+            outcome = True, work(part)
+        except BaseException as exc:  # the parent raises it
+            outcome = False, exc
+        try:
+            data = pickle.dumps(outcome)
+        except Exception:  # an exception or result that does not pickle
+            data = pickle.dumps((False, RuntimeError(f"part {part}: {outcome[1]!r} does not pickle")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)  # never return into the caller's frames, which belong to the parent
 
 
 def run_blocks(

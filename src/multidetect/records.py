@@ -1,30 +1,21 @@
-"""The records CSV: one ``trial,latent,reading_1..N,outcome_1..N`` row per trial.
-
-Writing and parsing run over the usable cores.  The writer cuts the blocks,
-and the parser the file's rows, into contiguous parts; ``_fan_out`` runs the
-first part in this process and each other part in a forked child, and the
-parts are joined in order, so no byte of output and no message depends on
-the number of parts.
-"""
+"""The records CSV, written and checked here alone: its config comment, its header and one row per trial."""
 
 from __future__ import annotations
 
 import contextlib
 import math
 import os
-import pickle
 import shutil
-import sys
 import tempfile
-import warnings
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from .config import ResolvedConfig, canonical_json
 from .errors import ConfigError
-from .experiment import ExperimentConfig, TrialBlock, block_count, run_blocks
+from .experiment import TrialBlock, _fan_out, _workers, block_count, run_blocks
 from .inference import MAX_DETECTORS, PatternTable
 
 _BITS = frozenset((0, 1))
@@ -36,96 +27,7 @@ _LATENTS = frozenset(("", "0", "1"))
 CHUNK_CHARS = 64 * 1024
 #: Rows the writer joins into one string at a time.
 PIECE_ROWS = 1024
-
-
-def _workers(parts: int) -> int:
-    """Workers for at most ``parts`` parts of work: no more than the usable cores; one on a platform other than Linux."""
-    # multiprocessing's documentation calls fork unsafe on macOS, whose system libraries may start threads
-    cores = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-    return max(1, min(parts, cores))
-
-
-def _fork() -> int:
-    """``os.fork()``, without the warning Python 3.12+ gives when this process has other threads.
-
-    The other threads are numpy's BLAS pool, idle while this thread forks;
-    a child runs only this module's work and ends in ``os._exit``.  The
-    filter keeps that ``DeprecationWarning`` out of shown and recorded
-    warnings: pytest's summary, ``-W always``, a caller's
-    ``catch_warnings(record=True)``.  It does not keep the fork from
-    raising: under ``simplefilter("error")`` a bare fork did not raise on
-    Python 3.12.1 and 3.13.0, which drop the warning then.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"This process .*is multi-threaded", DeprecationWarning)
-        return os.fork()
-
-
-def _fan_out(work: Callable[[int], object], parts: int) -> list:
-    """``[work(0), ..., work(parts - 1)]``, each part after the first run in a forked child.
-
-    fork, not multiprocessing: a child starts at once from this process's
-    state, and importing multiprocessing would cost more than a small part.
-    A child sends back what ``work`` returns, or the exception it raises,
-    pickled through a pipe, and ends in ``os._exit``.  This process runs
-    part 0 and every part it could not fork, then raises the first child
-    exception in part order, or RuntimeError for a child that ended without
-    sending its outcome.  It reaps every child before it returns or raises.
-    """
-    # part -> its child's pid, until reaped; part -> the read end of its child's pipe, until read
-    pids, pipes = {}, {}
-    try:
-        for part in range(1, parts):
-            read, write = os.pipe()
-            try:
-                pid = _fork()
-            except OSError:  # no process to be had: the part runs here
-                os.close(read)
-                os.close(write)
-                continue
-            if pid == 0:
-                _child(work, part, write, [read, *pipes.values()])
-            os.close(write)
-            pids[part] = pid
-            pipes[part] = read
-        results = [work(part) if part not in pipes else None for part in range(parts)]
-        for part in list(pipes):
-            with open(pipes.pop(part), "rb") as pipe:
-                data = pipe.read()
-            try:
-                ok, results[part] = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):  # none or part of a result: the child died, as killed
-                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(part), 0)[1])
-                ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                # not an OSError, which the commands report as a fault of their files
-                raise RuntimeError(f"the worker of part {part} of {parts} ended without a result: {ended}") from None
-            if not ok:
-                raise results[part]
-        return results
-    finally:
-        for read in pipes.values():  # a child still writing gets a broken pipe and ends
-            os.close(read)
-        for pid in pids.values():
-            os.waitpid(pid, 0)
-
-
-def _child(work, part: int, write: int, inherited: list[int]) -> None:
-    """In a forked child: run ``work(part)``, send its outcome through ``write``, and end the process."""
-    try:
-        for fd in inherited:  # a sibling's pipe held open here would never reach its end
-            os.close(fd)
-        try:
-            outcome = True, work(part)
-        except BaseException as exc:  # the parent raises it
-            outcome = False, exc
-        try:
-            data = pickle.dumps(outcome)
-        except Exception:  # an exception or result that does not pickle
-            data = pickle.dumps((False, RuntimeError(f"part {part}: {outcome[1]!r} does not pickle")))
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-    finally:
-        os._exit(0)  # never return into the caller's frames, which belong to the parent
+CONFIG_COMMENT = "# multidetect-config: "
 
 
 def _records_header(n_detectors: int) -> str:
@@ -192,22 +94,25 @@ def _block_rows(block: TrialBlock, scale: float) -> Iterator[str]:
         yield "\n".join(map(",".join, zip(map(str, indices[piece]), *[f[piece] for f in fields]))) + "\n"
 
 
-def _write_records(fh, config: ExperimentConfig, spill_dir) -> PatternTable:
-    """Write the row of every trial of ``config`` to the text file ``fh``, in trial order; their pattern table.
+def _write_records(path, resolved: ResolvedConfig) -> PatternTable:
+    """Write the records CSV of ``resolved`` to ``path``: its config comment, header and trials; their pattern table.
 
     The blocks are cut into contiguous parts, one per usable core at most.
-    Part 0 is written to ``fh`` directly and every other part into a
-    temporary file in ``spill_dir``, opened before the fork so that no part
-    can be left behind; this process appends those files to ``fh`` in order
+    Part 0 is written to ``path`` directly and every other part into a
+    temporary file beside it, opened before the fork so that no part
+    can be left behind; this process appends those files in order
     once every part is done.
     """
+    config, path = resolved.experiment, Path(path)
     blocks = block_count(config.n_trials)
     parts = _workers(blocks)
     cuts = [-(-blocks * part // parts) for part in range(parts + 1)]
     scale = config.detector_model.reading_scale
     with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(path.open("w", newline=""))
+        fh.write(f"{CONFIG_COMMENT}{canonical_json(resolved.echo, compact=True)}\n{_records_header(config.n_detectors)}\n")
         outs = [fh] + [
-            stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=spill_dir)) for _ in range(1, parts)
+            stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=path.parent)) for _ in range(1, parts)
         ]
 
         def write_part(part: int) -> PatternTable:
@@ -291,10 +196,10 @@ def _line_runs(fh, start: int, end: int) -> Iterator[list[str]]:
     yield b"".join(carry).decode("utf-8", "surrogateescape").splitlines()
 
 
-def _row_cuts(fh) -> list:
+def _row_cuts(fh, n: int) -> list:
     """Offsets that cut the binary file ``fh`` into ranges of whole lines, one per worker; ``fh`` is left at 0.
 
-    The header is read as the parse reads it, and raises its fault; the
+    The header is checked as the parse checks it, and raises its fault; the
     first range starts at 0 and holds it.  Range k >= 1 starts where
     _line_end cuts the CHUNK_CHARS bytes before its share of the file, but
     not before the end of the header's chunk or the range before it; a
@@ -304,7 +209,7 @@ def _row_cuts(fh) -> list:
     if not fh.seekable():
         return [0, math.inf]
     size = os.fstat(fh.fileno()).st_size
-    _header(_numbered_lines(fh, 0, size))
+    _header(_numbered_lines(fh, 0, size), n)
     cuts, floor = [0], fh.tell()  # fh is past the header's line
     parts = _workers(size // CHUNK_CHARS)
     for part in range(1, parts):
@@ -317,8 +222,8 @@ def _row_cuts(fh) -> list:
     return cuts + [size]
 
 
-def _parse_records_csv(path) -> PatternTable:
-    """The outcome-pattern table of a records CSV.
+def _parse_records_csv(path, n: int) -> PatternTable:
+    """The outcome-pattern table of a records CSV of ``n`` detectors.
 
     The header is checked first, then every row; trial indices must increase
     strictly, so duplicated rows or two concatenated runs cannot count their
@@ -330,9 +235,9 @@ def _parse_records_csv(path) -> PatternTable:
     """
     try:
         with Path(path).open("rb") as fh:
-            cuts = _row_cuts(fh)
+            cuts = _row_cuts(fh, n)
             lines = _numbered_lines(fh, 0, cuts[1])
-            n, header_line = _header(lines)
+            header_line = _header(lines, n)
 
             def tally(part: int):
                 if part == 0:  # this process has read the header off the first range
@@ -347,8 +252,8 @@ def _parse_records_csv(path) -> PatternTable:
     return _joined(ranges)
 
 
-def _header(lines) -> tuple[int, int]:
-    """The detector count and line number of the header in numbered lines: the first that is neither blank nor a comment."""
+def _header(lines, n: int) -> int:
+    """The line number of the header in numbered lines, the first neither blank nor a comment, if it is of ``n`` detectors."""
     for header_line, line in lines:
         if fault := _byte_fault(line):
             raise ConfigError("records", f"line {header_line}: {fault}")
@@ -357,12 +262,14 @@ def _header(lines) -> tuple[int, int]:
             break
     else:
         raise ConfigError("records", "no header row found")
-    n = sum(1 for col in header if col.startswith("outcome_"))
-    if n < 1 or ",".join(header) != _records_header(n):
+    found = sum(1 for col in header if col.startswith("outcome_"))
+    if found < 1 or ",".join(header) != _records_header(found):
         raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
-    if n > MAX_DETECTORS:
-        raise ConfigError("records", f"{n} detectors exceed the packing limit of {MAX_DETECTORS}")
-    return n, header_line
+    if found > MAX_DETECTORS:
+        raise ConfigError("records", f"{found} detectors exceed the packing limit of {MAX_DETECTORS}")
+    if found != n:
+        raise ConfigError("records", f"records have {found} detectors but config says {n}")
+    return header_line
 
 
 def _order_fault(index: int, previous) -> str:

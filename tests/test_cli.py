@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,12 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multidetect
-from multidetect import records
-from multidetect.cli import CONFIG_COMMENT, main
+from multidetect import errors, records
+from multidetect.cli import main
 from multidetect.constants import SI
 from multidetect.errors import GaussianRegimeWarning, NormalizationWarning
 from multidetect.experiment import BLOCK_SIZE
-from multidetect.records import _records_header
+from multidetect.records import CONFIG_COMMENT, _records_header
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -648,6 +649,15 @@ class TestInfer:
         assert code == 1
         assert "detectors" in capsys.readouterr().err
 
+    def test_detector_count_mismatch_reported_before_row_faults(self, tmp_path, capsys):
+        # a header valid for 2 detectors is refused against a 3-detector config before its faulty first row is read
+        cfg = write_config(tmp_path, ideal_config(n_detectors=3))
+        records = tmp_path / "records.csv"
+        records.write_text(_records_header(2) + "\n0,,x\n")
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: records: records have 2 detectors but config says 3\n"
+
     def test_records_beyond_packing_limit_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ideal_config())
         records = tmp_path / "records.csv"
@@ -1251,19 +1261,29 @@ class TestWorkers:
         assert self.run(tmp_path).read_bytes() == expected
         assert_no_child_left()
 
-    # part 0 runs in this process, the last part in a child
-    @pytest.mark.parametrize("failing_block", [0, 3], ids=["this-process", "child"])
-    def test_none_left_after_a_writer_raises(self, tmp_path, monkeypatch, forks, failing_block):
+    # part 0 runs in this process, the last part in a child; a package error comes back from the child as itself
+    @pytest.mark.parametrize(
+        "failing_block, error",
+        [(0, RuntimeError("worker failed")), (3, RuntimeError("worker failed")),
+         (3, errors.ConfigError("records", "worker failed"))],
+        ids=["this-process", "child", "child-config-error"],
+    )
+    def test_none_left_after_a_writer_raises(self, tmp_path, monkeypatch, capsys, forks, failing_block, error):
         block_rows = records._block_rows
 
         def failing(block, scale):
             if block.start == failing_block * BLOCK_SIZE:
-                raise RuntimeError("worker failed")
+                raise error
             return block_rows(block, scale)
 
         monkeypatch.setattr(records, "_block_rows", failing)
-        with pytest.raises(RuntimeError, match="^worker failed$"):
-            self.run(tmp_path)
+        if isinstance(error, errors.ConfigError):
+            code, _ = simulate(tmp_path, ideal_config(n_trials=self.N_TRIALS))
+            assert code == 1
+            assert capsys.readouterr().err == "config error: records: worker failed\n"
+        else:
+            with pytest.raises(RuntimeError, match="^worker failed$"):
+                self.run(tmp_path)
         assert len(forks) == 2
         assert_no_child_left()
         assert not (tmp_path / "run" / "records.csv").exists()
@@ -1312,6 +1332,32 @@ class TestWorkers:
         assert capsys.readouterr().out == verdict
         assert len(forks) == 8
         assert_no_child_left()
+
+    def test_detector_count_mismatch_forks_no_worker(self, tmp_path, capsys, forks):
+        # the header is checked against the config before the rows are cut into ranges
+        path = self.run(tmp_path)
+        assert path.stat().st_size > 2 * records.CHUNK_CHARS  # a matching config would parse it in three ranges
+        forks.clear()
+        write_config(tmp_path, ideal_config(n_detectors=3))
+        assert self.infer(tmp_path, path) == 1
+        assert capsys.readouterr().err == "config error: records: records have 2 detectors but config says 3\n"
+        assert not forks
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "cls",
+        [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__],
+        ids=lambda c: c.__name__,
+    )
+    def test_package_error_pickles_as_itself(self, cls):
+        # a worker's exception comes back to this process pickled through its pipe
+        args = ("records", "no header row found") if cls is errors.ConfigError else ("a message",)
+        made = cls(*args)
+        sent = pickle.loads(pickle.dumps(made))
+        assert type(sent) is cls
+        assert (sent.args, str(sent), vars(sent)) == (made.args, str(made), vars(made))
+        if cls is errors.ConfigError:
+            assert (sent.field, str(sent)) == ("records", "records: no header row found")
 
     def test_none_left_after_a_parser_raises(self, tmp_path, monkeypatch, forks):
         path = self.run(tmp_path)

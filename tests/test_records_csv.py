@@ -186,6 +186,7 @@ ODD_LATENTS = ["", "0", "1", "2", " ", "00", "-0", " 1", "x"]
 
 @st.composite
 def mutated_csvs(draw):
+    """A records CSV of n detectors, its rows and at times its header mutated, and n."""
     n = draw(st.integers(1, 3))
     rows = draw(valid_rows(n))
     lines = [",".join(r) for r in rows]
@@ -232,12 +233,12 @@ def mutated_csvs(draw):
     # the parser cuts a file after a \n or a lone \r, so each line end gives ranges on several cores
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     end = draw(st.sampled_from([newline, ""]))
-    return newline.join(preamble + [header] + lines) + end
+    return newline.join(preamble + [header] + lines) + end, n
 
 
 @st.composite
 def split_csvs(draw):
-    """A records CSV as bytes, and the offsets that cut it into 1 to 3 ranges of whole lines after its header.
+    """A records CSV of n detectors as bytes, the offsets that cut it into 1 to 3 ranges of whole lines after its header, and n.
 
     At each cut a fault may sit on the last row before it or the first row
     after it: a wrong field count, a bad index, an index that does not
@@ -269,7 +270,7 @@ def split_csvs(draw):
     if draw(st.booleans()):
         parts[-1] = parts[-1].removesuffix(newline.encode())
     offsets = [sum(map(len, parts[:j])) for j in range(1, len(parts))]
-    return b"".join(parts), offsets[1:]
+    return b"".join(parts), offsets[1:], n
 
 
 def _oracle_table(path):
@@ -325,21 +326,22 @@ class TestLineChunks:
 
 class TestParser:
     @staticmethod
-    def check_against_line_checker(tmp_path, text):
+    def check_against_line_checker(tmp_path, case):
+        text, n = case
         path = tmp_path / "records.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _outcome(_parse_records_csv, path) == _outcome(_oracle_table, path)
+        assert _outcome(lambda p: _parse_records_csv(p, n), path) == _outcome(_oracle_table, path)
 
     @settings(FUZZ, max_examples=300)
     @given(mutated_csvs())
-    def test_matches_line_checker(self, tmp_path, text):
-        self.check_against_line_checker(tmp_path, text)
+    def test_matches_line_checker(self, tmp_path, case):
+        self.check_against_line_checker(tmp_path, case)
 
     @settings(FUZZ, max_examples=300)
     @given(mutated_csvs())
-    def test_matches_line_checker_in_tiny_chunks(self, tmp_path, monkeypatch, text):
+    def test_matches_line_checker_in_tiny_chunks(self, tmp_path, monkeypatch, case):
         monkeypatch.setattr(records, "CHUNK_CHARS", 3)
-        self.check_against_line_checker(tmp_path, text)
+        self.check_against_line_checker(tmp_path, case)
 
     @pytest.mark.parametrize("chunk_chars", [3, records.CHUNK_CHARS])
     @pytest.mark.parametrize("bad_bytes", [b"\xff", b"\xe2\x82"], ids=["invalid-start", "cut-at-end"])
@@ -353,7 +355,7 @@ class TestParser:
             ("0,,1.0,1", f"line 20002: byte {bad_bytes[0]:#04x} is not UTF-8"),  # else it is, at its line
         ]:
             path.write_bytes(f"{_records_header(1)}\n{first_row}\n{rows}".encode("utf-8") + bad_bytes)
-            for parse in (_parse_records_csv, line_checker_parse):
+            for parse in (lambda p: _parse_records_csv(p, 1), line_checker_parse):
                 with pytest.raises(ConfigError) as caught:
                     parse(path)
                 assert str(caught.value) == f"records: {message}"
@@ -365,29 +367,30 @@ class TestParser:
         path.write_text(f"{_records_header(1)}\n0,{'1' * 2**20}\n")
         started = time.perf_counter()
         with pytest.raises(ConfigError, match="^records: line 2: expected 4 fields, got 2$"):
-            _parse_records_csv(path)
+            _parse_records_csv(path, 1)
         assert time.perf_counter() - started < 2
 
     @settings(FUZZ, max_examples=200)
     @given(split_csvs())
     def test_split_parse_matches_serial_parse_and_line_checker(self, tmp_path, monkeypatch, case):
-        data, offsets = case
+        data, offsets, n = case
         path = tmp_path / "records.csv"
         path.write_bytes(data)
-        serial = _outcome(_parse_records_csv, path)
+        parse = lambda p: _parse_records_csv(p, n)
+        serial = _outcome(parse, path)
         with monkeypatch.context() as patch:  # one example's cuts
-            patch.setattr(records, "_row_cuts", lambda fh: [0, *offsets, len(data)])
-            split = _outcome(_parse_records_csv, path)
+            patch.setattr(records, "_row_cuts", lambda fh, n: [0, *offsets, len(data)])
+            split = _outcome(parse, path)
         assert split == serial == _outcome(_oracle_table, path)
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @settings(FUZZ, max_examples=100)
     @given(mutated_csvs())
-    def test_matches_line_checker_on_any_core_count(self, tmp_path, monkeypatch, cores, text):
+    def test_matches_line_checker_on_any_core_count(self, tmp_path, monkeypatch, cores, case):
         # tiny chunks, so that the file's own cuts fall between any rows
         monkeypatch.setattr(records, "CHUNK_CHARS", 3)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        self.check_against_line_checker(tmp_path, text)
+        self.check_against_line_checker(tmp_path, case)
 
     # a config comment longer than a chunk, and comment lines past the first share of the file
     @pytest.mark.parametrize("preamble, n_rows", [(f"# {'x' * 197}\n", 60), ("# c\n" * 75, 40)], ids=["long", "many"])
@@ -398,24 +401,24 @@ class TestParser:
         rows = "".join(f"{i},,{i % 7}.5,{i % 2}\n" for i in range(n_rows))
         path.write_text(f"{preamble}{_records_header(1)}\n{rows}")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _parse_records_csv(path)
+        serial = _parse_records_csv(path, 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         with path.open("rb") as fh:
-            assert len(records._row_cuts(fh)) > 2
-        assert _parse_records_csv(path) == serial == _oracle_table(path)
+            assert len(records._row_cuts(fh, 1)) > 2
+        assert _parse_records_csv(path, 1) == serial == _oracle_table(path)
 
     def test_fork_failure_parses_every_range_here(self, tmp_path, monkeypatch):
         path = tmp_path / "records.csv"
         path.write_text(_records_header(1) + "\n" + "".join(f"{i},,{i}.5,1\n" for i in range(30_000)))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         with path.open("rb") as fh:
-            assert len(records._row_cuts(fh)) == 4
+            assert len(records._row_cuts(fh, 1)) == 4
 
         def no_fork():
             raise OSError("no process to be had")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert _parse_records_csv(path) == PatternTable.from_outcomes(np.ones((30_000, 1), dtype=np.int8))
+        assert _parse_records_csv(path, 1) == PatternTable.from_outcomes(np.ones((30_000, 1), dtype=np.int8))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_memory_does_not_grow_with_the_file(self, tmp_path, newline):
@@ -426,7 +429,7 @@ class TestParser:
         assert path.stat().st_size >= 4_000_000
         tracemalloc.start()
         try:
-            table = _parse_records_csv(path)
+            table = _parse_records_csv(path, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -466,7 +469,7 @@ class TestParser:
     def test_first_fault_reported(self, tmp_path, lines, message):
         path = tmp_path / "records.csv"
         path.write_text("\n".join([_records_header(1), *lines]) + "\n")
-        for parse in (_parse_records_csv, line_checker_parse):
+        for parse in (lambda p: _parse_records_csv(p, 1), line_checker_parse):
             with pytest.raises(ConfigError, match="^records: ") as caught:
                 parse(path)
             assert message in str(caught.value)
