@@ -1,9 +1,9 @@
 """Command-line interface: simulate, infer, discriminability, sweep.
 
-All file outputs embed the resolved configuration and seed, so any run can
-be reproduced byte-for-byte from its own artifacts.  Verdicts and
-diagnostics go to stdout as JSON (schemas in docs/); status chatter goes
-to stderr only.
+Each command checks its arguments, runs its experiments and writes its outputs;
+``config`` makes every edit to a raw config.  File outputs embed the resolved
+configuration and seed, so a run reproduces byte-for-byte from its artifacts.
+Verdicts and diagnostics go to stdout as JSON (schemas in docs/), status to stderr only.
 
 A command imports the modules that only it uses (``records``) itself,
 before its first config resolve: perfbench times an operation's work from
@@ -20,7 +20,6 @@ import gc
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +51,6 @@ def _json_safe(value):
     return value
 
 
-def _read_config(config_path, seed):
-    """The raw config of ``config_path``, its ``seed`` replaced by ``seed`` (--seed) when one is given."""
-    raw = cfg.read_raw(config_path)
-    if seed is not None and isinstance(raw, dict):  # any other config is resolve's to report
-        raw["seed"] = seed
-    return raw
-
-
 def cmd_simulate(config_path, output_dir: Path, formats, seed=None) -> int:
     """Run the configured experiment; write the records CSV and summary JSON of ``formats``.
 
@@ -68,7 +59,7 @@ def cmd_simulate(config_path, output_dir: Path, formats, seed=None) -> int:
     """
     if "csv" in formats:
         from . import records
-    resolved = cfg.resolve(_read_config(config_path, seed))
+    resolved = cfg.resolve(cfg.read_raw(config_path, seed))
     experiment = resolved.experiment
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -154,30 +145,6 @@ def cmd_discriminability(config_path) -> int:
     return EXIT_OK
 
 
-def _field_slot(raw, dotted: str):
-    """The object or list holding the numeric field at dotted path ``dotted``, its key, and whether it is an integer.
-
-    A field that the config leaves at its default, and any object above it,
-    is added to ``raw`` as an integer 0 (the grid value replaces it, as an
-    integer when integral), so resolve names a field that does not exist.
-    """
-    parts = dotted.split(".")
-    if not all(parts):
-        raise ConfigError("field", f"{dotted!r} is not a dotted path of config field names")
-    parent, key, node = None, None, raw
-    for depth, part in enumerate(parts, start=1):
-        if isinstance(node, list) and part.isdigit():  # an index in ASCII digits, leading zeros allowed
-            part = {str(i): i for i in range(len(node))}.get(part.lstrip("0") or "0", part)
-        elif isinstance(node, dict) and part not in node:
-            node[part] = 0 if depth == len(parts) else {}
-        if not (isinstance(part, int) or isinstance(node, dict)):
-            raise ConfigError(dotted, "unknown config field")
-        parent, key, node = node, part, node[part]
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(dotted, "field is not numeric")
-    return parent, key, isinstance(node, int)
-
-
 def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, out_path, seed=None) -> int:
     """Run one experiment per grid point of a numeric config field; write the tidy CSV once all have run."""
     if steps < 1:
@@ -188,30 +155,12 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     if field == "seed" and seed is not None:
         raise ConfigError("seed", "cannot be both the swept field and overridden by --seed")
 
-    raw = _read_config(config_path, seed)
+    raw = cfg.read_raw(config_path, seed)
     try:
         values = np.linspace(start, stop, steps).tolist()
     except (MemoryError, ValueError, IndexError) as exc:  # numpy cannot size or allocate the grid
         raise ConfigError("steps", f"cannot build a grid of {steps} points: {exc}") from exc
-
-    # recording the resolves' warnings resets Python's once-per-location
-    # registry, so the sweep shows each distinct one itself, once, also when a point fails
-    try:
-        with warnings.catch_warnings(record=True, action="always") as caught:
-            base = cfg.resolve(raw)
-            # resolve keeps no part of raw, so each point rewrites the one field in place
-            parent, key, integral = _field_slot(raw, field)
-            points = []
-            for value in values:
-                # an integer field takes an integral grid value as an integer; a float field reads either alike
-                parent[key] = int(value) if integral and value.is_integer() else value
-                points.append(cfg.resolve(raw))
-    finally:
-        first = {}
-        for w in caught:
-            first.setdefault((w.category, str(w.message)), w)
-        for w in first.values():
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    base, points = cfg.resolve_grid(raw, field, values)
     rows = [_sweep_row(value, point) for value, point in zip(values, points)]
 
     header = ["value", "m_over_M", "M0_over_M", "M1_over_M", "log_odds"]
@@ -276,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="grid-sweep one numeric config field")
     swp.add_argument("--config", required=True, type=Path)
-    swp.add_argument("--field", required=True, help="dotted path, e.g. state.p0")
+    swp.add_argument("--field", required=True, help="as config errors name it, e.g. detector_model.detectors[0].t0")
     swp.add_argument("--start", required=True, type=float)
     swp.add_argument("--stop", required=True, type=float)
     swp.add_argument("--steps", required=True, type=int)

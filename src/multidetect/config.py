@@ -4,6 +4,9 @@ Field names carry explicit units (bias_voltage_uV, observation_time_ns);
 values are converted to SI once, here, and never again downstream.  Every
 output file embeds the resolved configuration returned by ``resolve``, and
 re-running from that echo reproduces the run byte-for-byte.
+
+``read_raw`` (--seed) and ``resolve_grid`` (sweep's field) make every edit a
+command makes to a raw config, as ``resolve`` keeps no part of ``raw``.
 """
 
 from __future__ import annotations
@@ -304,14 +307,64 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def read_raw(path):
-    """The parsed JSON of a config file, not yet validated; every key may appear once per object."""
+def read_raw(path, seed=None):
+    """A config file's JSON, not yet validated, each key once per object; a ``seed`` (--seed) replaces its own."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, a key given twice, or nested too deep
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+    if seed is not None and isinstance(raw, dict):  # any other config is resolve's to report
+        raw["seed"] = seed
+    return raw
+
+
+def _field_slot(raw, dotted: str):
+    """The object or list holding the numeric field at path ``dotted``, its key, and whether it is an integer.
+
+    A list element is ``name[i]``, as config errors print it, or ``name.i``.  A
+    field left at its default, and any object above it, is added to ``raw`` as
+    an integer 0 (the grid value replaces it, as an integer when integral), so
+    resolve names a field that does not exist.
+    """
+    parts = dotted.replace("[", ".[").split(".")  # name[i] as name.[i]: each part a name or an index in ASCII digits
+    indices = (p[1:-1].isdigit() and p.isascii() and p[-1] == "]" for p in parts if p[:1] == "[")
+    if not all(indices) or not all(p and "]" not in p for p in parts if p[:1] != "["):
+        raise ConfigError("field", f"{dotted!r} is not a dotted path of config field names")
+    parent, key, node = None, None, raw
+    for depth, part in enumerate(parts, start=1):
+        named, part = part[0] != "[", part.strip("[]")  # a bracketed index names a list element only
+        if isinstance(node, list) and part.isdigit():  # an index in ASCII digits, leading zeros allowed
+            part = {str(i): i for i in range(len(node))}.get(part.lstrip("0") or "0", part)
+        elif isinstance(node, dict) and named and part not in node:
+            node[part] = 0 if depth == len(parts) else {}
+        if not (isinstance(part, int) or isinstance(node, dict) and named):
+            raise ConfigError(dotted, "unknown config field")
+        parent, key, node = node, part, node[part]
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ConfigError(dotted, "field is not numeric")
+    return parent, key, isinstance(node, int)
+
+
+def resolve_grid(raw: dict, field: str, values: list) -> tuple[ResolvedConfig, list[ResolvedConfig]]:
+    """``raw`` resolved as it is, then with ``field`` at each of ``values``; each distinct warning is shown once."""
+    try:  # recording resets Python's once-per-location registry, so the grid shows its own, also when a point fails
+        with warnings.catch_warnings(record=True, action="always") as caught:
+            base = resolve(raw)
+            parent, key, integral = _field_slot(raw, field)
+            points = []
+            for value in values:
+                # an integer field takes an integral grid value as an integer; a float field reads either alike
+                parent[key] = int(value) if integral and value.is_integer() else value
+                points.append(resolve(raw))
+    finally:
+        first = {}
+        for w in caught:
+            first.setdefault((w.category, str(w.message)), w)
+        for w in first.values():
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return base, points
 
 
 def canonical_json(obj, compact: bool = False) -> str:

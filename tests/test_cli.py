@@ -919,6 +919,44 @@ class TestSweep:
         assert "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "raw, field, start, stop",
+        [
+            pytest.param(
+                qpc_config(n_trials=50), "detector_model.detectors[0].observation_time_ns",
+                QPC_DETECTOR["observation_time_ns"], 2 * QPC_DETECTOR["observation_time_ns"], id="observation-time",
+            ),
+            pytest.param(ideal_config(state=[0.6, 0.0, 0.8, 0.0]), "state[0]", 0.6, 0.6, id="state"),
+            pytest.param(custom_law_config(), "scenario.pmf[1]", 0.2, 0.2, id="pmf"),
+            pytest.param(ideal_config(error_model={"eps": [0.01, 0.02]}), "error_model.eps[1]", 0.02, 0.04, id="eps"),
+            pytest.param(qpc_config(n_trials=50), "detector_model.detectors[1].t0", 0.55, 0.65, id="detector"),
+        ],
+    )
+    def test_list_element_named_as_config_prints_it(self, tmp_path, raw, field, start, stop):
+        # name[i], as config errors print a list element, sweeps the same slot as name.i
+        lines = []
+        for name in (field, re.sub(r"\[(\d+)\]", r".\1", field)):
+            assert self.sweep(tmp_path, raw, name, start, stop, 3) == 0
+            lines.append((tmp_path / "sweep.csv").read_text().splitlines())
+            assert json.loads(lines[-1][0].removeprefix("# multidetect-sweep: "))["field"] == name
+        assert lines[0][1:] == lines[1][1:]
+        assert len(lines[0]) == 5
+
+    def test_sweep_resolves_through_the_module_global(self, tmp_path, monkeypatch):
+        # perfbench times setup_s and counts config.resolve_calls by rebinding config.resolve
+        from multidetect import config
+
+        calls = []
+        resolve = config.resolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(config, "resolve", counted)
+        assert self.sweep(tmp_path, ideal_config(n_trials=100), "state.p0", 0.2, 0.8, 3) == 0
+        assert len(calls) == 4
+
 
 class TestBadInput:
     NOT_UTF8 = b'{"state": {"p0": 0.5}, "scenario": {"kind": "binomial\xff"}}'
@@ -1040,6 +1078,9 @@ class TestBadInput:
             pytest.param("detector_model.detectors.\u0661.t0", "unknown config field", id="index-arabic-indic"),
             # more digits than int() converts from a string
             pytest.param("detector_model.detectors." + "1" * 5000 + ".t0", "unknown config field", id="index-huge"),
+            # a bracketed index names a list element only
+            pytest.param("detector_model[0].model", "unknown config field", id="bracket-on-object"),
+            pytest.param("detector_model.detectors[9].t0", "unknown config field", id="bracket-past-end"),
         ],
     )
     def test_sweep_field_rejected(self, tmp_path, capsys, field, message):
@@ -1054,7 +1095,9 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("field", ["", ".", "state.", ".seed", "state..p0"])
+    @pytest.mark.parametrize(
+        "field", ["", ".", "state.", ".seed", "state..p0", "a[0", "a[]", "a[0]b", "a.[0]", "a[x]", "a]", "state[\u00b2]"],
+    )
     def test_sweep_field_with_empty_name_rejected(self, tmp_path, capsys, field):
         cfg = write_config(tmp_path, ideal_config())
         code = main([
