@@ -131,23 +131,23 @@ def _write_records(path, resolved: ResolvedConfig) -> PatternTable:
     return PatternTable.merge(tables)
 
 
-def _check_row(parts: list[str], n: int) -> tuple[int, tuple[int, ...]]:
+def _check_row(line: str, n: int) -> tuple[int, tuple[int, ...]]:
     """A row's trial index and outcomes; ValueError with the message of its first fault.
 
-    ``parts`` is ``row.split(",", 2)``.  Faults are checked in this order:
-    field count, trial index, readings, outcomes, latent, finite readings,
-    0/1 outcomes.  The index order is the caller's to check.
+    The row is split once, into 2n + 2 fields.  Faults are checked in this
+    order: field count, trial index, readings, outcomes, latent, finite
+    readings, 0/1 outcomes.  The index order is the caller's to check.
     """
-    fields = parts[-1].split(",")
-    if len(parts) + len(fields) != 2 * n + 3:
-        raise ValueError(f"expected {2 * n + 2} fields, got {len(parts) - 1 + len(fields)}")
-    index = int(parts[0])
-    total = sum(map(float, fields[:n]))
-    outcomes = tuple(map(int, fields[n:]))
-    if parts[1] not in _LATENTS:
-        raise ValueError(f"latent must be empty, 0 or 1, got {parts[1]!r}")
+    fields = line.split(",")
+    if len(fields) != 2 * n + 2:
+        raise ValueError(f"expected {2 * n + 2} fields, got {len(fields)}")
+    index = int(fields[0])
+    total = sum(map(float, fields[2 : n + 2]))
+    outcomes = tuple(map(int, fields[n + 2 :]))
+    if fields[1] not in _LATENTS:
+        raise ValueError(f"latent must be empty, 0 or 1, got {fields[1]!r}")
     # nan or inf makes the sum non-finite, but so can finite readings that overflow it
-    if not math.isfinite(total) and not all(map(math.isfinite, map(float, fields[:n]))):
+    if not math.isfinite(total) and not all(map(math.isfinite, map(float, fields[2 : n + 2]))):
         raise ValueError("readings must be finite")
     if not _BITS.issuperset(outcomes):
         raise ValueError("outcomes must be 0 or 1")
@@ -199,19 +199,18 @@ def _line_runs(fh, start: int, end: int) -> Iterator[list[str]]:
 def _row_cuts(fh, n: int) -> list:
     """Offsets that cut the binary file ``fh`` into ranges of whole lines, one per worker; ``fh`` is left at 0.
 
-    The header is checked as the parse checks it, and raises its fault; the
-    first range starts at 0 and holds it.  Range k >= 1 starts where
-    _line_end cuts the CHUNK_CHARS bytes before its share of the file, but
-    not before the end of the header's chunk or the range before it; a
-    share with no line end there joins the range before.  A file that
-    cannot seek, as a pipe, is one range read to its end.
+    A pipe is one range read to its end, and a file of one worker (under
+    2 * CHUNK_CHARS bytes, or on one usable core) is [0, size], both
+    planned without a read.  Else the header is checked as the parse checks
+    it, before any fork; range k >= 1 starts where _line_end cuts the
+    CHUNK_CHARS bytes before its share, not before the end of the header's
+    chunk or the range before it; a share with no line end there adds no cut.
     """
-    if not fh.seekable():
-        return [0, math.inf]
-    size = os.fstat(fh.fileno()).st_size
+    size = os.fstat(fh.fileno()).st_size if fh.seekable() else math.inf
+    if size == math.inf or (parts := _workers(size // CHUNK_CHARS)) == 1:
+        return [0, size]
     _header(_numbered_lines(fh, 0, size), n)
     cuts, floor = [0], fh.tell()  # fh is past the header's line
-    parts = _workers(size // CHUNK_CHARS)
     for part in range(1, parts):
         share = size * part // parts
         start = max(floor, cuts[-1], share - CHUNK_CHARS)
@@ -263,7 +262,7 @@ def _header(lines, n: int) -> int:
     else:
         raise ConfigError("records", "no header row found")
     found = sum(1 for col in header if col.startswith("outcome_"))
-    if found < 1 or ",".join(header) != _records_header(found):
+    if found < 1 or line != _records_header(found):
         raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
     if found > MAX_DETECTORS:
         raise ConfigError("records", f"{found} detectors exceed the packing limit of {MAX_DETECTORS}")
@@ -312,7 +311,7 @@ def _tally_rows(lines, n: int, lineno: int = 0):
             if not line.strip() or line.startswith("#"):
                 continue
             try:
-                index, outcomes = _check_row(line.split(",", 2), n)
+                index, outcomes = _check_row(line, n)
             except ValueError as exc:
                 fault = lineno, str(exc)
                 break

@@ -618,6 +618,17 @@ class TestInfer:
         assert captured.out == ""
         assert captured.err == f"config error: records: {message}\n"
 
+    @pytest.mark.parametrize("name", [".", "absent.csv"], ids=["directory", "absent"])  # "." is tmp_path itself
+    def test_unreadable_records_named(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, ideal_config())
+        records = tmp_path / name
+        code = main(["infer", "--records", str(records), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: records: cannot read {records}: [Errno ")
+        assert "Traceback" not in captured.err
+
     def test_huge_finite_readings_accepted(self, tmp_path, capsys):
         # their sum overflows to inf, but each reading is finite
         cfg = write_config(tmp_path, ideal_config())

@@ -215,6 +215,10 @@ class TestRunExperiment:
                 n_trials=10,
                 n_detectors=3,
             )
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\), got 18446744073709551616$"):
+            ideal_config(Binomial(), seed=2**64)
+        with pytest.raises(ValueError, match="^unknown sampling mode 'bogus'$"):
+            qpc_pair(sampling="bogus")
 
 
 def detector_model(kind, n):

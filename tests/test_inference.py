@@ -231,6 +231,10 @@ class TestPatternCounts:
         with pytest.raises(ValueError):
             decide(table([(0, 0), (0,)]), P_HALF, NO_ERR)
 
+    def test_one_dimensional_outcomes_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected an \(M, N\) array of outcomes, got shape \(2,\)$"):
+            table(np.array([0, 1], dtype=np.int8))
+
     def test_forbidden_pattern_emits_no_warning(self):
         data = np.array([(0, 0)] * 5 + [(0, 1)] * 3, dtype=np.int8)
         with warnings.catch_warnings():

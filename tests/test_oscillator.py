@@ -129,6 +129,12 @@ class TestPhysicalConstants:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             PhysicalConstants(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["electron_charge", "planck"])
+    def test_non_positive_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be strictly positive$"):
+            PhysicalConstants(**{field: value})
+
 
 class TestSampling:
     def test_moments_sigma_zero(self):

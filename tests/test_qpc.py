@@ -202,6 +202,8 @@ class TestSampling:
         p = make_qpc(0.3, 0.7, 1000.0)
         with pytest.raises(ValueError):
             sample_current(p, np.array([0, 2]), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^sigma must be 0 or 1$"):
+            p.transmission(2)
 
     @pytest.mark.parametrize("mode", ["exact", "gaussian"])
     @pytest.mark.parametrize("shape, size", [((2, 3), (3,)), ((3,), (2,)), ((3,), 4)])

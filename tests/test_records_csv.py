@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+import threading
 import time
 import tracemalloc
 
@@ -419,6 +420,77 @@ class TestParser:
 
         monkeypatch.setattr(os, "fork", no_fork)
         assert _parse_records_csv(path, 1) == PatternTable.from_outcomes(np.ones((30_000, 1), dtype=np.int8))
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The header checks made and the lines decoded in this process, through records._header and records._line_runs."""
+        seen = {"headers": 0, "lines": 0}
+        header, line_runs = records._header, records._line_runs
+
+        def counted_header(lines, n):
+            seen["headers"] += 1
+            return header(lines, n)
+
+        def counted_runs(fh, start, end):
+            for run in line_runs(fh, start, end):
+                seen["lines"] += len(run)
+                yield run
+
+        monkeypatch.setattr(records, "_header", counted_header)
+        monkeypatch.setattr(records, "_line_runs", counted_runs)
+        return seen
+
+    def test_one_range_read_once(self, tmp_path, monkeypatch):
+        # a file under 2 * CHUNK_CHARS bytes is one range on any core count, and so is a pipe: neither is
+        # planned by a read, so the parse checks the header once and decodes each of the 1002 lines once
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        path = tmp_path / "records.csv"
+        rows = [[str(i), str(i % 2), *[f"{i % 2}.0"] * 8, *[str(i % 2)] * 8] for i in range(1000)]
+        path.write_text("\n".join(["# multidetect-config: {}", _records_header(8), *map(",".join, rows)]) + "\n")
+        assert path.stat().st_size < 2 * records.CHUNK_CHARS
+        expected = _oracle_table(path)
+        seen = self.counted(monkeypatch)
+        assert _parse_records_csv(path, 8) == expected
+        assert seen == {"headers": 1, "lines": 1002}
+
+        pipe = tmp_path / "records.fifo"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+        writer.start()
+        seen.update(headers=0, lines=0)
+        try:
+            assert _parse_records_csv(pipe, 8) == expected
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert seen == {"headers": 1, "lines": 1002}
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (_records_header(2), "records have 2 detectors but config says 1"),
+            (_records_header(1) + ",", "line 2: malformed header ['trial', 'latent', 'reading_1', 'outcome_1', '']"),
+        ],
+        ids=["detector-count", "malformed"],
+    )
+    def test_cut_file_refuses_a_bad_header_before_any_fork(self, tmp_path, monkeypatch, header, message):
+        # a file that will be cut has its header checked while its ranges are planned, once more by the parse
+        monkeypatch.setattr(records, "CHUNK_CHARS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        made, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(None) or fork())
+        path = tmp_path / "records.csv"
+        rows = "".join(f"{i},,{i % 7}.5,{i % 2}\n" for i in range(60))
+        path.write_text(f"# multidetect-config: {{}}\n{_records_header(1)}\n{rows}")
+        seen = self.counted(monkeypatch)
+        assert _parse_records_csv(path, 1) == _oracle_table(path)
+        assert (seen["headers"], len(made)) == (2, 2)
+        path.write_text(f"# multidetect-config: {{}}\n{header}\n{rows}")
+        seen["headers"] = 0
+        with pytest.raises(ConfigError) as caught:
+            _parse_records_csv(path, 1)
+        assert str(caught.value) == f"records: {message}"
+        assert (seen["headers"], len(made)) == (1, 2)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_memory_does_not_grow_with_the_file(self, tmp_path, newline):

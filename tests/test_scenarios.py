@@ -38,6 +38,8 @@ class TestBinomialPmf:
             binomial_pmf(3, 4, P_HALF)
         with pytest.raises(OutOfRangeError):
             binomial_pmf(3, -1, P_HALF)
+        with pytest.raises(OutOfRangeError, match="^need at least one detector$"):
+            binomial_pmf(0, 0, P_HALF)
 
     @pytest.mark.parametrize("n", [1, 10, 59, 60, 61, 100, 500, 1000])
     def test_normalization(self, n):
