@@ -45,8 +45,6 @@ atexit.register(gc.freeze)
 
 def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
-        if math.isnan(value):
-            return "NaN"
         return "Infinity" if value > 0 else "-Infinity"
     return value
 

@@ -244,8 +244,6 @@ def required_trials(probs: OutcomeProbabilities, alpha: float, err: ErrorModel) 
     for p in effective[1:]:
         disagree += all0 * (1.0 - p) + all1 * p
         all0, all1 = all0 * p, all1 * (1.0 - p)
-    if disagree <= 0.0:
-        raise NoDiscriminationError("misread-adjusted disagreement probability is zero")
     if alpha == 1.0:
         return 1
     # once the summed disagreement rounds to 1, 1 - q is all0 + all1 exactly

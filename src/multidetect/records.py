@@ -154,13 +154,13 @@ def _check_row(line: str, n: int) -> tuple[int, tuple[int, ...]]:
     return index, outcomes
 
 
-def _byte_fault(line: str) -> str | None:
-    """The fault of a line that holds a byte that is not UTF-8, naming the first such byte; None for none."""
+def _content(line: str) -> bool:
+    """Whether a line is a header or row candidate, not blank or a comment; ValueError naming its first byte that is not UTF-8."""
     if not line.isascii():
         for char in line:
             if "\udc80" <= char <= "\udcff":  # surrogateescape's escape of a byte; valid UTF-8 yields none
-                return f"byte 0x{ord(char) - 0xDC00:02x} is not UTF-8"
-    return None
+                raise ValueError(f"byte 0x{ord(char) - 0xDC00:02x} is not UTF-8")
+    return bool(line.strip()) and not line.startswith("#")
 
 
 def _numbered_lines(fh, start: int, end: int) -> Iterator[tuple[int, str]]:
@@ -179,7 +179,7 @@ def _line_runs(fh, start: int, end: int) -> Iterator[list[str]]:
     The bytes are read CHUNK_CHARS at a time and cut where _line_end cuts
     a chunk.  No UTF-8 sequence holds byte 0x0A or 0x0D, so each run of
     bytes up to a cut decodes (a byte that is not UTF-8 as one of
-    U+DC80..U+DCFF, which _byte_fault names) and splits as it would in the
+    U+DC80..U+DCFF, which _content names) and splits as it would in the
     whole text.  A run is joined once, so time is linear in its length,
     and memory is bounded by the longest run: a file whose lines end only
     in ``\\f``, or another line end than ``\\n`` and ``\\r``, is one run.
@@ -226,21 +226,20 @@ def _parse_records_csv(path, n: int) -> PatternTable:
 
     The header is checked first, then every row; trial indices must increase
     strictly, so duplicated rows or two concatenated runs cannot count their
-    evidence twice.  The rows are cut into byte ranges at line ends, and
-    each range is tallied by one worker (_fan_out, _tally_rows) up to its
-    first fault; a byte that is not UTF-8 is a fault of its line.  The
-    first faulty line is named by its number in the whole file, as a parse
-    from the first line to the last would meet it.
+    evidence twice.  The file is cut into byte ranges at line ends, and each
+    range is read by one worker (_fan_out) up to its first fault, the first
+    range's header by _header, then its rows by _tally_rows.  The first
+    faulty line is named by its number in the whole file, as a parse from
+    the first line to the last would meet it.
     """
     try:
         with Path(path).open("rb") as fh:
             cuts = _row_cuts(fh, n)
-            lines = _numbered_lines(fh, 0, cuts[1])
-            header_line = _header(lines, n)
 
             def tally(part: int):
-                if part == 0:  # this process has read the header off the first range
-                    return _tally_rows(lines, n, header_line)
+                if part == 0:  # fh, since a pipe can be opened only once; the first range holds the header
+                    lines = _numbered_lines(fh, 0, cuts[1])
+                    return _tally_rows(lines, n, _header(lines, n))
                 with Path(path).open("rb") as own:  # a forked child shares fh's file offset
                     own.seek(cuts[part])
                     return _tally_rows(_numbered_lines(own, cuts[part], cuts[part + 1]), n)
@@ -252,15 +251,16 @@ def _parse_records_csv(path, n: int) -> PatternTable:
 
 
 def _header(lines, n: int) -> int:
-    """The line number of the header in numbered lines, the first neither blank nor a comment, if it is of ``n`` detectors."""
+    """The line number of the header in numbered lines, the first that _content keeps, if it is of ``n`` detectors."""
     for header_line, line in lines:
-        if fault := _byte_fault(line):
-            raise ConfigError("records", f"line {header_line}: {fault}")
-        if line.strip() and not line.startswith("#"):
-            header = line.split(",")
-            break
+        try:
+            if _content(line):
+                break
+        except ValueError as exc:
+            raise ConfigError("records", f"line {header_line}: {exc}") from None
     else:
         raise ConfigError("records", "no header row found")
+    header = line.split(",")
     found = sum(1 for col in header if col.startswith("outcome_"))
     if found < 1 or line != _records_header(found):
         raise ConfigError("records", f"line {header_line}: malformed header {header!r}")
@@ -282,7 +282,8 @@ def _tally_rows(lines, n: int, lineno: int = 0):
     (line, message) or None, first row as (line, index) or None, last index,
     number of the last line read).  Line numbers are the range's own;
     ``lineno`` is the number of the line before ``lines``.  The range is
-    read up to its first fault, else to its end.
+    read up to its first fault, else to its end; the ValueError of _content
+    or _check_row is the fault of a line that misses the memo.
 
     A row's latent, readings and outcomes lie in its rest, the text after
     its first comma, so a row whose rest is in the memo of valid rests
@@ -305,12 +306,9 @@ def _tally_rows(lines, n: int, lineno: int = 0):
             except ValueError:  # a comment, or a bad index that the full check reports
                 pattern = None
         if pattern is None:  # int() accepts no blank, commented or undecoded head, so a hit is none of them
-            if byte_fault := _byte_fault(line):
-                fault = lineno, byte_fault
-                break
-            if not line.strip() or line.startswith("#"):
-                continue
             try:
+                if not _content(line):
+                    continue
                 index, outcomes = _check_row(line, n)
             except ValueError as exc:
                 fault = lineno, str(exc)

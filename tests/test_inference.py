@@ -390,6 +390,32 @@ class TestRequiredTrials:
         with pytest.raises(ValueError):
             required_trials(P_HALF, 1.5, NO_ERR)
 
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 8]),
+        p0=st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 0.3, 0.5, 1 - 1e-16, 1.0]),
+        eps=st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.25, 0.49999999, 0.5 - 2**-53]), min_size=8),
+        agreeing=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edge_states_give_no_nan_and_a_positive_disagreement(self, n, p0, eps, agreeing, seed):
+        # decide writes log_odds 0.0 when both laws give -inf, so no verdict field is NaN; with p0 * p1 > 0 and
+        # every eps in [0, 0.5) each effective p lies strictly inside (0, 1), so the disagreement sum is positive
+        # and required_trials gives a count or says that it is too small to count trials
+        rng = np.random.default_rng(seed)
+        outcomes = rng.integers(0, 2, size=(20, n))
+        if agreeing:
+            outcomes[:] = outcomes[:, :1]
+        probs, err = OutcomeProbabilities(p0), ErrorModel(eps[:n])
+        verdict = decide(table(outcomes), probs, err)
+        assert not any(map(math.isnan, [verdict.loglik_unanimous, verdict.loglik_binomial, verdict.log_odds]))
+        assert not math.isnan(verdict.confidence)
+        for alpha in (0.05, 0.01, 0.001):
+            try:
+                assert required_trials(probs, alpha, err) >= 1
+            except NoDiscriminationError as exc:
+                assert str(exc).startswith("p0*p1 = 0") or str(exc).endswith("too small to count trials")
+
 
 def exact_log(x: Decimal) -> float:
     return float(x.ln()) if x > 0 else -math.inf

@@ -224,7 +224,7 @@ def mutated_csvs(draw):
             j = draw(st.integers(0, len(lines) - 1))
             lines[i] = parts[0] + "," + lines[j].partition(",")[2]
         elif kind == "gap":
-            lines.insert(i, draw(st.sampled_from(["", "   ", "# a comment", "#", "\t"])))
+            lines.insert(i, draw(st.sampled_from(["", "   ", "# a comment", "#", "\t", "\xa0", "\u3000"])))
         elif kind == "garbage":
             lines[i] = draw(st.text(alphabet="01,.-+e_ \tnaif#x" + LINE_ENDS, max_size=20))
     header = _records_header(n)
