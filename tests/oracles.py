@@ -3,11 +3,14 @@
 Everything here deliberately avoids the package's own code paths:
 quadrature instead of closed-form mixtures, pattern enumeration instead
 of sampler math, exact integer combinatorics instead of log-space pmfs.
+``verdict_law`` calls ``decide``, the code it weighs, on tables weighted by its own pattern laws.
+``fresh_env`` is the environment of the tests' new Python processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from decimal import Decimal, localcontext
 from itertools import accumulate, product
 from pathlib import Path
@@ -16,9 +19,16 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy import stats
 
+import multidetect
 from multidetect.constants import SI
 from multidetect.errors import ConfigError
+from multidetect.inference import ErrorModel, PatternTable, decide
 from multidetect.state import born_probabilities
+
+
+def fresh_env(**extra: str) -> dict[str, str]:
+    """The environment of a new Python process that imports this checkout's multidetect, with ``extra`` set."""
+    return {**os.environ, "PYTHONPATH": str(Path(multidetect.__file__).resolve().parents[1]), **extra}
 
 
 def gauss_legendre_1d(f, a: float, b: float, n: int = 200) -> float:
@@ -88,6 +98,56 @@ def enumerate_disagreement_probability(p_zero) -> float:
             prob *= p if bit == 0 else 1.0 - p
         total += prob
     return total
+
+
+def enumerate_pattern_prob_unanimous(pattern, probs, eps):
+    """Oracle: explicit sum over the shared latent bit."""
+    total = 0.0
+    for sigma, p_sigma in ((0, probs.p0), (1, probs.p1)):
+        term = p_sigma
+        for o, e in zip(pattern, eps):
+            term *= e if o != sigma else 1 - e
+        total += term
+    return total
+
+
+def enumerate_pattern_prob_binomial(pattern, probs, eps):
+    """Oracle: explicit sum over one latent bit per detector."""
+    total = 0.0
+    for latents in product((0, 1), repeat=len(pattern)):
+        term = 1.0
+        for o, s, e in zip(pattern, latents, eps):
+            term *= (probs.p0 if s == 0 else probs.p1) * (e if o != s else 1 - e)
+        total += term
+    return total
+
+
+def verdict_law(probs, eps, m: int, truth: str) -> dict[str, float]:
+    """P(unanimous), P(binomial) and P(inconclusive) of ``decide``'s verdict on M trials of two detectors.
+
+    Every table of counts of the patterns 00, 01, 10, 11 that sum to M is
+    weighted by its multinomial probability under the ``truth`` law
+    ("unanimous" or "binomial") with misread probabilities ``eps``, from
+    the enumerated pattern laws above, and ``decide`` scores it at its
+    default threshold with ``eps`` as its error model.
+    """
+    patterns = list(product((0, 1), repeat=2))
+    law = {"unanimous": enumerate_pattern_prob_unanimous, "binomial": enumerate_pattern_prob_binomial}[truth]
+    pattern_probs = [law(pattern, probs, eps) for pattern in patterns]
+    err = ErrorModel(eps)
+    verdicts = {"unanimous": 0.0, "binomial": 0.0, "inconclusive": 0.0}
+    for n00 in range(m + 1):
+        for n01 in range(m + 1 - n00):
+            for n10 in range(m + 1 - n00 - n01):
+                counts = (n00, n01, n10, m - n00 - n01 - n10)
+                tables = math.factorial(m) // math.prod(map(math.factorial, counts))
+                weight = tables * math.prod(p**n for p, n in zip(pattern_probs, counts))
+                if weight == 0.0:  # impossible under the truth, or too rare for a float
+                    continue
+                seen = [(pattern, n) for pattern, n in zip(patterns, counts) if n]
+                table = PatternTable.from_outcomes([pattern for pattern, _ in seen], [n for _, n in seen])
+                verdicts[decide(table, probs, err).decision] += weight
+    return verdicts
 
 
 def record_loop_logliks(patterns, probs, eps) -> tuple[float, float]:

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import fresh_env
 import multidetect
 from multidetect import errors, records
 from multidetect.cli import main
@@ -1139,11 +1141,10 @@ class TestBadInput:
             qpc_detector(0.4, 0.6, 302), qpc_detector(0.4, 0.6, 20), qpc_detector(0.6, 0.4, 40),
         ]
         cfg = write_config(tmp_path, raw)
-        src = Path(multidetect.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-m", "multidetect.cli", "simulate",
              "--config", str(cfg), "--out", str(tmp_path / "run")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, env=fresh_env(),
         )
         assert result.returncode == 0
         assert "detectors[0]" not in result.stderr
@@ -1154,12 +1155,11 @@ class TestBadInput:
     def test_sweep_warns_once_per_detector(self, tmp_path):
         # recording each grid point's warnings must not show them once per point
         cfg = write_config(tmp_path, low_attempt_qpc_config())
-        src = Path(multidetect.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-m", "multidetect.cli", "sweep", "--config", str(cfg),
              "--field", "state.p0", "--start", "0.1", "--stop", "0.9", "--steps", "9",
              "--out", str(tmp_path / "sweep.csv")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, env=fresh_env(),
         )
         assert result.returncode == 0
         warned = [line for line in result.stderr.splitlines() if "GaussianRegimeWarning" in line]
@@ -1430,11 +1430,26 @@ class TestWorkers:
         assert_no_child_left()
 
 
-def run_fresh(*args):
-    src = Path(multidetect.__file__).resolve().parents[1]
+def test_console_script(tmp_path):
+    # tests/console.sh, the script CI runs with the installed console script, here with `multidetect`
+    # a shim over this interpreter's `python -m multidetect.cli`; it fails on any exit but 0 and any stderr
+    shims, work = tmp_path / "bin", tmp_path / "work"
+    shims.mkdir()
+    work.mkdir()
+    shim = shims / "multidetect"
+    shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m multidetect.cli "$@"\n')
+    shim.chmod(0o755)
+    (shims / "python").symlink_to(sys.executable)  # the script's own `python -c` lines
+    script = Path(__file__).resolve().parent / "console.sh"
     result = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        ["bash", str(script)], cwd=work, capture_output=True, text=True,
+        env=fresh_env(PATH=f"{shims}{os.pathsep}{os.environ['PATH']}"),
     )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def run_fresh(*args):
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env())
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -1563,10 +1578,8 @@ def test_process_exit_keeps_outputs(tmp_path, capsys, command):
             assert main(["simulate", "--config", str(cfg), "--out", str(records_csv.parent)]) == 0
         code = main(args(tmp_path / "here"))
     printed = capsys.readouterr().out
-    src = Path(multidetect.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-m", "multidetect.cli", *args(tmp_path / "fresh")],
-        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-m", "multidetect.cli", *args(tmp_path / "fresh")], capture_output=True, env=fresh_env(),
     )
     assert result.returncode == code
     assert result.stdout == printed.encode()
@@ -1587,10 +1600,9 @@ def test_closed_stdout_named(tmp_path, command, unbuffered):
     if command == "infer":
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         args += ["--records", str(tmp_path / "run" / "records.csv")]
-    src = Path(multidetect.__file__).resolve().parents[1]
     process = subprocess.Popen(
         [sys.executable, "-m", "multidetect.cli", command, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered},
+        env=fresh_env(PYTHONUNBUFFERED=unbuffered),
     )
     process.stdout.close()
     try:

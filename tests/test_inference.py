@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_disagreement_probability, record_loop_logliks
+from oracles import (
+    enumerate_disagreement_probability,
+    enumerate_pattern_prob_binomial,
+    enumerate_pattern_prob_unanimous,
+    record_loop_logliks,
+    verdict_law,
+)
 from multidetect.errors import EmptyInputError, NoDiscriminationError
 from multidetect.inference import (
     DECISION_BINOMIAL,
@@ -29,28 +35,6 @@ from multidetect.state import OutcomeProbabilities
 P_HALF = OutcomeProbabilities(0.5)
 NO_ERR = ErrorModel.ideal(2)
 table = PatternTable.from_outcomes
-
-
-def enumerate_pattern_prob_unanimous(pattern, probs, eps):
-    """Oracle: explicit sum over the shared latent bit."""
-    total = 0.0
-    for sigma, p_sigma in ((0, probs.p0), (1, probs.p1)):
-        term = p_sigma
-        for o, e in zip(pattern, eps):
-            term *= e if o != sigma else 1 - e
-        total += term
-    return total
-
-
-def enumerate_pattern_prob_binomial(pattern, probs, eps):
-    """Oracle: explicit sum over one latent bit per detector."""
-    total = 0.0
-    for latents in product((0, 1), repeat=len(pattern)):
-        term = 1.0
-        for o, s, e in zip(pattern, latents, eps):
-            term *= (probs.p0 if s == 0 else probs.p1) * (e if o != s else 1 - e)
-        total += term
-    return total
 
 
 class TestLoglikUnanimous:
@@ -415,6 +399,36 @@ class TestRequiredTrials:
                 assert required_trials(probs, alpha, err) >= 1
             except NoDiscriminationError as exc:
                 assert str(exc).startswith("p0*p1 = 0") or str(exc).endswith("too small to count trials")
+
+
+class TestVerdictAtRequiredTrials:
+    """decide's verdict law at required_trials' M, exact over every pattern table of two detectors."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("p0", [0.5, 0.9])
+    def test_wrong_verdict_at_most_alpha(self, p0, eps, alpha):
+        # the count promises a verdict it may not deliver (inconclusive), but never a wrong one beyond alpha
+        probs = OutcomeProbabilities(p0)
+        m = required_trials(probs, alpha, ErrorModel([eps, eps]))
+        for truth, wrong in ((DECISION_UNANIMOUS, DECISION_BINOMIAL), (DECISION_BINOMIAL, DECISION_UNANIMOUS)):
+            law = verdict_law(probs, (eps, eps), m, truth)
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+            assert law[wrong] <= alpha
+
+    def test_closed_forms(self):
+        # p0 = 0.5: 7 binomial trials all agree with probability 0.5**7, and 7 ln 2 > ln 100 decides unanimous;
+        # any disagreement rules the unanimous law out
+        assert required_trials(P_HALF, 0.01, NO_ERR) == 7
+        law = verdict_law(P_HALF, (0.0, 0.0), 7, DECISION_BINOMIAL)
+        assert law[DECISION_UNANIMOUS] == pytest.approx(0.5**7, rel=1e-12)
+        assert law[DECISION_INCONCLUSIVE] == 0.0
+        # p0 = 0.9: 24 unanimous trials with no 1 score 24 ln(1/0.9) < ln 100, and one 1 lifts them past it
+        probs = OutcomeProbabilities(0.9)
+        assert required_trials(probs, 0.01, NO_ERR) == 24
+        law = verdict_law(probs, (0.0, 0.0), 24, DECISION_UNANIMOUS)
+        assert law[DECISION_INCONCLUSIVE] == pytest.approx(0.9**24, rel=1e-12)
+        assert law[DECISION_BINOMIAL] == 0.0
 
 
 def exact_log(x: Decimal) -> float:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import multidetect
+from oracles import fresh_env
 from multidetect.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
 
 N_TRIALS = 5000
@@ -184,7 +184,7 @@ def test_command_line_run_matches_digests(tmp_path):
     case = "qpc-exact-binomial"
     config, run = tmp_path / "config.json", tmp_path / "run"
     config.write_text(json.dumps(CASES[case]))
-    env = {**os.environ, "PYTHONPATH": str(Path(multidetect.__file__).resolve().parents[1])}
+    env = fresh_env()
     cli = [sys.executable, "-m", "multidetect.cli"]
     sim = subprocess.run([*cli, "simulate", "--config", config, "--out", run], capture_output=True, env=env)
     assert (sim.returncode, sim.stderr) == (EXIT_OK, b"")
