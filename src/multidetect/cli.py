@@ -8,7 +8,10 @@ Verdicts and diagnostics go to stdout as JSON (schemas in docs/), status to stde
 A command imports the modules that only it uses (``records``) itself,
 before its first config resolve: perfbench times an operation's work from
 the return of that resolve, so a later import would count as work.  Only
-``numpy.random`` comes later, on its first use in ``experiment.block_rng``.
+``numpy.random`` comes later, in the work of a command that draws trials:
+the records writer imports it just before it forks, so that its workers
+inherit it, and every other command that draws on its first
+``experiment.block_rng``.  ``infer`` draws nothing and never imports it.
 """
 
 from __future__ import annotations

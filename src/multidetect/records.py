@@ -25,6 +25,9 @@ _LATENTS = frozenset(("", "0", "1"))
 #: Bytes of the file the parser reads at a time, so its memory does not grow with the file;
 #: the parse has at most one part per this many bytes of file.
 CHUNK_CHARS = 64 * 1024
+#: Rests a parse range's memo may hold beyond the hits it has had: a range checks each of its
+#: first MEMO_SLACK + 1 distinct rests in full once, and rows that never repeat leave that many.
+MEMO_SLACK = 256
 #: Rows the writer joins into one string at a time.
 PIECE_ROWS = 1024
 CONFIG_COMMENT = "# multidetect-config: "
@@ -101,7 +104,9 @@ def _write_records(path, resolved: ResolvedConfig) -> PatternTable:
     Part 0 is written to ``path`` directly and every other part into a
     temporary file beside it, opened before the fork so that no part
     can be left behind; this process appends those files in order
-    once every part is done.
+    once every part is done.  ``numpy.random`` is imported here, before
+    the fork, so that each worker inherits it instead of importing it in
+    its first ``block_rng`` alongside this process.
     """
     config, path = resolved.experiment, Path(path)
     blocks = block_count(config.n_trials)
@@ -122,6 +127,8 @@ def _write_records(path, resolved: ResolvedConfig) -> PatternTable:
             )
             out.flush()
             return table
+
+        import numpy.random  # noqa: F401  (before the fork, so that every worker inherits it)
 
         tables = _fan_out(write_part, parts)
         fh.flush()
@@ -287,13 +294,16 @@ def _tally_rows(lines, n: int, lineno: int = 0):
 
     A row's latent, readings and outcomes lie in its rest, the text after
     its first comma, so a row whose rest is in the memo of valid rests
-    re-checks only its index.  The memo never holds more rests than it has
-    had hits, so rows that never repeat leave at most one rest in it.
+    re-checks only its index.  A valid rest joins the memo while the memo
+    holds no more than MEMO_SLACK rests beyond its hits, so each of the
+    range's first MEMO_SLACK + 1 distinct rests is checked in full once.
+    The memo never holds more than hits + MEMO_SLACK + 1 rests: rows that
+    never repeat leave at most MEMO_SLACK + 1 in it.
     """
     memo: dict[str, int] = {}
     patterns: dict[tuple[int, ...], int] = {}  # each distinct outcome tuple's entry in counts
     counts = []  # rows per entry
-    hits = 0
+    room = MEMO_SLACK + 1  # rests the memo may still take: one more per hit
     previous = -math.inf
     first = fault = None
     for lineno, line in lines:
@@ -302,7 +312,7 @@ def _tally_rows(lines, n: int, lineno: int = 0):
         if pattern is not None:
             try:
                 index = int(head)
-                hits += 1
+                room += 1
             except ValueError:  # a comment, or a bad index that the full check reports
                 pattern = None
         if pattern is None:  # int() accepts no blank, commented or undecoded head, so a hit is none of them
@@ -318,8 +328,9 @@ def _tally_rows(lines, n: int, lineno: int = 0):
             pattern = patterns.setdefault(outcomes, len(patterns))
             if pattern == len(counts):
                 counts.append(0)
-            if len(memo) <= hits:
+            if room:
                 memo[rest] = pattern
+                room -= 1
         if index <= previous:
             fault = lineno, _order_fault(index, previous)
             break

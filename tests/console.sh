@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # The multidetect console commands as a user runs them: `multidetect` and `python` from PATH, in
-# the current directory, which should be empty.  An ideal config that forks records workers, the
-# Gaussian draws, and QPC exact (a CSV round trip, its diagnostics and a detector sweep).
+# the current directory, which should be empty.  An ideal config that forks records workers and runs
+# again on one core, the Gaussian draws, and QPC exact (a CSV round trip, its diagnostics and a
+# detector sweep).
 #
 #     cd "$(mktemp -d)" && bash <repo>/tests/console.sh
 #
-# Needs bash, GNU sed, tr and cmp.  CI runs it with the installed console script, and tier-1
-# (tests/test_cli.py::test_console_script) with a shim over `python -m multidetect.cli`.
+# Needs bash, GNU sed, tr, cmp and taskset (util-linux).  CI runs it with the installed console
+# script, and tier-1 (tests/test_cli.py::test_console_script) with a shim over `python -m multidetect.cli`.
 #
 # -e: a command that exits nonzero, inconclusive (3) included, ends the script with its code.
 # 13 blocks and a 2.8 MB records.csv: simulate and every infer fork workers on 2+ cores,
@@ -25,6 +26,12 @@ multidetect simulate --config ideal.json --out run
 multidetect infer --records run/records.csv --config ideal.json > verdict.json
 # ideal.json draws the unanimous law (one shared bit per trial), and so must the verdict
 test "$(python -c "import json, pathlib; print(json.loads(pathlib.Path('verdict.json').read_text())['decision'])")" = unanimous
+# on one usable core (the first this script may use) simulate and infer fork no worker, and write
+# the same records and verdict
+core=$(python -c 'import os; print(min(os.sched_getaffinity(0)))')
+taskset -c "$core" multidetect simulate --config ideal.json --out one-core
+cmp one-core/records.csv run/records.csv
+taskset -c "$core" multidetect infer --records one-core/records.csv --config ideal.json | cmp - verdict.json
 # the same records with CR/LF and with CR line ends give the same verdict
 sed 's/$/\r/' run/records.csv > crlf.csv
 tr '\n' '\r' < run/records.csv > cr.csv

@@ -1522,6 +1522,51 @@ def test_command_imports_only_its_modules_before_first_resolve(tmp_path, command
     assert not absent & set(report["at_end"])
 
 
+# runs one command in a fresh interpreter on 2 usable cores, with records._fan_out wrapped, and prints
+# whether numpy.random was loaded when the first resolve returned, when each fan-out began and at the end
+NUMPY_RANDOM_PROBE = """
+import json, os, sys
+from multidetect import cli, config, records
+
+def loaded():
+    return "numpy.random" in sys.modules
+
+os.sched_getaffinity = lambda pid: {0, 1}
+resolve, fan_out, seen = config.resolve, records._fan_out, {"at_fan_out": []}
+
+def first_resolve(*args, **kwargs):
+    out = resolve(*args, **kwargs)
+    seen.setdefault("at_resolve", loaded())
+    return out
+
+def probed_fan_out(work, parts):
+    seen["at_fan_out"].append([parts, loaded()])
+    return fan_out(work, parts)
+
+config.resolve, records._fan_out = first_resolve, probed_fan_out
+code = cli.main(sys.argv[1:])
+print("\\n" + json.dumps({"code": code, **seen, "at_end": loaded()}))
+"""
+
+
+def test_records_workers_start_with_numpy_random_as_they_need_it(tmp_path):
+    # the writer's forked part inherits numpy.random, loaded after the first resolve and before the fork;
+    # infer draws nothing and never loads it
+    cfg = write_config(tmp_path, ideal_config(n_trials=3 * BLOCK_SIZE))
+    run = tmp_path / "run"
+
+    def probe(*args):
+        return json.loads(run_fresh("-c", NUMPY_RANDOM_PROBE, *args, "--config", str(cfg)).splitlines()[-1])
+
+    assert probe("simulate", "--out", str(run)) == {
+        "code": 0, "at_resolve": False, "at_fan_out": [[2, True]], "at_end": True,
+    }
+    assert (run / "records.csv").stat().st_size >= 2 * records.CHUNK_CHARS  # so infer cuts it into two ranges
+    assert probe("infer", "--records", str(run / "records.csv")) == {
+        "code": 0, "at_resolve": False, "at_fan_out": [[2, False]], "at_end": False,
+    }
+
+
 def test_bare_import_loads_no_submodule():
     probe = "import sys, multidetect; print(sorted(m for m in sys.modules if m.startswith('multidetect')))"
     assert run_fresh("-c", probe) == "['multidetect']\n"

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from oracles import line_checker_parse, repr_block_rows
 from multidetect import records
 from multidetect.cli import main
-from multidetect.records import PIECE_ROWS, _block_rows, _parse_records_csv, _records_header
+from multidetect.records import MEMO_SLACK, PIECE_ROWS, _block_rows, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, block_count, run_blocks
 from multidetect.inference import PatternTable
@@ -506,6 +507,77 @@ class TestParser:
         finally:
             tracemalloc.stop()
         assert table.n_trials == 130_000
+        assert peak < 2**20
+
+    @staticmethod
+    def in_process(monkeypatch, cores):
+        """The full row checks made, through records._check_row, by parses that run their ranges here, as on ``cores`` usable cores."""
+        seen, check = {"checks": 0}, records._check_row
+
+        def counted_check(line, n):
+            seen["checks"] += 1
+            return check(line, n)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(records, "_fan_out", lambda work, parts: [work(part) for part in range(parts)])
+        monkeypatch.setattr(records, "_check_row", counted_check)
+        return seen
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_memo_checks_each_distinct_rest_once(self, tmp_path, monkeypatch, cores):
+        # ideal N = 8 records repeat a few hundred rests (the text after the index) over 20 480 rows:
+        # each range checks each of its distinct rests in full once, and every other row hits the memo
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "state": {"p0": 0.3}, "scenario": {"kind": "binomial"}, "detector_model": {"model": "ideal"},
+            "n_detectors": 8, "n_trials": 5 * BLOCK_SIZE, "seed": 3,
+        }))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "records.csv"
+        seen = self.in_process(monkeypatch, cores)
+        with path.open("rb") as fh:
+            cuts = records._row_cuts(fh, 8)
+        assert len(cuts) == cores + 1
+        data = path.read_bytes()
+        distinct = [
+            {line.partition(",")[2] for line in data[a:b].decode().splitlines() if line[:1].isdigit()}
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        assert all(100 < len(rests) <= MEMO_SLACK + 1 for rests in distinct)
+        assert _parse_records_csv(path, 8) == _oracle_table(path)
+        # a range's first row of each rest misses the memo, so this many checks is one per distinct rest
+        assert seen["checks"] == sum(map(len, distinct))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_memo_of_rows_that_never_repeat_stays_small(self, tmp_path, monkeypatch, cores):
+        # N = 4 rows whose rests all differ: every row is checked in full, each range's memo keeps
+        # MEMO_SLACK + 1 rests, and the parse stays within the fixed memory bound
+        path = tmp_path / "records.csv"
+        rows = (f"{i},,{i}.5,0.25,1.5,{i % 5}.0,{i % 2},1,0,1\n" for i in range(60_000))
+        path.write_text(_records_header(4) + "\n" + "".join(rows))
+        seen = self.in_process(monkeypatch, cores)
+        memos = []  # the rests in each _tally_rows call's memo as the call returns
+
+        def on_return(frame, event, arg):
+            if event == "return":
+                memos.append(len(frame.f_locals["memo"]))
+            return on_return
+
+        def on_call(frame, event, arg):
+            if frame.f_code is records._tally_rows.__code__:
+                frame.f_trace_lines = False
+                return on_return
+
+        tracemalloc.start()
+        sys.settrace(on_call)
+        try:
+            table = _parse_records_csv(path, 4)
+        finally:
+            sys.settrace(None)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert table.n_trials == seen["checks"] == 60_000
+        assert memos == [MEMO_SLACK + 1] * cores
         assert peak < 2**20
 
     @pytest.mark.parametrize(
