@@ -76,7 +76,7 @@ def _object(raw, path: str, required=(), optional=()) -> dict:
     return raw
 
 
-def _number(value, path: str, minimum=None, maximum=None, strict_min=False) -> float:
+def _number(value, path: str, minimum=None, maximum=None, strict_min=False, strict_max=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
@@ -87,8 +87,8 @@ def _number(value, path: str, minimum=None, maximum=None, strict_min=False) -> f
         raise ConfigError(path, "must be finite")
     if minimum is not None and (v < minimum or (strict_min and v == minimum)):
         raise ConfigError(path, f"must be {'>' if strict_min else '>='} {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {v}")
+    if maximum is not None and (v > maximum or (strict_max and v == maximum)):
+        raise ConfigError(path, f"must be {'<' if strict_max else '<='} {maximum}, got {v}")
     return v
 
 
@@ -162,8 +162,8 @@ def _qpc_detector(raw: dict, path: str, sampling: str) -> QpcParams:
     return QpcParams(
         bias_voltage=_number(raw["bias_voltage_uV"], f"{path}.bias_voltage_uV", 0.0, strict_min=True) * 1e-6,
         observation_time=_number(raw["observation_time_ns"], f"{path}.observation_time_ns", 0.0, strict_min=True) * 1e-9,
-        t_given_0=_number(raw["t0"], f"{path}.t0", minimum=0.0, maximum=1.0),
-        t_given_1=_number(raw["t1"], f"{path}.t1", minimum=0.0, maximum=1.0),
+        t_given_0=_number(raw["t0"], f"{path}.t0", 0.0, 1.0, strict_min=True, strict_max=True),
+        t_given_1=_number(raw["t1"], f"{path}.t1", 0.0, 1.0, strict_min=True, strict_max=True),
     )
 
 
@@ -247,13 +247,10 @@ def resolve(raw: dict) -> ResolvedConfig:
         eps = _object(raw["error_model"], "error_model", ("eps",))["eps"]
         if not isinstance(eps, list):
             raise ConfigError("error_model.eps", "expected a list")
-        eps = [_number(e, f"error_model.eps[{i}]", minimum=0.0) for i, e in enumerate(eps)]
+        eps = [_number(e, f"error_model.eps[{i}]", 0.0, 0.5, strict_max=True) for i, e in enumerate(eps)]
         if len(eps) != n_detectors:
             raise ConfigError("error_model.eps", f"need {n_detectors} entries, got {len(eps)}")
-        try:
-            error_model = ErrorModel(eps)
-        except ValueError as exc:
-            raise ConfigError("error_model.eps", str(exc)) from exc
+        error_model = ErrorModel(eps)
     else:
         misreads = [d.misread for d in model.diagnostics()] or [0.0] * n_detectors
         error_model = ErrorModel(min(e, _DERIVED_EPS_CAP) for e in misreads)

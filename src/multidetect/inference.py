@@ -136,29 +136,39 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.full(np.shape(x), -np.inf), where=x > 0.0)
 
 
-def _flip_prob(probs: OutcomeProbabilities, eps: float) -> float:
-    """Effective probability of reading 0 on one detector under the binomial law."""
+def _effective(probs: OutcomeProbabilities, err: ErrorModel) -> np.ndarray:
+    """Each detector's probability p~_a = p0 (1 - eps_a) + p1 eps_a of reading 0 under the binomial law."""
+    eps = np.asarray(err.eps)
     return probs.p0 * (1.0 - eps) + probs.p1 * eps
 
 
-def _eps(table: PatternTable, err: ErrorModel) -> np.ndarray:
+def _pattern_logliks(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel):
+    """Each distinct pattern's log probability under the unanimous law and under the binomial law, in code order.
+
+    The patterns are unpacked ``SCORE_SLICE`` at a time, which bounds the
+    (k, N) temporaries, and each slice is scored under both laws.  A pattern
+    impossible under a law scores -inf rather than raising.
+    """
     if table.n_detectors != len(err.eps):
         raise ValueError(f"trials have {table.n_detectors} detectors but the error model has {len(err.eps)}")
-    return np.asarray(err.eps)
-
-
-def _weighted_sum(table: PatternTable, score) -> float:
-    """Sum over the table of each distinct pattern's count times ``score`` of it.
-
-    ``score`` maps a (k, N) array of patterns to their k values; it sees at
-    most ``SCORE_SLICE`` patterns at a time, which bounds its temporaries,
-    and scores each pattern as it would in one call on the whole table.
-    """
-    values = np.empty(len(table.codes))
-    for start in range(0, len(values), SCORE_SLICE):
+    eps = np.asarray(err.eps)
+    log_miss, log_hit = _log(eps), np.log1p(-eps)
+    log_branches = _log(probs.p0), _log(probs.p1)
+    effective = _effective(probs, err)
+    log_zero, log_one = _log(effective), _log(1.0 - effective)
+    k = len(table.codes)
+    unanimous, binomial = np.empty(k), np.empty(k)
+    for start in range(0, k, SCORE_SLICE):
         rows = slice(start, start + SCORE_SLICE)
-        values[rows] = score(table.patterns(rows))
-    return float((table.counts * values).sum())
+        patterns = table.patterns(rows)
+        # sum logs per latent branch: a product of many small misreads would underflow
+        branches = [
+            log_p + np.where(patterns != sigma, log_miss, log_hit).sum(axis=1)
+            for sigma, log_p in enumerate(log_branches)
+        ]
+        unanimous[rows] = np.logaddexp(*branches)
+        binomial[rows] = np.where(patterns == 0, log_zero, log_one).sum(axis=1)
+    return unanimous, binomial
 
 
 def loglik_unanimous(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
@@ -168,25 +178,12 @@ def loglik_unanimous(table: PatternTable, probs: OutcomeProbabilities, err: Erro
     of trials that show it.  A pattern impossible under the law yields -inf
     rather than raising.
     """
-    eps = _eps(table, err)
-    log_miss, log_hit = _log(eps), np.log1p(-eps)
-
-    def score(patterns):
-        # sum logs per latent branch: a product of many small misreads would underflow
-        branches = [
-            _log(p_sigma) + np.where(patterns != sigma, log_miss, log_hit).sum(axis=1)
-            for sigma, p_sigma in ((0, probs.p0), (1, probs.p1))
-        ]
-        return np.logaddexp(*branches)
-
-    return _weighted_sum(table, score)
+    return float((table.counts * _pattern_logliks(table, probs, err)[0]).sum())
 
 
 def loglik_binomial(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
     """Log likelihood of the trials under the independent-detectors law."""
-    effective = np.array([_flip_prob(probs, e) for e in _eps(table, err)])
-    log_zero, log_one = _log(effective), _log(1.0 - effective)
-    return _weighted_sum(table, lambda patterns: np.where(patterns == 0, log_zero, log_one).sum(axis=1))
+    return float((table.counts * _pattern_logliks(table, probs, err)[1]).sum())
 
 
 def decide(
@@ -204,8 +201,7 @@ def decide(
     """
     if log_odds_threshold <= 0.0:
         raise ValueError("log_odds_threshold must be positive")
-    ll_u = loglik_unanimous(table, probs, err)
-    ll_b = loglik_binomial(table, probs, err)
+    ll_u, ll_b = (float((table.counts * values).sum()) for values in _pattern_logliks(table, probs, err))
     if ll_u == -math.inf and ll_b == -math.inf:
         # impossible under both laws (degenerate state with forbidden data)
         return ScenarioVerdict(ll_u, ll_b, 0.0, DECISION_INCONCLUSIVE, 0.5)
@@ -238,7 +234,7 @@ def required_trials(probs: OutcomeProbabilities, alpha: float, err: ErrorModel) 
     # add detectors one at a time: the newcomer breaks unanimity with
     # probability all0 * (1 - p) + all1 * p; a sum of non-negative terms
     # keeps q accurate when it is tiny
-    effective = [_flip_prob(probs, e) for e in err.eps]
+    effective = _effective(probs, err).tolist()
     all0, all1 = effective[0], 1.0 - effective[0]
     disagree = 0.0
     for p in effective[1:]:

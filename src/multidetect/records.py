@@ -28,6 +28,8 @@ CHUNK_CHARS = 64 * 1024
 #: Rests a parse range's memo may hold beyond the hits it has had: a range checks each of its
 #: first MEMO_SLACK + 1 distinct rests in full once, and rows that never repeat leave that many.
 MEMO_SLACK = 256
+#: Rests a parse range's memo holds at most, whatever its hits, so its memory does not grow with the file.
+MEMO_CAP = 4096
 #: Rows the writer joins into one string at a time.
 PIECE_ROWS = 1024
 CONFIG_COMMENT = "# multidetect-config: "
@@ -297,8 +299,9 @@ def _tally_rows(lines, n: int, lineno: int = 0):
     re-checks only its index.  A valid rest joins the memo while the memo
     holds no more than MEMO_SLACK rests beyond its hits, so each of the
     range's first MEMO_SLACK + 1 distinct rests is checked in full once.
-    The memo never holds more than hits + MEMO_SLACK + 1 rests: rows that
-    never repeat leave at most MEMO_SLACK + 1 in it.
+    The memo never holds more than hits + MEMO_SLACK + 1 rests, nor more
+    than MEMO_CAP: rows that never repeat leave at most MEMO_SLACK + 1 in
+    it, and rows that repeat only in part no more than MEMO_CAP.
     """
     memo: dict[str, int] = {}
     patterns: dict[tuple[int, ...], int] = {}  # each distinct outcome tuple's entry in counts
@@ -328,7 +331,7 @@ def _tally_rows(lines, n: int, lineno: int = 0):
             pattern = patterns.setdefault(outcomes, len(patterns))
             if pattern == len(counts):
                 counts.append(0)
-            if room:
+            if room and len(memo) < MEMO_CAP:
                 memo[rest] = pattern
                 room -= 1
         if index <= previous:

@@ -69,6 +69,12 @@ multidetect infer --records qpc/records.csv --config qpc-exact.json > qpc-verdic
 # qpc-exact.json draws the binomial law (one bit per detector), and so must the verdict
 test "$(python -c "import json, pathlib; print(json.loads(pathlib.Path('qpc-verdict.json').read_text())['decision'])")" = binomial
 multidetect discriminability --config qpc-exact.json > qpc-disc.json
+# a transmission of 0 (the first detector's t0) is refused with exit 1, naming its field
+sed '0,/"t0": 0.4/s//"t0": 0/' qpc-exact.json > qpc-t0-zero.json
+code=0
+multidetect discriminability --config qpc-t0-zero.json 2> t0-zero.txt || code=$?
+test "$code" = 1
+grep -qF 'detector_model.detectors[0].t0' t0-zero.txt
 # a detector field named as config errors print it; 12.5 to 25 ns stays at 302 attempts or more, so no regime warning
 multidetect sweep --config qpc-exact.json --field "detector_model.detectors[0].observation_time_ns" \
   --start 12.5 --stop 25 --steps 2 --out qpc-sweep.csv

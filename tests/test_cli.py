@@ -208,12 +208,21 @@ BAD_CONFIGS = {
     "error-model-not-object": ({"error_model": [0.1, 0.1]}, "error_model: expected an object"),
     "error-model-empty": ({"error_model": {}}, "error_model.eps: missing required field"),
     "eps-not-list": ({"error_model": {"eps": 0.1}}, "error_model.eps: expected a list"),
-    "eps-half": ({"error_model": {"eps": [0.5, 0.1]}}, "error_model.eps: misread probability 0.5"),
+    "eps-half": ({"error_model": {"eps": [0.5, 0.1]}}, "error_model.eps[0]: must be < 0.5, got 0.5"),
     "inference-not-object": ({"inference": [0.05]}, "inference: expected an object"),
     "number-type": ({"inference": {"alpha": "0.05"}}, "inference.alpha: expected a number"),
     "number-nan": ({"inference": {"prior_log_odds": math.nan}}, "inference.prior_log_odds: must be finite"),
     # JSON integers beyond float range, which float() cannot convert, read as the float 1e400 does
     "number-integer-beyond-float": ({"state": {"p0": 10**400}}, "state.p0: must be finite"),
+    # a transmission of 0 or 1 is refused where the field is read, naming it
+    "detector-t0-zero": (
+        {"detector_model": second_detector(qpc_config(), t0=0.0)},
+        "detector_model.detectors[1].t0: must be > 0.0, got 0.0",
+    ),
+    "detector-t1-one": (
+        {"detector_model": second_detector(qpc_config(), t1=1.0)},
+        "detector_model.detectors[1].t1: must be < 1.0, got 1.0",
+    ),
     "detector-integer-beyond-float": (
         {"detector_model": second_detector(qpc_config(), t0=-(10**400))},
         "detector_model.detectors[1].t0: must be finite",

@@ -16,12 +16,14 @@ from oracles import (
     record_loop_logliks,
     verdict_law,
 )
+from multidetect import inference
 from multidetect.errors import EmptyInputError, NoDiscriminationError
 from multidetect.inference import (
     DECISION_BINOMIAL,
     DECISION_INCONCLUSIVE,
     DECISION_UNANIMOUS,
     MAX_DETECTORS,
+    SCORE_SLICE,
     ErrorModel,
     PatternTable,
     decide,
@@ -155,6 +157,25 @@ class TestPatternCounts:
         assert table(whole.patterns(), whole.counts) == whole
         parts = [table(np.repeat(rows[:15], counts[:15], axis=0)), table(rows[15:], counts[15:])]
         assert PatternTable.merge(parts) == whole
+
+    @pytest.mark.parametrize("k", [SCORE_SLICE, 2 * SCORE_SLICE + 1])
+    def test_decide_unpacks_each_slice_once(self, monkeypatch, k):
+        # both laws are scored from one unpacking of each slice, in one call that checks the detector count
+        calls = []
+
+        def counting(name, f):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(PatternTable, "patterns", counting("patterns", PatternTable.patterns))
+        monkeypatch.setattr(inference, "_pattern_logliks", counting("scores", inference._pattern_logliks))
+        rng = np.random.default_rng(62)
+        whole = PatternTable(np.arange(k, dtype=np.uint64), rng.integers(1, 4, size=k), 16)
+        decide(whole, OutcomeProbabilities(0.3), ErrorModel(rng.uniform(0.0, 0.2, size=16)))
+        assert calls.count("patterns") == -(-k // SCORE_SLICE)
+        assert calls.count("scores") == 1
 
     def test_scoring_memory_bounded_and_values_unchanged(self):
         # 1e5 distinct patterns of 64 detectors: each whole-table (K, N) temporary takes 51 MB

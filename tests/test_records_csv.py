@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from oracles import line_checker_parse, repr_block_rows
 from multidetect import records
 from multidetect.cli import main
-from multidetect.records import MEMO_SLACK, PIECE_ROWS, _block_rows, _parse_records_csv, _records_header
+from multidetect.records import MEMO_CAP, MEMO_SLACK, PIECE_ROWS, _block_rows, _parse_records_csv, _records_header
 from multidetect.errors import ConfigError
 from multidetect.experiment import ExperimentConfig, TrialBlock, block_count, run_blocks
 from multidetect.inference import PatternTable
@@ -579,6 +579,29 @@ class TestParser:
         assert table.n_trials == seen["checks"] == 60_000
         assert memos == [MEMO_SLACK + 1] * cores
         assert peak < 2**20
+
+    def test_memo_of_rows_that_repeat_in_part_stays_capped(self, tmp_path, monkeypatch):
+        # every other row repeats one rest and the others never repeat: each hit lets one more rest
+        # into the memo, up to MEMO_CAP, so a one-range parse of this 6.7 MB file stays within 2 MiB
+        path = tmp_path / "records.csv"
+        rows = (
+            f"{i},,{i}.123456789,0.25,1.5,{i}.987654321,0,1,0,1\n" if i % 2 else f"{i},,3.0,0.25,1.5,2.0,1,1,0,1\n"
+            for i in range(150_000)
+        )
+        path.write_text(_records_header(4) + "\n" + "".join(rows))
+        assert path.stat().st_size >= 6_000_000
+        seen = self.in_process(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            table = _parse_records_csv(path, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_trials == 150_000
+        # a check for the repeated rest and for each rest of the 75 000 that do not repeat
+        assert seen["checks"] == 75_001
+        assert peak < 2 * 2**20
+        assert MEMO_CAP > MEMO_SLACK + 1
 
     @pytest.mark.parametrize(
         "lines, message",
