@@ -11,7 +11,7 @@ The names below are re-exported lazily: ``multidetect.X`` imports X's home
 module on first use, so a command imports only the modules it runs.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # the names re-exported from each submodule
 _EXPORTS = {
@@ -21,8 +21,7 @@ _EXPORTS = {
         "OscillatorModel", "QpcModel", "TrialBlock", "run_experiment",
     ),
     "inference": (
-        "ErrorModel", "PatternTable", "ScenarioVerdict", "decide",
-        "loglik_binomial", "loglik_unanimous", "required_trials",
+        "ErrorModel", "PatternTable", "ScenarioVerdict", "decide", "required_trials",
     ),
     "oscillator": ("OscillatorParams",),
     "qpc": ("CurrentStats", "QpcParams"),

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import ConfigError, InvalidPmfError, ZeroStateError
 from .experiment import (
+    MAX_TRIALS,
     SEED_LIMIT,
     DetectorModel,
     ExperimentConfig,
@@ -221,7 +222,7 @@ def resolve(raw: dict) -> ResolvedConfig:
     state = _parse_state(raw["state"])
     scenario = _parse_scenario(raw["scenario"])
     model, model_echo = _parse_detector_model(raw["detector_model"])
-    n_trials = _integer(raw["n_trials"], "n_trials", minimum=1)
+    n_trials = _integer(raw["n_trials"], "n_trials", minimum=1, maximum=MAX_TRIALS)
     n_detectors = _integer(
         raw.get("n_detectors", len(model.detectors) or 2),
         "n_detectors",

@@ -40,6 +40,8 @@ from .state import Amplitudes, born_probabilities
 BLOCK_SIZE = 4096
 #: Seeds must lie in [0, SEED_LIMIT): they fill one 64-bit word of the Philox key.
 SEED_LIMIT = 2**64
+#: Trial counts stop at the int64 maximum: the pattern counts and the records' trial indices are int64.
+MAX_TRIALS = 2**63 - 1
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -163,8 +165,8 @@ class ExperimentConfig:
         n_detectors: int = 2,
         seed: int = 0,
     ):
-        if n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
+        if not 1 <= n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials must lie in [1, 2**63 - 1], got {n_trials}")
         if not 2 <= n_detectors <= MAX_DETECTORS:
             raise ValueError(f"n_detectors = {n_detectors} outside [2, {MAX_DETECTORS}] (the packing limit)")
         if not 0 <= seed < SEED_LIMIT:

@@ -171,21 +171,6 @@ def _pattern_logliks(table: PatternTable, probs: OutcomeProbabilities, err: Erro
     return unanimous, binomial
 
 
-def loglik_unanimous(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
-    """Log likelihood of the trials under the one-shared-bit law.
-
-    Each distinct outcome pattern is scored once and weighted by the number
-    of trials that show it.  A pattern impossible under the law yields -inf
-    rather than raising.
-    """
-    return float((table.counts * _pattern_logliks(table, probs, err)[0]).sum())
-
-
-def loglik_binomial(table: PatternTable, probs: OutcomeProbabilities, err: ErrorModel) -> float:
-    """Log likelihood of the trials under the independent-detectors law."""
-    return float((table.counts * _pattern_logliks(table, probs, err)[1]).sum())
-
-
 def decide(
     table: PatternTable,
     probs: OutcomeProbabilities,

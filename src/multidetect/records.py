@@ -82,9 +82,12 @@ def _block_rows(block: TrialBlock, scale: float) -> Iterator[str]:
                 span = size
             code = code * len(strings) + index
             span *= len(strings)
-        _, first, row = np.unique(code, return_index=True, return_inverse=True)
-        if 2 * len(first) <= size:
-            picked = [map(strings.__getitem__, index[first].tolist()) for strings, index in columns]
+        distinct, row = np.unique(code, return_inverse=True)
+        if 2 * len(distinct) <= size:
+            # every row of one code is the same text, so any of them stands for it
+            some = np.empty(len(distinct), dtype=np.intp)
+            some[row] = np.arange(size)
+            picked = [map(strings.__getitem__, index[some].tolist()) for strings, index in columns]
             tails = [",".join(cells) + "\n" for cells in zip(*picked)]
             row = row.tolist()
             for piece in pieces:

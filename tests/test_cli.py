@@ -136,6 +136,8 @@ BAD_CONFIGS = {
         {"scenario": DROP, "state": {"p0": 2.0}}, "scenario: missing required field",
     ),
     "state-empty": ({"state": {}}, "state.p0: missing required field"),
+    # past the int64 pattern counts and trial indices
+    "n-trials-past-int64": ({"n_trials": 2**63}, "n_trials: must be <= 9223372036854775807, got 9223372036854775808"),
     "scenario-not-object": ({"scenario": "binomial"}, "scenario: expected an object"),
     "scenario-no-kind": ({"scenario": {"pmf": [0.25, 0.5, 0.25]}}, "scenario.kind: missing required field"),
     "scenario-kind": ({"scenario": {"kind": "split"}}, "scenario.kind: unknown scenario kind"),
@@ -284,13 +286,12 @@ FUZZ_BASES = (
         "n_trials": 40, "seed": 4,
     },
 )
-# every JSON type, signed zeros, the float range's edges and integers past int64 and past float range
+# every JSON type, signed zeros, the float range's edges and integers past int64 and past float range;
+# as n_trials, 2**63 and past are refused at once
 FUZZ_VALUES = (
     None, True, False, "", "0.5", [], [0.5, 0.5], {}, {"p0": 0.5},
     0, 1, -1, 0.0, -0.0, 0.5, 5e-324, 1e308, -1e308, 2**63, 2**64, 10**400, -(10**400), math.nan,
 )
-# n_trials has no upper bound, and 2**63 trials would run for ever
-FUZZ_TRIAL_COUNTS = tuple(v for v in FUZZ_VALUES if type(v) is not int or v < 10**3)
 
 
 def json_copy(value):
@@ -316,8 +317,7 @@ def fuzzed_configs(draw):
     for _ in range(draw(st.integers(1, 3))):
         leaves = [(p, k) for p, k in config_slots(raw) if not isinstance(p[k], (dict, list)) or not p[k]]
         parent, key = draw(st.sampled_from(leaves))
-        values = FUZZ_TRIAL_COUNTS if parent is raw and key == "n_trials" else FUZZ_VALUES
-        parent[key] = json_copy(draw(st.sampled_from(values)))
+        parent[key] = json_copy(draw(st.sampled_from(FUZZ_VALUES)))
     return raw
 
 
@@ -1457,6 +1457,21 @@ def test_console_script(tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
 
 
+def test_benchmark_workloads_pass_their_checks():
+    # perfbench/run.py at its workloads' real sizes, warm-up plus three iterations each: every
+    # operation passes its checks (5-sigma disagreement, chi-square histogram, binomial verdict)
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "0"],
+        cwd=root, capture_output=True, text=True, env=fresh_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    results = json.loads(result.stdout.splitlines()[-1])
+    assert results
+    assert {name: (r["correct"], r["failed"]) for name, r in results.items()} == dict.fromkeys(results, (True, 0))
+    assert not (root / ".perfbench_work").exists()
+
+
 def run_fresh(*args):
     result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env())
     assert result.returncode == 0, result.stderr
@@ -1597,8 +1612,9 @@ def test_lazy_reexports_are_their_home_objects():
     for name in multidetect.__all__:
         home = importlib.import_module(f"multidetect.{multidetect._HOMES[name]}")
         assert getattr(multidetect, name) is getattr(home, name)
-    with pytest.raises(AttributeError, match="has no attribute 'TrialRecord'"):
-        multidetect.TrialRecord
+    for retired in ("TrialRecord", "loglik_unanimous", "loglik_binomial"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{retired}'"):
+            getattr(multidetect, retired)
 
 
 @pytest.mark.parametrize("module, frozen", [("multidetect.cli", True), ("multidetect", False)])

@@ -217,6 +217,9 @@ class TestRunExperiment:
             )
         with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\), got 18446744073709551616$"):
             ideal_config(Binomial(), seed=2**64)
+        assert ideal_config(Binomial(), n_trials=2**63 - 1).n_trials == 2**63 - 1
+        with pytest.raises(ValueError, match=r"^n_trials must lie in \[1, 2\*\*63 - 1\], got 9223372036854775808$"):
+            ideal_config(Binomial(), n_trials=2**63)
         with pytest.raises(ValueError, match="^unknown sampling mode 'bogus'$"):
             qpc_pair(sampling="bogus")
 

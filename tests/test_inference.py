@@ -27,8 +27,6 @@ from multidetect.inference import (
     ErrorModel,
     PatternTable,
     decide,
-    loglik_binomial,
-    loglik_unanimous,
     required_trials,
 )
 from multidetect.scenarios import Binomial, Unanimous
@@ -44,15 +42,15 @@ class TestLoglikUnanimous:
         probs = OutcomeProbabilities(0.36)
         data = [(0, 0)] * 30 + [(1, 1)] * 70
         expected = 30 * math.log(0.36) + 70 * math.log(0.64)
-        assert loglik_unanimous(table(data), probs, NO_ERR) == pytest.approx(expected, rel=1e-12)
+        assert decide(table(data), probs, NO_ERR).loglik_unanimous == pytest.approx(expected, rel=1e-12)
 
     def test_mixed_trial_forbidden_without_misreads(self):
-        assert loglik_unanimous(table([(0, 0), (0, 1)]), P_HALF, NO_ERR) == -math.inf
+        assert decide(table([(0, 0), (0, 1)]), P_HALF, NO_ERR).loglik_unanimous == -math.inf
 
     def test_mixed_trial_with_misreads(self):
         err = ErrorModel([0.01, 0.01])
         # sum over the shared bit: 0.5*(0.99*0.01) + 0.5*(0.01*0.99) = 0.0099
-        got = loglik_unanimous(table([(0, 1)]), P_HALF, err)
+        got = decide(table([(0, 1)]), P_HALF, err).loglik_unanimous
         assert got == pytest.approx(math.log(0.0099), rel=1e-12)
 
     def test_matches_enumeration_oracle(self):
@@ -62,7 +60,7 @@ class TestLoglikUnanimous:
             err = ErrorModel(rng.uniform(0.0, 0.4, size=3))
             pattern = tuple(rng.integers(0, 2, size=3))
             oracle = math.log(enumerate_pattern_prob_unanimous(pattern, probs, err.eps))
-            assert loglik_unanimous(table([pattern]), probs, err) == pytest.approx(oracle, rel=1e-12)
+            assert decide(table([pattern]), probs, err).loglik_unanimous == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-11, 1e-10])
     def test_many_small_factors_do_not_underflow(self, eps):
@@ -77,10 +75,10 @@ class TestLoglikUnanimous:
 class TestLoglikBinomial:
     def test_pattern_products(self):
         probs = OutcomeProbabilities(0.36)
-        assert loglik_binomial(table([(0, 1)]), probs, NO_ERR) == pytest.approx(
+        assert decide(table([(0, 1)]), probs, NO_ERR).loglik_binomial == pytest.approx(
             math.log(0.36 * 0.64), rel=1e-12
         )
-        assert loglik_binomial(table([(0, 0)]), probs, NO_ERR) == pytest.approx(
+        assert decide(table([(0, 0)]), probs, NO_ERR).loglik_binomial == pytest.approx(
             2 * math.log(0.36), rel=1e-12
         )
 
@@ -95,7 +93,7 @@ class TestLoglikBinomial:
                 p_eff = probs.p0 * (1 - eps) + probs.p1 * eps
                 absorbed = math.prod(p_eff if o == 0 else 1 - p_eff for o in pattern)
                 assert absorbed == pytest.approx(oracle, rel=1e-12)
-                assert loglik_binomial(table([pattern]), probs, err) == pytest.approx(
+                assert decide(table([pattern]), probs, err).loglik_binomial == pytest.approx(
                     math.log(oracle), rel=1e-12
                 )
 
@@ -143,8 +141,9 @@ class TestPatternCounts:
         err = ErrorModel(rng.uniform(0.0, 0.2, size=6))
         outcomes = (rng.random((500, 6)) >= 0.3).astype(np.int8)
         shuffled = outcomes[rng.permutation(len(outcomes))]
-        for loglik in (loglik_unanimous, loglik_binomial):
-            assert loglik(table(shuffled), probs, err) == loglik(table(outcomes), probs, err)
+        got, expected = (decide(table(rows), probs, err) for rows in (shuffled, outcomes))
+        assert got.loglik_unanimous == expected.loglik_unanimous
+        assert got.loglik_binomial == expected.loglik_binomial
 
     def test_counts_and_merge_match_repeated_rows(self):
         rng = np.random.default_rng(59)
@@ -301,9 +300,8 @@ class TestDecide:
         for p0 in (0.2, 0.5, 0.8):
             probs = OutcomeProbabilities(p0)
             data = Unanimous().draw(probs, 2, rng, 50)[0].tolist()
-            llu = loglik_unanimous(table(data), probs, NO_ERR)
-            llb = loglik_binomial(table(data), probs, NO_ERR)
-            assert llu > llb  # strict for 0 < p0 < 1
+            verdict = decide(table(data), probs, NO_ERR)
+            assert verdict.loglik_unanimous > verdict.loglik_binomial  # strict for 0 < p0 < 1
 
 
 class TestRequiredTrials:
@@ -493,8 +491,9 @@ class TestTwoDetectorReduction:
         for pattern in unanimous:
             zeros = pattern.count(0)
             binomial = zeros * math.log(p0_eff) + (2 - zeros) * math.log(p1_eff)
-            assert_close(loglik_unanimous(table([pattern]), probs, err), unanimous[pattern])
-            assert_close(loglik_binomial(table([pattern]), probs, err), binomial)
+            verdict = decide(table([pattern]), probs, err)
+            assert_close(verdict.loglik_unanimous, unanimous[pattern])
+            assert_close(verdict.loglik_binomial, binomial)
 
 
 def assert_close(got, expected):
