@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError, InvalidPmfError, ZeroStateError
 from .experiment import (
@@ -103,20 +103,24 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
-def _named_warnings(path: str, build, *args):
-    """``build(*args)``; each warning it raises is raised again, prefixed with ``path``, the field it concerns.
+def _built(path: str, build, *args):
+    """``build(*args)``, the object at config field ``path``; its fault is a ConfigError naming ``path``.
 
-    Recording clears Python's once-per-location registry, so every warning is
-    shown.  The prefixed copies point at the caller of ``resolve``.
+    Each warning it raises is raised again, prefixed with ``path``.  Recording
+    clears Python's once-per-location registry, so every warning is shown.  The
+    prefixed copies point at the caller of ``resolve``.
     """
-    with warnings.catch_warnings(record=True, action="always") as caught:
-        built = build(*args)
+    try:
+        with warnings.catch_warnings(record=True, action="always") as caught:
+            built = build(*args)
+    except (ValueError, ZeroStateError) as exc:
+        raise ConfigError(path, str(exc)) from exc
     for warning in caught:
         warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=4)
     return built
 
 
-def _parse_state(raw) -> Amplitudes:
+def _parse_state(raw) -> tuple[Amplitudes, list]:
     if isinstance(raw, dict):
         p0 = _number(_object(raw, "state", ("p0",))["p0"], "state.p0", minimum=0.0, maximum=1.0)
         comps = [math.sqrt(p0), 0.0, math.sqrt(1.0 - p0), 0.0]
@@ -124,25 +128,24 @@ def _parse_state(raw) -> Amplitudes:
         comps = [_number(v, f"state[{i}]") for i, v in enumerate(raw)]
     else:
         raise ConfigError("state", "expected [re0, im0, re1, im1] or {\"p0\": x}")
-    try:
-        return _named_warnings("state", make_amplitudes, *comps)
-    except ZeroStateError as exc:
-        raise ConfigError("state", str(exc)) from exc
+    state = _built("state", make_amplitudes, *comps)
+    return state, [state.c0.real, state.c0.imag, state.c1.real, state.c1.imag]
 
 
-def _parse_scenario(raw) -> ScenarioKind:
+def _parse_scenario(raw) -> tuple[ScenarioKind, dict]:
     kind = _object(raw, "scenario", ("kind",), ("pmf",))["kind"]
     if kind != "custom":  # only a custom law takes a pmf
         _object(raw, "scenario", ("kind",))
     if kind == "unanimous":
-        return Unanimous()
+        return Unanimous(), {"kind": kind}
     if kind == "binomial":
-        return Binomial()
+        return Binomial(), {"kind": kind}
     if kind == "custom":
         pmf = raw.get("pmf")
         if not isinstance(pmf, list) or not pmf:
             raise ConfigError("scenario.pmf", "custom scenario needs a non-empty pmf list")
-        return Custom([_number(p, f"scenario.pmf[{i}]", minimum=0.0) for i, p in enumerate(pmf)])
+        pmf = [_number(p, f"scenario.pmf[{i}]", minimum=0.0) for i, p in enumerate(pmf)]
+        return Custom(pmf), {"kind": kind, "pmf": pmf}
     raise ConfigError("scenario.kind", f"unknown scenario kind {kind!r}")
 
 
@@ -202,10 +205,7 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
     for i, det in enumerate(detectors_raw):
         path = f"detector_model.detectors[{i}]"
         _object(det, path, fields)
-        try:
-            detectors.append(_named_warnings(path, parse_detector, det, path, value))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        detectors.append(_built(path, parse_detector, det, path, value))
     # echo the values as given: a back-conversion from SI would not
     # round-trip bit-exactly, breaking rerun-from-echo reproducibility
     echo = {
@@ -216,83 +216,63 @@ def _parse_detector_model(raw) -> tuple[DetectorModel, dict]:
     return build(detectors, value), echo
 
 
+def _parse_error_model(raw: dict, model: DetectorModel, n_detectors: int) -> ErrorModel:
+    """The config's ``error_model.eps``, else each detector's derived misread, capped below 1/2 (0 when ideal)."""
+    if "error_model" not in raw:  # a null error_model is a fault, not an absent one
+        misreads = [d.misread for d in model.diagnostics()] or [0.0] * n_detectors
+        return ErrorModel(min(e, _DERIVED_EPS_CAP) for e in misreads)
+    eps = _object(raw["error_model"], "error_model", ("eps",))["eps"]
+    if not isinstance(eps, list):
+        raise ConfigError("error_model.eps", "expected a list")
+    eps = [_number(e, f"error_model.eps[{i}]", 0.0, 0.5, strict_max=True) for i, e in enumerate(eps)]
+    if len(eps) != n_detectors:
+        raise ConfigError("error_model.eps", f"need {n_detectors} entries, got {len(eps)}")
+    return ErrorModel(eps)
+
+
+def _parse_inference(raw) -> dict:
+    inference = _object(raw, "inference", optional=_INFERENCE_FIELDS)
+    return {
+        "log_odds_threshold": _number(
+            inference.get("log_odds_threshold", DEFAULT_LOG_ODDS_THRESHOLD),
+            "inference.log_odds_threshold",
+            minimum=0.0,
+            strict_min=True,
+        ),
+        "prior_log_odds": _number(inference.get("prior_log_odds", 0.0), "inference.prior_log_odds"),
+        "alpha": _number(inference.get("alpha", DEFAULT_ALPHA), "inference.alpha", 0.0, 1.0, strict_min=True),
+    }
+
+
 def resolve(raw: dict) -> ResolvedConfig:
     """Validate a raw config dict and build the runnable objects plus echo; ``raw`` is only read, never kept."""
     _object(raw, "", _TOP_REQUIRED, _TOP_OPTIONAL)
-    state = _parse_state(raw["state"])
-    scenario = _parse_scenario(raw["scenario"])
+    state, state_echo = _parse_state(raw["state"])
+    scenario, scenario_echo = _parse_scenario(raw["scenario"])
     model, model_echo = _parse_detector_model(raw["detector_model"])
-    n_trials = _integer(raw["n_trials"], "n_trials", minimum=1, maximum=MAX_TRIALS)
-    n_detectors = _integer(
-        raw.get("n_detectors", len(model.detectors) or 2),
-        "n_detectors",
-        minimum=2,
-        maximum=MAX_DETECTORS,
-    )
-    seed = _integer(raw.get("seed", 0), "seed", minimum=0, maximum=SEED_LIMIT - 1)
-
+    counts = {
+        "n_trials": _integer(raw["n_trials"], "n_trials", minimum=1, maximum=MAX_TRIALS),
+        "n_detectors": _integer(
+            raw.get("n_detectors", len(model.detectors) or 2), "n_detectors", minimum=2, maximum=MAX_DETECTORS
+        ),
+        "seed": _integer(raw.get("seed", 0), "seed", minimum=0, maximum=SEED_LIMIT - 1),
+    }
     try:
-        experiment = ExperimentConfig(
-            state=state,
-            scenario=scenario,
-            detector_model=model,
-            n_trials=n_trials,
-            n_detectors=n_detectors,
-            seed=seed,
-        )
+        experiment = ExperimentConfig(state, scenario, model, **counts)
     except (ValueError, InvalidPmfError) as exc:
         field = "scenario.pmf" if isinstance(exc, InvalidPmfError) else "n_detectors"
         raise ConfigError(field, str(exc)) from exc
-
-    if "error_model" in raw:
-        eps = _object(raw["error_model"], "error_model", ("eps",))["eps"]
-        if not isinstance(eps, list):
-            raise ConfigError("error_model.eps", "expected a list")
-        eps = [_number(e, f"error_model.eps[{i}]", 0.0, 0.5, strict_max=True) for i, e in enumerate(eps)]
-        if len(eps) != n_detectors:
-            raise ConfigError("error_model.eps", f"need {n_detectors} entries, got {len(eps)}")
-        error_model = ErrorModel(eps)
-    else:
-        misreads = [d.misread for d in model.diagnostics()] or [0.0] * n_detectors
-        error_model = ErrorModel(min(e, _DERIVED_EPS_CAP) for e in misreads)
-
-    inf_raw = _object(raw.get("inference", {}), "inference", optional=_INFERENCE_FIELDS)
-    threshold = _number(
-        inf_raw.get("log_odds_threshold", DEFAULT_LOG_ODDS_THRESHOLD),
-        "inference.log_odds_threshold",
-        minimum=0.0,
-        strict_min=True,
-    )
-    prior = _number(inf_raw.get("prior_log_odds", 0.0), "inference.prior_log_odds")
-    alpha = _number(inf_raw.get("alpha", DEFAULT_ALPHA), "inference.alpha", 0.0, 1.0, strict_min=True)
-
-    scenario_echo: dict[str, Any] = {"kind": scenario.kind}
-    if isinstance(scenario, Custom):
-        scenario_echo["pmf"] = list(scenario.pmf)
-
+    error_model = _parse_error_model(raw, model, counts["n_detectors"])
+    inference = _parse_inference(raw.get("inference", {}))
     echo = {
-        "state": [state.c0.real, state.c0.imag, state.c1.real, state.c1.imag],
+        "state": state_echo,
         "scenario": scenario_echo,
         "detector_model": model_echo,
-        "n_detectors": n_detectors,
-        "n_trials": n_trials,
-        "seed": seed,
+        **counts,
         "error_model": {"eps": list(error_model.eps)},
-        "inference": {
-            "log_odds_threshold": threshold,
-            "prior_log_odds": prior,
-            "alpha": alpha,
-        },
+        "inference": inference,
     }
-
-    return ResolvedConfig(
-        experiment=experiment,
-        error_model=error_model,
-        log_odds_threshold=threshold,
-        prior_log_odds=prior,
-        alpha=alpha,
-        echo=echo,
-    )
+    return ResolvedConfig(experiment, error_model, echo=echo, **inference)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -361,7 +341,7 @@ def resolve_grid(raw: dict, field: str, values: list) -> tuple[ResolvedConfig, l
         for w in caught:
             first.setdefault((w.category, str(w.message)), w)
         for w in first.values():
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            warnings.warn(w.message, stacklevel=2)  # at the caller, as resolve's own warnings are
     return base, points
 
 

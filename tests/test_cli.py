@@ -208,10 +208,13 @@ BAD_CONFIGS = {
         "detector_model.detectors[1]: bias_voltage and observation_time give D = inf; it must be finite",
     ),
     "error-model-not-object": ({"error_model": [0.1, 0.1]}, "error_model: expected an object"),
+    # a section given as null is a fault, not a section left at its default
+    "error-model-null": ({"error_model": None}, "error_model: expected an object"),
     "error-model-empty": ({"error_model": {}}, "error_model.eps: missing required field"),
     "eps-not-list": ({"error_model": {"eps": 0.1}}, "error_model.eps: expected a list"),
     "eps-half": ({"error_model": {"eps": [0.5, 0.1]}}, "error_model.eps[0]: must be < 0.5, got 0.5"),
     "inference-not-object": ({"inference": [0.05]}, "inference: expected an object"),
+    "inference-null": ({"inference": None}, "inference: expected an object"),
     "number-type": ({"inference": {"alpha": "0.05"}}, "inference.alpha: expected a number"),
     "number-nan": ({"inference": {"prior_log_odds": math.nan}}, "inference.prior_log_odds: must be finite"),
     # JSON integers beyond float range, which float() cannot convert, read as the float 1e400 does

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidetect.config import canonical_json, resolve
+from multidetect.config import canonical_json, resolve, resolve_grid
 from multidetect.constants import NATURAL
 from multidetect.errors import ConfigError
 from multidetect.experiment import OscillatorModel, QpcModel
@@ -135,6 +135,44 @@ def test_inference_defaults_and_bounds():
     assert resolved.alpha == 0.01
     with pytest.raises(ConfigError, match="inference.alpha"):
         resolve(base_config(inference={"alpha": 0.0}))
+
+
+def test_faults_named_in_section_order():
+    # one fault in each section: resolve names the first, and mending each in turn names the next
+    good = base_config(n_detectors=2, error_model={"eps": [0.1, 0.1]}, inference={"alpha": 0.05})
+    raw = {
+        "state": {"p0": 2.0},
+        "scenario": {"kind": "split"},
+        "detector_model": {"model": "squid"},
+        "n_trials": 0,
+        "n_detectors": 1,
+        "seed": -1,
+        "error_model": {"eps": 0.1},
+        "inference": {"alpha": 0.0},
+    }
+    named = []
+    for section in list(raw):
+        with pytest.raises(ConfigError) as excinfo:
+            resolve(raw)
+        named.append(excinfo.value.field)
+        raw[section] = good[section]
+    assert resolve(raw).echo == resolve(good).echo
+    assert named == [
+        "state.p0", "scenario.kind", "detector_model.model", "n_trials", "n_detectors", "seed",
+        "error_model.eps", "inference.alpha",
+    ]
+
+
+def test_sweep_warnings_point_at_its_caller():
+    # as resolve's own do: a regime warning names the line that asked for the sweep
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        resolve_grid(low_attempt_qpc_config(), "state.p0", [0.2, 0.8])
+    assert [str(w.message).split(" <")[0] for w in caught] == [
+        "detector_model.detectors[0]: attempt count 12",
+        "detector_model.detectors[1]: attempt count 24",
+    ]
+    assert {w.filename for w in caught} == {__file__}
 
 
 @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 5, 1.5, True])
