@@ -25,11 +25,13 @@ import os
 import sys
 from pathlib import Path
 
+if "numpy" not in sys.modules:  # no command calls BLAS, so numpy's OpenBLAS starts no thread pool for it
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, ModelError, NoDiscriminationError
-from .experiment import ExperimentSummary, run_experiment
+from .experiment import ExperimentSummary, run_blocks, run_experiment
 from .inference import DECISION_INCONCLUSIVE, PatternTable, decide, required_trials
 from .state import born_probabilities
 
@@ -147,7 +149,7 @@ def cmd_discriminability(config_path) -> int:
 
 
 def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, out_path, seed=None) -> int:
-    """Run one experiment per grid point of a numeric config field; write the tidy CSV once all have run."""
+    """Run one experiment per grid point of a numeric config field, all as one grid; write the tidy CSV once all have run."""
     if steps < 1:
         raise ConfigError("steps", "sweep needs at least one grid point")
     for name, bound in (("start", start), ("stop", stop)):
@@ -162,7 +164,8 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     except (MemoryError, ValueError, IndexError) as exc:  # numpy cannot size or allocate the grid
         raise ConfigError("steps", f"cannot build a grid of {steps} points: {exc}") from exc
     base, points = cfg.resolve_grid(raw, field, values)
-    rows = [_sweep_row(value, point) for value, point in zip(values, points)]
+    tables = run_blocks([point.experiment for point in points])
+    rows = [_sweep_row(value, point, table) for value, point, table in zip(values, points, tables)]
 
     header = ["value", "m_over_M", "M0_over_M", "M1_over_M", "log_odds"]
     header += [f"disc_{i + 1}" for i in range(len(base.experiment.detector_model.detectors))]
@@ -184,9 +187,9 @@ def cmd_sweep(config_path, field: str, start: float, stop: float, steps: int, ou
     return EXIT_OK
 
 
-def _sweep_row(value: float, point: cfg.ResolvedConfig) -> str:
-    """One sweep CSV row: agreement fractions, log odds and detector diagnostics at one grid point."""
-    summary = run_experiment(point.experiment)
+def _sweep_row(value: float, point: cfg.ResolvedConfig, table: PatternTable) -> str:
+    """One sweep CSV row: agreement fractions, log odds and detector diagnostics of one grid point's table."""
+    summary = ExperimentSummary(table)
     verdict = _verdict(summary.patterns, point)
     m_total = summary.n_trials
     row = [

@@ -18,6 +18,8 @@ binomial and custom trials feed each detector its own bit, which is exactly
 the distinction between the one-latent mixture law and the
 independent-detector law at the physical level.  Each block's outcomes
 are tallied into a ``PatternTable``; the tables are merged once at the end.
+A grid of configs (a sweep) runs block by block, its configs of one seed
+reading a block's stream in turn, so a draw that several make is drawn once.
 ``_fan_out`` runs the parts of a piece of work (runs of blocks, a file's
 rows) over the usable cores: the first here, each other in a forked child.
 """
@@ -28,6 +30,7 @@ import os
 import pickle
 import sys
 import warnings
+from functools import partialmethod
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -235,7 +238,8 @@ def _fork() -> int:
     """``os.fork()``, without the warning Python 3.12+ gives when this process has other threads.
 
     The other threads are numpy's BLAS pool, idle while this thread forks;
-    a child runs only its part's work and ends in ``os._exit``.  The
+    ``cli`` starts none unless numpy loaded first or the user set
+    ``OPENBLAS_NUM_THREADS``.  A child runs only its part's work and ends in ``os._exit``.  The
     filter keeps that ``DeprecationWarning`` out of shown and recorded
     warnings: pytest's summary, ``-W always``, a caller's
     ``catch_warnings(record=True)``.  It does not keep the fork from
@@ -314,28 +318,82 @@ def _child(work, part: int, write: int, inherited: list[int]) -> None:
         os._exit(0)  # never return into the caller's frames, which belong to the parent
 
 
-def run_blocks(
-    config: ExperimentConfig, blocks: range, on_block: Callable[[TrialBlock], None] | None = None
-) -> PatternTable:
-    """Run the blocks with indices ``blocks`` and tally their outcome-pattern table.
+class _Stream:
+    """One block's Philox stream, which the block's configs of one seed read one after another.
 
-    ``on_block`` is called with each TrialBlock in trial order, for callers
-    that need the trials themselves (to write them out), a block at a time.
+    ``read(keep)`` starts a config's reads, in place of its generator.  A ``random`` or
+    ``standard_normal`` call of the method and size of the next kept draw gets that array;
+    while ``keep`` is set, each draw taken from the stream's generator is kept, read-only,
+    in ``draws``.  Any other call moves the config to a generator of its own at the same
+    place: the stream's, if it stands there, else a new one with the draws before replayed.
     """
-    probs = born_probabilities(config.state)
-    tables = []
+
+    __slots__ = ("key", "rng", "draws", "keep", "position", "own")
+
+    def __init__(self, seed: int, block_index: int):
+        self.key, self.rng, self.draws = (seed, block_index), block_rng(seed, block_index), []
+
+    def read(self, keep: bool) -> _Stream:
+        self.keep, self.position, self.own = keep, 0, None
+        return self
+
+    def __getattr__(self, name):  # any other method of a Generator
+        return getattr(self._own(), name)
+
+    def _draw(self, method: str, size):
+        at, draws = self.position, self.draws
+        if self.own is None and self.keep and at == len(draws) and self.rng is not None:
+            draws.append((method, size, getattr(self.rng, method)(size)))
+            draws[at][2].flags.writeable = False
+        if self.own is None and at < len(draws) and draws[at][:2] == (method, size):
+            self.position += 1
+            return draws[at][2]
+        return getattr(self._own(), method)(size)
+
+    random = partialmethod(_draw, "random")
+    standard_normal = partialmethod(_draw, "standard_normal")
+
+    def _own(self) -> np.random.Generator:
+        if self.own is None and self.position == len(self.draws) and self.rng is not None:
+            self.own, self.rng = self.rng, None
+        elif self.own is None:
+            self.own = block_rng(*self.key)
+            for method, size, _ in self.draws[: self.position]:
+                getattr(self.own, method)(size)
+        return self.own
+
+
+def run_blocks(
+    configs: list[ExperimentConfig], blocks: range | None = None, on_block: Callable[[TrialBlock], None] | None = None
+) -> list[PatternTable]:
+    """Run the blocks with indices ``blocks`` (all by default) of each config; one outcome-pattern table per config.
+
+    Block by block, the configs that reach a block run it in order, each
+    reading its seed's ``_Stream`` and keeping its draws only for a later
+    config of that seed.  ``on_block`` is called with each TrialBlock as it
+    is run, for callers that write the trials out: for one config, in trial order.
+    """
+    if blocks is None:
+        blocks = range(max(block_count(config.n_trials) for config in configs))
+    probs = [born_probabilities(config.state) for config in configs]
+    tables = [[] for _ in configs]
     for block_index in blocks:
-        rng = block_rng(config.seed, block_index)
         start = block_index * BLOCK_SIZE
-        size = min(BLOCK_SIZE, config.n_trials - start)
-        bits, latent = config.scenario.draw(probs, config.n_detectors, rng, size)
-        block = TrialBlock(start, latent, *config.detector_model.detect(bits, rng))
-        tables.append(PatternTable.from_outcomes(block.outcomes))
-        if on_block is not None:
-            on_block(block)
-    return PatternTable.merge(tables)
+        points = [i for i, config in enumerate(configs) if start < config.n_trials]
+        last = {configs[i].seed: i for i in points}  # the last config to read each seed's stream
+        streams = {seed: _Stream(seed, block_index) for seed in last}
+        for i in points:
+            config = configs[i]
+            rng = streams[config.seed].read(keep=i != last[config.seed])
+            size = min(BLOCK_SIZE, config.n_trials - start)
+            bits, latent = config.scenario.draw(probs[i], config.n_detectors, rng, size)
+            block = TrialBlock(start, latent, *config.detector_model.detect(bits, rng))
+            tables[i].append(PatternTable.from_outcomes(block.outcomes))
+            if on_block is not None:
+                on_block(block)
+    return [PatternTable.merge(parts) for parts in tables]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run all trials block by block and summarize their outcome-pattern table; a pure function of the config."""
-    return ExperimentSummary(run_blocks(config, range(block_count(config.n_trials))))
+    return ExperimentSummary(run_blocks([config])[0])

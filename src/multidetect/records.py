@@ -127,8 +127,8 @@ def _write_records(path, resolved: ResolvedConfig) -> PatternTable:
 
         def write_part(part: int) -> PatternTable:
             out = outs[part]
-            table = run_blocks(
-                config, range(cuts[part], cuts[part + 1]), lambda block: out.writelines(_block_rows(block, scale))
+            [table] = run_blocks(
+                [config], range(cuts[part], cuts[part + 1]), lambda block: out.writelines(_block_rows(block, scale))
             )
             out.flush()
             return table

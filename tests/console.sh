@@ -2,11 +2,11 @@
 # The multidetect console commands as a user runs them: `multidetect` and `python` from PATH, in
 # the current directory, which should be empty.  An ideal config that forks records workers and runs
 # again on one core, the Gaussian draws, and QPC exact (a CSV round trip, its diagnostics and a
-# detector sweep).
+# detector sweep); each row of a sweep against the same point swept alone.
 #
 #     cd "$(mktemp -d)" && bash <repo>/tests/console.sh
 #
-# Needs bash, GNU sed, tr, cmp and taskset (util-linux).  CI runs it with the installed console
+# Needs bash, GNU sed, tr, cut, cmp and taskset (util-linux).  CI runs it with the installed console
 # script, and tier-1 (tests/test_cli.py::test_console_script) with a shim over `python -m multidetect.cli`.
 #
 # -e: a command that exits nonzero, inconclusive (3) included, ends the script with its code.
@@ -78,6 +78,16 @@ grep -qF 'detector_model.detectors[0].t0' t0-zero.txt
 # a detector field named as config errors print it; 12.5 to 25 ns stays at 302 attempts or more, so no regime warning
 multidetect sweep --config qpc-exact.json --field "detector_model.detectors[0].observation_time_ns" \
   --start 12.5 --stop 25 --steps 2 --out qpc-sweep.csv
+# a sweep runs its points as one grid, drawing a block once for the points that share its draws; each data row
+# is still that of a one-point sweep at its value: for osc.json, whose points share every draw, and for
+# qpc-exact.json's p0, whose points part at their first binomial count
+multidetect sweep --config qpc-exact.json --field state.p0 --start 0.2 --stop 0.8 --steps 3 --out qpc-p0-sweep.csv
+for grid in osc:osc-sweep.csv qpc-exact:qpc-p0-sweep.csv; do
+  for value in $(tail -n +3 "${grid#*:}" | cut -d, -f1); do
+    multidetect sweep --config "${grid%%:*}.json" --field state.p0 --start "$value" --stop "$value" --steps 1 --out point.csv
+    tail -n +3 point.csv
+  done | cmp - <(tail -n +3 "${grid#*:}")
+done
 # the same 4-detector records against the 8-detector ideal.json are refused at their header, with exit 1
 code=0
 multidetect infer --records qpc/records.csv --config ideal.json 2> mismatch.txt || code=$?

@@ -1490,6 +1490,21 @@ def test_cli_imports_no_test_only_package():
     assert run_fresh("-c", probe) == "[]\n"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_cli_starts_no_blas_thread_pool():
+    # no command calls BLAS, and numpy's OpenBLAS pool spins a thread of its own after import
+    probe = "import os, multidetect.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in fresh_env().items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def threads_and_setting(env):
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    assert threads_and_setting(env) == ["1", "1"]
+    assert threads_and_setting({**env, "OPENBLAS_NUM_THREADS": "2"})[1] == "2"  # a user's own setting is kept
+
+
 # runs one command in a fresh interpreter, with config.resolve wrapped as
 # perfbench/child.py wraps it, and prints the multidetect modules loaded when
 # the first resolve returned and when the command returned

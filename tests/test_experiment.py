@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import chisq_gof_pvalue, reference_blocks
 import multidetect
-from multidetect.config import resolve
+from multidetect import experiment
+from multidetect.config import resolve, resolve_grid
 from multidetect.constants import NATURAL
 from multidetect.experiment import (
     ExperimentConfig,
@@ -45,7 +46,7 @@ def ideal_config(scenario, p0=0.5, n_detectors=2, n_trials=100, seed=0):
 def summary_and_blocks(config):
     """The summary and every TrialBlock of one run, in trial order."""
     blocks = []
-    table = run_blocks(config, range(block_count(config.n_trials)), blocks.append)
+    [table] = run_blocks([config], range(block_count(config.n_trials)), blocks.append)
     return ExperimentSummary(table), blocks
 
 
@@ -347,6 +348,130 @@ class TestBlockEngine:
         for block, reference in zip(blocks, expected):
             got = block.latent, block.readings, block.outcomes
             assert list(map(array_bytes, got)) == list(map(array_bytes, reference))
+
+
+GRID_MODELS = {
+    "ideal": {"model": "ideal"},
+    "oscillator": {"model": "oscillator", "unit_system": "natural", "detectors": [
+        {"mass": 1.0, "omega": 1.0, "beta": 0.25, "coupling_lambda": lam, "relaxation_rate": 1.0, "measurement_time": 10.0}
+        for lam in (6.0, 8.0, 10.0)
+    ]},
+    **{
+        f"qpc-{sampling}": {"model": "qpc", "sampling": sampling, "detectors": [
+            {"bias_voltage_uV": 50.0, "observation_time_ns": tau, "t0": 0.4, "t1": 0.6} for tau in (12.5, 25.0, 50.0)
+        ]}
+        for sampling in ("exact", "gaussian")
+    },
+}
+
+
+@st.composite
+def grids(draw):
+    """A raw config of any model and law, one of its fields and 1-4 values, as ``sweep`` resolves them."""
+    model = draw(st.sampled_from(sorted(GRID_MODELS)))
+    law = draw(st.sampled_from(["unanimous", "binomial", "custom"]))
+    n = 3 if model != "ideal" else draw(st.integers(2, 4))
+    raw = {
+        "state": {"p0": 0.5},
+        # the custom pmf keeps the mean p0 * N only at p0 = 0.5 and for its N
+        "scenario": {"kind": law, "pmf": [0.5] + [0.0] * (n - 1) + [0.5]} if law == "custom" else {"kind": law},
+        "detector_model": GRID_MODELS[model],
+        "n_detectors": n,
+        "error_model": {"eps": [0.01] * n},
+        "n_trials": draw(st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7])),
+        "seed": draw(st.integers(0, 3)),
+    }
+    fields = {
+        "error_model.eps[0]": st.floats(0.0, 0.4),
+        "seed": st.integers(0, 3),
+        "n_trials": st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7]),
+    }
+    if law != "custom":
+        fields["state.p0"] = st.floats(0.0, 1.0)
+    if model == "oscillator":
+        fields["detector_model.detectors[0].beta"] = st.floats(0.2, 0.3)
+    elif model != "ideal":
+        fields["detector_model.detectors[1].t0"] = st.floats(0.3, 0.45)
+    elif law != "custom":
+        fields["n_detectors"] = st.integers(2, 4)
+    field = draw(st.sampled_from(sorted(fields)))
+    if field == "n_detectors":
+        del raw["error_model"]  # its eps list would fix N
+    values = draw(st.lists(fields[field], min_size=1, max_size=4))
+    return raw, field, [float(value) for value in values]
+
+
+class TestGrid:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(grids())
+    def test_grid_tables_match_each_point_run_alone(self, grid):
+        _, points = resolve_grid(*grid)
+        configs = [point.experiment for point in points]
+        assert run_blocks(configs) == [run_experiment(config).patterns for config in configs]
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_configs_of_any_models_share_a_seed_exactly(self, data):
+        # draws that part at a different method, size or order, with the seed shared as in a sweep of one field
+        configs = [
+            data.draw(reference_configs(data.draw(st.sampled_from(["ideal", "oscillator", "qpc-exact", "qpc-gaussian"])),
+                                        data.draw(st.sampled_from(["unanimous", "binomial", "custom"]))))
+            for _ in range(data.draw(st.integers(2, 4)))
+        ]
+        for config in configs:
+            config.seed = 5
+        blocks = []
+        tables = run_blocks(configs, on_block=blocks.append)
+        assert tables == [run_experiment(config).patterns for config in configs]
+        assert len(blocks) == sum(block_count(config.n_trials) for config in configs)
+
+    def sweep_osc_configs(self):
+        # the benchmark's sweep-osc operation: nine points of state.p0, M = 1e4 each, oscillator N = 2, unanimous
+        raw = {"state": {"p0": 0.5}, "scenario": {"kind": "unanimous"}, "detector_model": {
+            "model": "oscillator", "unit_system": "natural", "detectors": GRID_MODELS["oscillator"]["detectors"][:1] * 2,
+        }, "n_trials": 10**4, "seed": 1}
+        _, points = resolve_grid(raw, "state.p0", np.linspace(0.1, 0.9, 9).tolist())
+        return [point.experiment for point in points]
+
+    @staticmethod
+    def watch(monkeypatch):
+        """The block_rng calls and the _Stream objects of the runs that follow."""
+        calls, streams = [], []
+
+        def counted(*key):
+            calls.append(key)
+            return block_rng(*key)
+
+        class Watched(experiment._Stream):
+            __slots__ = ()
+
+            def __init__(self, *key):
+                super().__init__(*key)
+                streams.append(self)
+
+        monkeypatch.setattr(experiment, "block_rng", counted)
+        monkeypatch.setattr(experiment, "_Stream", Watched)
+        return calls, streams
+
+    def test_a_sweep_draws_each_block_once(self, monkeypatch):
+        configs = self.sweep_osc_configs()
+        assert sum(block_count(config.n_trials) for config in configs) == 27  # one stream per point and block
+        calls, streams = self.watch(monkeypatch)
+        run_blocks(configs)
+        assert calls == [(1, 0), (1, 1), (1, 2)]
+        # a block's scenario uniforms and both pointer columns, kept read-only for the points after the first
+        assert [len(stream.draws) for stream in streams] == [3, 3, 3]
+        assert not any(array.flags.writeable for stream in streams for *_, array in stream.draws)
+
+    @pytest.mark.parametrize("model", sorted(GRID_MODELS))
+    def test_a_single_run_keeps_no_draw(self, monkeypatch, model):
+        raw = {"state": {"p0": 0.5}, "scenario": {"kind": "binomial"}, "detector_model": GRID_MODELS[model],
+               "n_detectors": 3, "n_trials": 2 * BLOCK_SIZE + 1, "seed": 2}
+        config = resolve(raw).experiment
+        calls, streams = self.watch(monkeypatch)
+        run_experiment(config)
+        assert calls == [(2, 0), (2, 1), (2, 2)]
+        assert len(streams) == 3 and not any(stream.draws for stream in streams)
 
 
 class TestSummarize:

@@ -102,7 +102,7 @@ class TestWriter:
         )
         scale = config.detector_model.reading_scale
         blocks = []
-        run_blocks(config, range(block_count(n_trials)), blocks.append)
+        run_blocks([config], range(block_count(n_trials)), blocks.append)
         for block in blocks:
             assert written(block, scale) == repr_block_rows(block, scale)
 
