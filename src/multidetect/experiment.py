@@ -21,11 +21,13 @@ are tallied into a ``PatternTable``; the tables are merged once at the end.
 A grid of configs (a sweep) runs block by block, its configs of one seed
 reading a block's stream in turn, so a draw that several make is drawn once.
 ``_fan_out`` runs the parts of a piece of work (runs of blocks, a file's
-rows) over the usable cores: the first here, each other in a forked child.
+rows) over the usable cores: the first here, each other in a forked child,
+each part on its own CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import sys
@@ -261,7 +263,18 @@ def _fan_out(work: Callable[[int], object], parts: int) -> list:
     part 0 and every part it could not fork, then raises the first child
     exception in part order, or RuntimeError for a child that ended without
     sending its outcome.  It reaps every child before it returns or raises.
+
+    Each part runs on its own usable CPU, since the kernel may leave a forked
+    child on its parent's core: child ``part`` pins itself to the
+    ``part``-th usable CPU (modulo their number), and this process to the
+    first while it runs its parts, then restores its mask before it reads
+    the children's results.  A refused pin is ignored, and one part makes
+    no fork and no affinity call: placement changes no output.
     """
+    if parts < 2:
+        return [work(part) for part in range(parts)]
+    usable = os.sched_getaffinity(0)  # read once, before the first fork
+    cpus = sorted(usable)
     # part -> its child's pid, until reaped; part -> the read end of its child's pipe, until read
     pids, pipes = {}, {}
     try:
@@ -274,11 +287,15 @@ def _fan_out(work: Callable[[int], object], parts: int) -> list:
                 os.close(write)
                 continue
             if pid == 0:
-                _child(work, part, write, [read, *pipes.values()])
+                _child(work, part, write, [read, *pipes.values()], {cpus[part % len(cpus)]})
             os.close(write)
             pids[part] = pid
             pipes[part] = read
-        results = [work(part) if part not in pipes else None for part in range(parts)]
+        _pin({cpus[0]})
+        try:
+            results = [work(part) if part not in pipes else None for part in range(parts)]
+        finally:  # the caller gets its mask back, also when a part raises
+            _pin(usable)
         for part in list(pipes):
             with open(pipes.pop(part), "rb") as pipe:
                 data = pipe.read()
@@ -299,9 +316,16 @@ def _fan_out(work: Callable[[int], object], parts: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(work, part: int, write: int, inherited: list[int]) -> None:
-    """In a forked child: run ``work(part)``, send its outcome through ``write``, and end the process."""
+def _pin(cpus: set[int]) -> None:
+    """Run this process on ``cpus`` only, if the kernel lets it: placement is a hint for speed, never a fault."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _child(work, part: int, write: int, inherited: list[int], cpus: set[int]) -> None:
+    """In a forked child: run ``work(part)`` on ``cpus``, send its outcome through ``write``, and end the process."""
     try:
+        _pin(cpus)
         for fd in inherited:  # a sibling's pipe held open here would never reach its end
             os.close(fd)
         try:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 import math
+import os
 import pkgutil
 
 import numpy as np
@@ -596,3 +597,47 @@ class TestDetectorModelInterface:
         assert resolved.error_model.eps == tuple(expected)
         if case.startswith("qpc"):
             assert resolved.error_model.eps[2] == 0.5 - 1e-9
+
+
+class TestPlacement:
+    """_fan_out runs each part on its own usable CPU and gives the caller its mask back."""
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_each_part_on_its_own_cpu(self):
+        usable = os.sched_getaffinity(0)
+        masks = experiment._fan_out(lambda part: os.sched_getaffinity(0), 2)
+        assert masks == [{cpu} for cpu in sorted(usable)[:2]]
+        assert os.sched_getaffinity(0) == usable
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["this-process", "child"])
+    def test_mask_restored_when_a_part_raises(self, failing):
+        def work(part):
+            if part == failing:
+                raise RuntimeError(f"part {part} failed")
+            return part
+
+        usable = os.sched_getaffinity(0)
+        with pytest.raises(RuntimeError, match=f"^part {failing} failed$"):
+            experiment._fan_out(work, 2)
+        assert os.sched_getaffinity(0) == usable
+        with pytest.raises(ChildProcessError):  # every child reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_part_makes_no_affinity_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append("get"))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append("set"))
+        assert experiment._fan_out(lambda part: part, 1) == [0]
+        assert calls == []
+
+    def test_refused_pin_fails_nothing(self, monkeypatch):
+        usable, calls = os.sched_getaffinity(0), []
+
+        def refused(pid, cpus):
+            calls.append(cpus)
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        assert experiment._fan_out(lambda part: 2 * part, 3) == [0, 2, 4]
+        assert calls == [{min(usable)}, usable]  # this process's pin and restore; the children's are their own
+        assert os.sched_getaffinity(0) == usable
